@@ -10,9 +10,10 @@ refined the minimizer is forced flat at the boundary.  The masked operator is
 
 with lap_h the (2n+1)-point Laplacian, i.e. the 13-point biharmonic stencil
 in 2D once the zero padding is folded in.  A is symmetric positive definite
-on the masked subspace, so the smallest eigenvalue is computed by inverse
-power iteration; the inner solves use a sparse factorization (conjugate
-gradients remain available for cross-checks).
+on the masked subspace, so the smallest eigenvalue is found by shift-invert
+Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) at shift zero, with a
+single sparse LU of A, factored in SuperLU's symmetric mode (minimum degree
+ordering of A + A^T, diagonal pivots), serving every inverse application.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from platetone.field_grid import (
 )
 
 
+# Lanczos basis size of the eigensolve.  Triangular solves per optimize run
+# for NCV = 5/6/8/10/20: 5112/3636/3847/4878/8608 on the 2D N=129 annulus
+# start and 927/854/990/1210/2310 on the 3D N=33 square start.
+NCV = 6
+
+
 class VanishingFieldError(ValueError):
     """Rayleigh quotient of an identically zero field (value would be +inf)."""
 
@@ -44,7 +51,7 @@ class EmptyMaskError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The eigensolver ran out of iterations; carries the last iterate."""
+    """The eigensolver did not converge; carries the best pair it found."""
 
     def __init__(self, message: str, last_result: "ToneResult"):
         super().__init__(message)
@@ -56,7 +63,9 @@ class ToneResult:
     """Fundamental tone of a masked domain and its normalized eigenfield.
 
     gamma is the smallest discrete eigenvalue; the eigenfield satisfies
-    sum(u^2) h^n = 1; residual is ||A u - gamma u||_2 / ||u||_2.
+    sum(u^2) h^n = 1; residual is ||A u - gamma u||_2 / ||u||_2; iterations
+    counts the triangular solves with the LU factor of A (applications of
+    A^-1), zero for masks small enough to be solved densely.
     """
 
     gamma: float
@@ -134,7 +143,7 @@ def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# sparse operator and preconditioner
+# sparse operator and eigensolver
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -162,61 +171,28 @@ def _masked_bilap(grid: Grid, mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     return (rows @ rows.T).tocsr(), flat
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, rtol: float,
-         maxiter: int, minv) -> tuple[np.ndarray, int]:
-    """Preconditioned conjugate gradients for the SPD masked operator."""
-    x = x0.copy()
-    r = b - A @ x
-    target = rtol * float(np.linalg.norm(b))
-    if float(np.linalg.norm(r)) <= target:
-        return x, 0
-    z = minv(r) if minv is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, maxiter + 1):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise RuntimeError(
-                "conjugate gradients hit a non-positive curvature direction; "
-                "the masked bilaplacian should be SPD (internal bug)"
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= target:
-            return x, it
-        z = minv(r) if minv is not None else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, maxiter
-
-
 def fundamental_tone(grid: Grid, mask: Mask, tol: float = 1e-8,
                      max_iter: int = 200, initial: ScalarField | None = None,
-                     residual_tol: float | None = None,
-                     solver: str = "direct", cg_rtol: float = 1e-8) -> ToneResult:
+                     residual_tol: float | None = None) -> ToneResult:
     """Smallest eigenvalue of the masked clamped bilaplacian.
 
-    Inverse power iteration: each step solves A w = u and renormalizes.
-    Iteration stops once the relative Rayleigh-quotient change drops below
-    ``tol`` and the eigen residual below ``residual_tol * gamma``
-    (``residual_tol`` defaults to sqrt(tol)).  Because gamma is a Rayleigh
-    quotient it converges to the smallest eigenvalue from above.
+    A is factored once in SuperLU's symmetric mode and ARPACK's
+    shift-invert Lanczos (``eigsh`` with sigma = 0) finds the largest
+    eigenvalue of A^-1; ``tol`` is ARPACK's relative accuracy of that Ritz
+    value and ``max_iter`` its restart budget.  Lanczos keeps ``NCV`` basis
+    vectors, which separate a near-degenerate lowest pair (two similar
+    components, an annulus) that a single-vector iteration cannot.  gamma
+    is then recomputed as the Rayleigh quotient of the
+    returned eigenvector and the residual from A.  Masks of at most ``NCV``
+    nodes are solved densely.
 
-    The inner solve is a sparse LU factorization by default.  The operator's
-    condition number grows like 1/h^4, so conjugate gradients with any cheap
-    preconditioner need thousands of iterations per solve at production
-    resolutions; one factorization per mask followed by triangular solves is
-    orders of magnitude faster.  ``solver="cg"`` (with ``cg_rtol`` and
-    Jacobi preconditioning) is kept for cross-checks on small grids.
-
-    ``initial`` seeds the iteration, which makes repeated solves on slowly
-    changing masks cheap.
+    ``initial`` seeds the Lanczos start vector, which makes repeated solves
+    on slowly changing masks cheap.
 
     Raises EmptyMaskError on an empty mask and ConvergenceFailure (carrying
-    the last iterate) if ``max_iter`` is exhausted.
+    the best pair found) if ARPACK exhausts ``max_iter`` or the residual
+    exceeds ``residual_tol * gamma`` (``residual_tol`` defaults to
+    sqrt(tol)).
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
@@ -226,72 +202,53 @@ def fundamental_tone(grid: Grid, mask: Mask, tol: float = 1e-8,
         residual_tol = tol ** 0.5
 
     A, flat = _masked_bilap(grid, mask)
-    hn = grid.spacing ** grid.dim
-
-    if initial is not None:
-        u = initial.values.ravel()[flat].astype(float).copy()
-        if not np.any(u):
-            u = np.ones(flat.size)
+    solves = 0
+    failure = None
+    if flat.size <= NCV:
+        # ARPACK needs more unknowns than Lanczos vectors
+        u = np.linalg.eigh(A.toarray())[1][:, 0]
     else:
-        u = np.ones(flat.size)
-    u /= np.linalg.norm(u)
-
-    if solver == "direct":
-        lu = spla.splu(A.tocsc())
-        solve = lu.solve
-    elif solver == "cg":
-        inv_diag = 1.0 / A.diagonal()
-        minv = lambda v: inv_diag * v  # noqa: E731
-        maxiter_cg = max(2000, 40 * flat.size)
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
 
         def solve(rhs):
-            x0 = rhs / gamma if gamma > 0 else rhs.copy()
-            w, _ = _pcg(A, rhs, x0=x0, rtol=cg_rtol, maxiter=maxiter_cg, minv=minv)
-            return w
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+            nonlocal solves
+            solves += 1
+            return lu.solve(rhs)
 
+        v0 = None
+        if initial is not None:
+            v0 = initial.values.ravel()[flat].astype(float)
+        if v0 is None or not np.any(v0):
+            v0 = np.ones(flat.size)
+        op = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+        try:
+            _, vecs = spla.eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op,
+                                 v0=v0, tol=tol, ncv=NCV, maxiter=max_iter)
+        except spla.ArpackNoConvergence as exc:
+            vecs = exc.eigenvectors
+            failure = f"ARPACK did not converge in {max_iter} restarts"
+        # with no converged pair, one inverse-iteration step is the best guess
+        u = vecs[:, 0] if vecs.size else solve(v0)
+
+    u = u / np.linalg.norm(u)
+    if u.sum() < 0.0:
+        u = -u
     Au = A @ u
     gamma = float(u @ Au)
     residual = float(np.linalg.norm(Au - gamma * u))
-
-    stable = 0
-    for it in range(1, max_iter + 1):
-        w = solve(u)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            raise RuntimeError("inverse iteration collapsed to zero (internal bug)")
-        u_new = w / nw
-        Au = A @ u_new
-        gamma_new = float(u_new @ Au)
-        residual = float(np.linalg.norm(Au - gamma_new * u_new))
-        # On a (numerically) degenerate lowest eigenvalue the quotient settles
-        # while the iterate keeps mixing eigenvectors inside the degenerate
-        # subspace, so the residual plateaus at the splitting; three stable
-        # quotients in a row are then the honest convergence signal.
-        stable = stable + 1 if abs(gamma_new - gamma) <= tol * gamma_new else 0
-        done = stable >= 1 and residual <= residual_tol * gamma_new or stable >= 3
-        u, gamma = u_new, gamma_new
-        if done:
-            break
-    else:
-        it = max_iter
-        result = _tone_result(grid, mask, flat, u, hn, gamma, it, residual)
-        raise ConvergenceFailure(
-            f"inverse iteration did not converge in {max_iter} steps "
-            f"(last gamma {gamma!r}, residual {residual!r})",
-            result,
-        )
-    return _tone_result(grid, mask, flat, u, hn, gamma, it, residual)
-
-
-def _tone_result(grid, mask, flat, u, hn, gamma, iterations, residual):
-    scale = 1.0 / np.sqrt(float(u @ u) * hn)
     full = np.zeros(grid.node_count)
-    full[flat] = u * scale
-    field = make_field(mask, full.reshape(grid.shape))
-    return ToneResult(gamma=gamma, eigenfield=field, iterations=iterations,
-                      residual=residual)
+    full[flat] = u / np.sqrt(grid.spacing ** grid.dim)
+    result = ToneResult(gamma=gamma,
+                        eigenfield=make_field(mask, full.reshape(grid.shape)),
+                        iterations=solves, residual=residual)
+    if failure is None and residual > residual_tol * gamma:
+        failure = f"residual above {residual_tol!r} * gamma"
+    if failure is not None:
+        raise ConvergenceFailure(
+            f"{failure} (last gamma {gamma!r}, residual {residual!r})", result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Subcommands:
 * ``run --config <path> [--force] [--out <dir>]``: one optimization run,
   writing trace.csv, mask snapshots, the final field dump and a flat summary
   into the output directory.  Exit code 0 on convergence, 2 when the step
-  budget ran out, 1 on any error.
+  budget ran out, 1 on any error (bad config, I/O, an oracle or eigensolver
+  failure), reported as one ``error: ...`` line.
 * ``constants --dim N --omega0 V --eps V [--dn V] [--radius-b V]``: print the
   full constant record including both tone oracles and their residual.
 * ``verify --case {scaling|monotonicity|penalty|alpha0|oracle}``: built-in
@@ -189,12 +190,8 @@ def cmd_run(args) -> int:
     else:
         out.mkdir(parents=True)
 
-    snap_dir = out
-    counter = {"k": 0}
-
     def snapshot(state):
-        counter["k"] += 1
-        _write_mask(state.mask, snap_dir / f"mask_step{state.step:06d}")
+        _write_mask(state.mask, out / f"mask_step{state.step:06d}")
 
     result = optimize(config, snapshot_hook=snapshot)
 
@@ -367,7 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

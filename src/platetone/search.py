@@ -348,16 +348,6 @@ def _grow_to_budget(grid: Grid, mask: Mask, values: np.ndarray,
     return mask_from_array(grid, grown)
 
 
-def _fill_to_target(grid: Grid, state: SearchState, omega0: float) -> Mask | None:
-    """Grow the incumbent toward volume omega0 by the best partial ring.
-
-    One full dilation ring moves the volume by a perimeter-sized jump, far
-    coarser than the volume tolerances of interest, so this candidate adds
-    only as many ring nodes as the remaining volume budget allows.
-    """
-    return _grow_to_budget(grid, state.mask, state.tone.eigenfield.values, omega0)
-
-
 def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
@@ -379,7 +369,8 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
     cands.append(erode(state.mask))
     top = _superlevel(grid, state.tone, max(config.quantiles) * state.aggressiveness)
     cands.append(dilate(top) if top is not None else None)
-    cands.append(_fill_to_target(grid, state, config.omega0))
+    cands.append(_grow_to_budget(grid, state.mask, state.tone.eigenfield.values,
+                                 config.omega0))
     cands.append(_exchange(grid, state, 0.25 * state.aggressiveness))
     cands.append(_exchange(grid, state, 0.05 * state.aggressiveness))
     count, labels = connected_components(state.mask)

@@ -161,6 +161,21 @@ class TestRunCommand:
         cfg = write(tmp_path, "omega0 = -3\n")
         assert main(["run", "--config", str(cfg)]) == 1
 
+    def test_solver_failure_is_clean_error(self, tmp_path, monkeypatch, capsys):
+        from platetone import cli
+        from platetone.biharmonic import ConvergenceFailure
+
+        def fail(config, snapshot_hook=None):
+            raise ConvergenceFailure("eigensolver did not converge", None)
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        cfg = write(tmp_path, QUICK)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: eigensolver did not converge")
+        assert "Traceback" not in err
+
     def test_summary_contains_constants_and_diagnostics(self, tmp_path):
         cfg = write(tmp_path, QUICK)
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -289,6 +290,15 @@ class TestOptimize:
                                   max_steps=60)
             res = optimize(config)
             assert res.gamma > 0.5 * ball_tone_for_volume(res.volume, 2)
+
+    @pytest.mark.parametrize("shape", ["annulus", "two_disks"])
+    def test_near_degenerate_inits_skip_no_candidate(self, shape, caplog):
+        # both inits produce candidates whose two lowest eigenvalues nearly
+        # coincide; every one of them must be evaluated
+        caplog.set_level(logging.WARNING, logger="platetone.search")
+        optimize(small_config(nodes_per_side=33, init_shape=shape))
+        assert [r.getMessage() for r in caplog.records
+                if "skipped" in r.getMessage()] == []
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
