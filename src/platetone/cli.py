@@ -20,6 +20,7 @@ significant digits so a rerun from the echoed config is bit-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -119,24 +120,14 @@ def load_config(path) -> RunConfig:
 
 
 def config_echo_lines(config: RunConfig) -> list[str]:
-    pairs = [
-        ("dim", config.dim),
-        ("nodes_per_side", config.nodes_per_side),
-        ("radius_B", config.radius_B),
-        ("omega0", config.omega0),
-        ("eps", "auto" if config.eps is None else config.eps),
-        ("penalty_variant", config.penalty_variant),
-        ("init_shape", config.init_shape),
-        ("quantiles", config.quantiles),
-        ("delta_rel", config.delta_rel),
-        ("max_steps", config.max_steps),
-        ("tone_tol", config.tone_tol),
-        ("seed", config.seed),
-        ("d_n", config.d_n),
-        ("eps_override", config.eps_override),
-        ("snapshot_every", config.snapshot_every),
-    ]
-    return [f"{k} = {_fmt(v)}" for k, v in pairs]
+    """One ``key = value`` line per RunConfig field, in declaration order;
+    an unresolved eps (None) is echoed as ``auto``, which load_config reads
+    back as None."""
+    lines = []
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(config, f.name)
+        lines.append(f"{f.name} = {'auto' if value is None else _fmt(value)}")
+    return lines
 
 
 def trace_lines(result: RunResult) -> list[str]:

@@ -11,6 +11,13 @@ improve the objective by the relative margin ``delta_rel`` halves the
 aggressiveness, and the run stops when the aggressiveness underflows 1e-3 or
 the step budget is exhausted.
 
+No candidate is solved whose objective is bounded away from acceptance
+before any solve: the tone is positive, and a subset of the incumbent has a
+tone at least the incumbent's (H^2_0 of the subset lies in H^2_0 of the
+incumbent), so that tone floor plus the candidate's exact penalty,
+``objective_floor``, bounds its J from below.  A candidate whose floor lies
+above the acceptance bar is ruled out and adds no history row.
+
 Everything is deterministic for a fixed config, including the seeded blob
 initializer, so a rerun reproduces the trace bit for bit.
 """
@@ -35,6 +42,7 @@ from platetone.field_grid import (
     Grid,
     Mask,
     ball_mask,
+    boundary_nodes,
     connected_components,
     dilate,
     erode,
@@ -317,8 +325,6 @@ def _exchange(grid: Grid, state: SearchState, fraction: float) -> Mask | None:
     without this move the search stalls on the first shape that hits the
     target volume.
     """
-    from platetone.field_grid import boundary_nodes
-
     ring_out = np.flatnonzero(np.logical_and(
         dilate(state.mask).inside, np.logical_not(state.mask.inside)).ravel())
     ring_in = np.flatnonzero(boundary_nodes(state.mask).ravel())
@@ -419,13 +425,29 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
     ))
 
 
+def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
+    """Lower bound on the candidate's J, without a solve.
+
+    The tone part is the incumbent's tone when the candidate is a subset of
+    the incumbent mask (tone monotonicity under inclusion), and 0 otherwise
+    (A = K^T K is positive definite); the penalty part is exact.  On the
+    lattice, monotonicity is the continuum theorem: a ragged subset can
+    undercut the incumbent's tone, but only by a discretization artifact.
+    """
+    subset = not np.any(cand.inside & ~state.mask.inside)
+    tone = state.tone.gamma if subset else 0.0
+    return tone + penalty_value(kind, mask_volume(cand))
+
+
 def descent_step(state: SearchState, config: RunConfig, grid: Grid,
                  kind: PenaltyKind) -> SearchState:
-    """Evaluate all candidates, accept the best strict improvement.
+    """Evaluate the candidates, accept the best strict improvement.
 
-    Acceptance requires J_new <= J_old - delta_rel * |J_old|; otherwise the
-    aggressiveness is halved.  Candidate eigensolves are warm started from
-    the incumbent eigenfield; a candidate whose solve fails is skipped and
+    Acceptance requires J_new <= bar = J_old - delta_rel * |J_old|; otherwise
+    the aggressiveness is halved.  A candidate whose ``objective_floor`` lies
+    above the bar cannot pass, so it is not solved and adds no history row
+    (logged at DEBUG).  Candidate eigensolves are warm started from the
+    incumbent eigenfield; a candidate whose solve fails is skipped and
     logged, never fatal.  Every evaluation lands in the history.
 
     A candidate already evaluated in a rejected step against the same
@@ -434,6 +456,7 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
     and erode recur in every step of a run's closing rejections).
     """
     state.step += 1
+    bar = state.J - config.delta_rel * abs(state.J)
     evals: list[tuple[float, int, Mask, ToneResult, float]] = []
     tried: list[bytes] = []
     for idx, cand in enumerate(candidate_masks(state, config, grid)):
@@ -441,6 +464,11 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
             continue
         key = np.packbits(cand.inside).tobytes()
         if key in state.rejected:
+            continue
+        floor = objective_floor(state, cand, kind)
+        if floor > bar:
+            log.debug("step %d: candidate %d ruled out: floor %.17g > bar %.17g",
+                      state.step, idx, floor, bar)
             continue
         tried.append(key)
         try:
@@ -456,7 +484,7 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
     accepted_entry = None
     if evals:
         best = min(evals, key=lambda e: (e[0], e[1]))
-        if best[0] <= state.J - config.delta_rel * abs(state.J):
+        if best[0] <= bar:
             accepted_entry = best
 
     for J, idx, cand, tone, vol in evals:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from platetone.cli import (
+    _CONFIG_PARSERS,
     ConfigError,
     build_parser,
     emit_constants,
@@ -44,6 +46,10 @@ class TestLoadConfig:
         config = load_config(write(tmp_path, QUICK))
         echoed = load_config(write(tmp_path, "\n".join(config_echo_lines(config)), "echo.cfg"))
         assert echoed == config
+
+    def test_parsers_cover_every_field_in_order(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert list(_CONFIG_PARSERS) == names
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = write(tmp_path, "dim = 2\nshape = disk\n")

@@ -1,8 +1,10 @@
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
+from platetone import search
 from platetone.biharmonic import fundamental_tone
 from platetone.constants import unit_ball_volume
 from platetone.field_grid import (
@@ -18,6 +20,7 @@ from platetone.search import (
     candidate_masks,
     descent_step,
     initial_mask,
+    objective_floor,
     optimize,
     penalty_kind,
     resolve_eps,
@@ -207,10 +210,16 @@ class TestDescentStep:
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        first = [c for c in candidate_masks(state, config, g) if c != m]
+        bar = state.J - config.delta_rel * abs(state.J)
+
+        def solvable(cands):
+            return [c for c in cands
+                    if c != m and objective_floor(state, c, kind) <= bar]
+
+        first = solvable(candidate_masks(state, config, g))
         state = descent_step(state, config, g, kind)
         assert len(state.history) == len(first)
-        second = [c for c in candidate_masks(state, config, g) if c != m]
+        second = solvable(candidate_masks(state, config, g))
         new = [c for c in second if not any(c == f for f in first)]
         state = descent_step(state, config, g, kind)
         assert 0 < len(new) < len(second)
@@ -222,10 +231,40 @@ class TestDescentStep:
         m = initial_mask(g, "square", OMEGA0)
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
+        bar = state.J - config.delta_rel * abs(state.J)
         cands = candidate_masks(state, config, g)
-        distinct = [c for c in cands if c != state.mask]
+        distinct = [c for c in cands if c != state.mask
+                    and objective_floor(state, c, kind) <= bar]
         state = descent_step(state, config, g, kind)
         assert len(state.history) == len(distinct)
+
+    def test_bounded_out_candidates_not_solved(self, monkeypatch):
+        # at the lattice disk both branches of the floor rule candidates out:
+        # erode is a subset (floor = the incumbent's tone) and dilate's
+        # excess volume alone costs more than J
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "disk", OMEGA0)
+        state = make_state(g, m, config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        before = replace(state, history=[])
+        bar = state.J - config.delta_rel * abs(state.J)
+        cands = [c for c in candidate_masks(state, config, g) if c != m]
+        out = [c for c in cands if objective_floor(before, c, kind) > bar]
+        assert any(c == erode(m) for c in out)
+        assert any((c.inside & ~m.inside).any() for c in out)
+
+        solved = []
+        real = search.objective_with_tone
+
+        def recording(grid, mask, *args, **kwargs):
+            solved.append(mask)
+            return real(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "objective_with_tone", recording)
+        descent_step(state, config, g, kind)
+        assert len(solved) == len(cands) - len(out)
+        assert all(objective_floor(before, c, kind) <= bar for c in solved)
 
 
 class TestPickBestTieBreak:
