@@ -21,7 +21,7 @@ other, so agreement to 1e-6 relative is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -337,24 +337,9 @@ class TheoryConstants:
     eps1_effective: float | None = None   # set when a reference radius is known
 
     def as_record(self) -> dict[str, float]:
-        rec = {
-            "dim": self.dim,
-            "omega0": self.omega0,
-            "eps": self.eps,
-            "d_n": self.d_n,
-            "omega_n": self.omega_n,
-            "gamma_b1": self.gamma_b1,
-            "gamma_b1_radial": self.gamma_b1_radial,
-            "gamma_b1_bessel": self.gamma_b1_bessel,
-            "oracle_rel_diff": self.oracle_rel_diff,
-            "eps1": self.eps1,
-            "eps0": self.eps0,
-            "alpha0": self.alpha0,
-            "alpha0_residual": self.alpha0_residual,
-        }
-        if self.eps1_effective is not None:
-            rec["eps1_effective"] = self.eps1_effective
-        return rec
+        """Every field in declaration order; eps1_effective only when set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,

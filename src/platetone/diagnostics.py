@@ -55,15 +55,35 @@ def check_connected(mask: Mask) -> tuple[bool, int]:
     return count == 1, count
 
 
-def _probe_positions(mask: Mask, cap: int = 512) -> np.ndarray:
-    """Boundary-node coordinates, deterministically thinned to at most cap."""
+def _probes(mask: Mask, cap: int) -> np.ndarray:
+    """Boundary-node indices, deterministically thinned to at most cap."""
     idx = np.argwhere(boundary_nodes(mask))
     if idx.shape[0] == 0:
         raise ValueError("mask has no boundary nodes")
     if idx.shape[0] > cap:
         stride = int(math.ceil(idx.shape[0] / cap))
         idx = idx[::stride]
-    return idx * mask.grid.spacing - mask.grid.radius_B
+    return idx
+
+
+def _window(grid: Grid, idx: np.ndarray, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Index box around node idx that holds the ball of radius R, and the
+    squared distances of its nodes to idx."""
+    h = grid.spacing
+    span = int(math.ceil(R / h)) + 1
+    lo = np.maximum(idx - span, 0)
+    hi = np.minimum(idx + span + 1, grid.nodes_per_side)
+    coords = np.meshgrid(
+        *[(np.arange(a, b) - c) * h for a, b, c in zip(lo, hi, idx)],
+        indexing="ij", sparse=True,
+    )
+    return tuple(slice(a, b) for a, b in zip(lo, hi)), sum(cc * cc for cc in coords)
+
+
+def _gradient_norm(grid: Grid, field: ScalarField) -> np.ndarray:
+    """|grad u| at every node."""
+    grad = gradient_field(grid, field)
+    return np.sqrt(np.sum(grad * grad, axis=0))
 
 
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
@@ -92,7 +112,7 @@ def estimate_doubling_sigma(mask: Mask, R0: float,
         r_min = 4.0 * h
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    probes = _probe_positions(mask)
+    probes = _probes(mask, 512) * h - mask.grid.radius_B
     members = member_positions(mask)
     radii = dyadic_radii(R0, r_min)
     worst = 1.0
@@ -117,28 +137,12 @@ def estimate_nondegeneracy_c1(mask: Mask, field: ScalarField, R0: float,
         r_min = 4.0 * h
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    grad = gradient_field(grid, field)
-    mag = np.sqrt(np.sum(grad * grad, axis=0))
-    probes_idx = np.argwhere(boundary_nodes(mask))
-    if probes_idx.shape[0] == 0:
-        raise ValueError("mask has no boundary nodes")
-    if probes_idx.shape[0] > 512:
-        stride = int(math.ceil(probes_idx.shape[0] / 512))
-        probes_idx = probes_idx[::stride]
+    mag = _gradient_norm(grid, field)
     radii = dyadic_radii(R0, r_min)
-    n = grid.nodes_per_side
     worst = math.inf
-    for idx in probes_idx:
-        span = int(math.ceil(R0 / h)) + 1
-        lo = np.maximum(idx - span, 0)
-        hi = np.minimum(idx + span + 1, n)
-        window = tuple(slice(a, b) for a, b in zip(lo, hi))
+    for idx in _probes(mask, 512):
+        window, d2 = _window(grid, idx, R0)
         local = mag[window]
-        coords = np.meshgrid(
-            *[(np.arange(a, b) - c) * h for a, b, c in zip(lo, hi, idx)],
-            indexing="ij", sparse=True,
-        )
-        d2 = sum(cc * cc for cc in coords)
         for r in radii:
             sup = float(local[d2 <= r * r].max(initial=0.0))
             worst = min(worst, sup / r)
@@ -152,22 +156,15 @@ def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
     h = grid.spacing
     if R < 2.0 * h:
         raise ValueError(f"R must be at least 2h = {2.0 * h}, got {R}")
-    if not boundary_nodes(mask)[tuple(x0)]:
+    window, d2 = _window(grid, np.asarray(x0), R)
+    local = mask.inside[window]
+    # the probe and its face neighbours are the window nodes within h; members
+    # lie strictly inside B, so the box never clips a member's neighbour
+    if not mask.inside[tuple(x0)] or local[d2 <= h * h].all():
         raise ValueError(f"probe {x0} is not a boundary node")
-    idx = np.asarray(x0)
-    n = grid.nodes_per_side
-    span = int(math.ceil(R / h)) + 1
-    lo = np.maximum(idx - span, 0)
-    hi = np.minimum(idx + span + 1, n)
-    window = tuple(slice(a, b) for a, b in zip(lo, hi))
-    coords = np.meshgrid(
-        *[(np.arange(a, b) - c) * h for a, b, c in zip(lo, hi, idx)],
-        indexing="ij", sparse=True,
-    )
-    d2 = sum(cc * cc for cc in coords)
     ball = d2 < R * R
     total = int(np.count_nonzero(ball))
-    inside = int(np.count_nonzero(mask.inside[window] & ball))
+    inside = int(np.count_nonzero(local & ball))
     return inside / total
 
 
@@ -183,8 +180,7 @@ def classify_boundary(mask: Mask, field: ScalarField,
     is the meaningful check.
     """
     grid = mask.grid
-    grad = gradient_field(grid, field)
-    mag = np.sqrt(np.sum(grad * grad, axis=0))
+    mag = _gradient_norm(grid, field)
     if tol_grad is None:
         tol_grad = 10.0 * grid.spacing * float(mag.max())
     boundary = boundary_nodes(mask)
@@ -267,10 +263,7 @@ def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField, omega0: float,
     sigma = estimate_doubling_sigma(mask, R0)
     c1 = estimate_nondegeneracy_c1(mask, field, R0)
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
-    probes = np.argwhere(boundary_nodes(mask))
-    if probes.shape[0] > 128:
-        stride = int(math.ceil(probes.shape[0] / 128))
-        probes = probes[::stride]
+    probes = _probes(mask, 128)
     profile = []
     for r in radii:
         if r < 2.0 * grid.spacing:

@@ -180,10 +180,7 @@ def erode(mask: Mask) -> Mask:
 
 def boundary_nodes(mask: Mask) -> np.ndarray:
     """Members with at least one non-member face neighbor (boolean array)."""
-    kept = ndimage.binary_erosion(
-        mask.inside, structure=_face_structure(mask.grid.dim), border_value=0
-    )
-    return np.logical_and(mask.inside, np.logical_not(kept))
+    return np.logical_and(mask.inside, np.logical_not(erode(mask).inside))
 
 
 def member_positions(mask: Mask) -> np.ndarray:
@@ -271,10 +268,6 @@ def make_field(mask: Mask, values: np.ndarray) -> ScalarField:
     out = np.where(mask.inside, values, 0.0)
     out.setflags(write=False)
     return ScalarField(mask.grid, mask, out)
-
-
-def zero_field(mask: Mask) -> ScalarField:
-    return make_field(mask, np.zeros(mask.grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from platetone.field_grid import (
     Grid,
     Mask,
     ball_mask,
-    boundary_nodes,
     connected_components,
     dilate,
     erode,
@@ -303,18 +302,27 @@ def _lap(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _superlevel(grid: Grid, tone: ToneResult, q_eff: float) -> Mask | None:
-    mag = np.abs(tone.eigenfield.values)
+def _best(idx: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
+    """The (at most) k entries of idx with the largest score, ties broken by
+    ascending idx; pass -score to take the smallest."""
+    return idx[np.lexsort((idx, -score))[:k]]
+
+
+def _superlevels(grid: Grid, values: np.ndarray,
+                 q_effs: list[float]) -> list[Mask | None]:
+    """Superlevel sets {|u| >= t_q}, t_q the q-quantile of the positive
+    magnitudes of u, for each q (None when u vanishes)."""
+    mag = np.abs(values)
     positive = mag[mag > 0.0]
     if positive.size == 0:
-        return None
-    thr = float(np.quantile(positive, q_eff))
-    return mask_from_array(grid, mag >= thr)
+        return [None] * len(q_effs)
+    return [mask_from_array(grid, mag >= thr) for thr in np.quantile(positive, q_effs)]
 
 
-def _exchange(grid: Grid, state: SearchState, fraction: float) -> Mask | None:
+def _exchange(grid: Grid, mask: Mask, ring: np.ndarray, boundary: np.ndarray,
+              score: np.ndarray, fraction: float) -> Mask | None:
     """Volume-neutral boundary exchange: swap the k weakest boundary members
-    for the k strongest exterior ring nodes.
+    for the k strongest exterior ring nodes (flat indices, ranked by score).
 
     Strength is the squared Laplacian of the zero-extended eigenfield, a
     heuristic stand-in for the boundary energy density that drives the shape
@@ -325,50 +333,33 @@ def _exchange(grid: Grid, state: SearchState, fraction: float) -> Mask | None:
     without this move the search stalls on the first shape that hits the
     target volume.
     """
-    ring_out = np.flatnonzero(np.logical_and(
-        dilate(state.mask).inside, np.logical_not(state.mask.inside)).ravel())
-    ring_in = np.flatnonzero(boundary_nodes(state.mask).ravel())
-    if ring_out.size == 0 or ring_in.size == 0:
+    if ring.size == 0 or boundary.size == 0:
         return None
-    k = max(1, int(round(fraction * min(ring_out.size, ring_in.size))))
-    k = min(k, ring_out.size, ring_in.size)
-    lap = _lap(state.tone.eigenfield.values, grid.spacing).ravel()
-    score_out = lap[ring_out] ** 2
-    score_in = lap[ring_in] ** 2
-    add = ring_out[np.lexsort((ring_out, -score_out))[:k]]
-    drop = ring_in[np.lexsort((ring_in, score_in))[:k]]
-    swapped = state.mask.inside.copy()
-    swapped.ravel()[add] = True
-    swapped.ravel()[drop] = False
+    k = max(1, int(round(fraction * min(ring.size, boundary.size))))
+    k = min(k, ring.size, boundary.size)
+    swapped = mask.inside.copy()
+    swapped.ravel()[_best(ring, score[ring], k)] = True
+    swapped.ravel()[_best(boundary, -score[boundary], k)] = False
     return mask_from_array(grid, swapped)
 
 
-def _grow_to_budget(grid: Grid, mask: Mask, values: np.ndarray,
+def _grow_to_budget(grid: Grid, mask: Mask, ring: np.ndarray, score: np.ndarray,
                     omega0: float) -> Mask | None:
     """One partial dilation ring toward volume omega0, best nodes first.
 
-    Ring nodes are taken in decreasing order of the squared Laplacian of the
-    zero-extended eigenfield, never more than the remaining volume budget
-    allows.  The score is a heuristic kept from a zero-extension energy, in
-    which it was the energy charged at exterior neighbors of the mask; the
-    clamped operator charges it only beyond features too thin to clamp, so
-    here it just ranks the nodes.
+    Ring nodes (flat indices) are taken in decreasing order of score, the
+    squared Laplacian of the zero-extended eigenfield, never more than the
+    remaining volume budget allows.  The score is a heuristic kept from a
+    zero-extension energy, in which it was the energy charged at exterior
+    neighbors of the mask; the clamped operator charges it only beyond
+    features too thin to clamp, so here it just ranks the nodes.
     """
     hn = grid.spacing ** grid.dim
     budget = int(math.floor((omega0 - mask_volume(mask)) / hn))
-    if budget <= 0:
+    if budget <= 0 or ring.size == 0:
         return None
-    ring = np.logical_and(dilate(mask).inside, np.logical_not(mask.inside))
-    ring_idx = np.flatnonzero(ring.ravel())
-    if ring_idx.size == 0:
-        return None
-    lap = _lap(values, grid.spacing).ravel()
-    score = lap[ring_idx] ** 2
-    take = min(budget, ring_idx.size)
-    # descending score, ascending flat index among equals
-    order = np.lexsort((ring_idx, -score))[:take]
     grown = mask.inside.copy()
-    grown.ravel()[ring_idx[order]] = True
+    grown.ravel()[_best(ring, score[ring], budget)] = True
     return mask_from_array(grid, grown)
 
 
@@ -385,27 +376,36 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
     sliver that cannot clear the acceptance margin), while restriction plus
     regrowth buys an O(gamma h) tone drop at once.  Empty candidates are
     dropped.
+
+    The incumbent's dilation, erosion, exterior ring, boundary, score and
+    quantile thresholds are each computed once and shared by the moves.
     """
-    cands: list[Mask] = []
-    for q in config.quantiles:
-        cands.append(_superlevel(grid, state.tone, q * state.aggressiveness))
-    cands.append(dilate(state.mask))
-    cands.append(erode(state.mask))
-    top = _superlevel(grid, state.tone, max(config.quantiles) * state.aggressiveness)
-    cands.append(dilate(top) if top is not None else None)
-    cands.append(_grow_to_budget(grid, state.mask, state.tone.eigenfield.values,
-                                 config.omega0))
-    cands.append(_exchange(grid, state, 0.25 * state.aggressiveness))
-    cands.append(_exchange(grid, state, 0.05 * state.aggressiveness))
-    count, labels = connected_components(state.mask)
+    mask = state.mask
+    values = state.tone.eigenfield.values
+    grown, shrunk = dilate(mask), erode(mask)
+    ring = np.flatnonzero(grown.inside & ~mask.inside)
+    boundary = np.flatnonzero(mask.inside & ~shrunk.inside)
+    score = _lap(values, grid.spacing).ravel() ** 2
+    cuts = _superlevels(grid, values, [q * state.aggressiveness for q in config.quantiles])
+    top = cuts[config.quantiles.index(max(config.quantiles))]
+    cands = cuts + [
+        grown,
+        shrunk,
+        dilate(top) if top is not None else None,
+        _grow_to_budget(grid, mask, ring, score, config.omega0),
+        _exchange(grid, mask, ring, boundary, score, 0.25 * state.aggressiveness),
+        _exchange(grid, mask, ring, boundary, score, 0.05 * state.aggressiveness),
+    ]
+    count, labels = connected_components(mask)
     if count > 1:
-        values = state.tone.eigenfield.values
         for comp in range(1, count + 1):
             part = mask_from_array(grid, labels == comp)
             cands.append(part)
-            if not part.is_empty:
-                masked_vals = np.where(part.inside, values, 0.0)
-                cands.append(_grow_to_budget(grid, part, masked_vals, config.omega0))
+            if mask_volume(part) >= config.omega0:
+                continue    # no growth budget: skip building the ring and score
+            part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
+            part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
+            cands.append(_grow_to_budget(grid, part, part_ring, part_score, config.omega0))
     return [m for m in cands if m is not None and not m.is_empty]
 
 

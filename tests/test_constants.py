@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from platetone.constants import (
+    TheoryConstants,
     alpha0,
     ball_tone_for_volume,
     compute_constants,
@@ -207,6 +209,13 @@ class TestBundle:
         assert rec["alpha0_residual"] <= 1e-10
         assert c.eps0 <= c.eps1
         assert c.eps1_effective is not None and c.eps1_effective <= c.eps1
+
+    def test_record_keys_are_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(TheoryConstants)]
+        with_radius = compute_constants(2, math.pi / 4.0, 1e-4, radius_B=1.5)
+        assert list(with_radius.as_record()) == names
+        without = compute_constants(2, math.pi / 4.0, 1e-4)
+        assert list(without.as_record()) == [n for n in names if n != "eps1_effective"]
 
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):

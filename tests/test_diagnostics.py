@@ -17,6 +17,7 @@ from platetone.diagnostics import (
 from platetone.field_grid import (
     ball_mask,
     boundary_nodes,
+    dilate,
     make_field,
     make_grid,
     mask_from_array,
@@ -183,6 +184,11 @@ class TestDensityQuotient:
         center = (g.nodes_per_side // 2,) * 2
         with pytest.raises(ValueError):
             density_quotient(m, center, 4.0 * g.spacing)
+        # a non-member next to the boundary is not a probe either
+        outside = tuple(np.argwhere(dilate(m).inside & ~m.inside)[0])
+        assert not m.inside[outside]
+        with pytest.raises(ValueError):
+            density_quotient(m, outside, 4.0 * g.spacing)
 
     def test_rejects_small_radius(self):
         g = make_grid(2, 49, 1.0)

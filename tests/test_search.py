@@ -2,6 +2,7 @@ import logging
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from platetone import search
@@ -10,8 +11,10 @@ from platetone.constants import unit_ball_volume
 from platetone.field_grid import (
     ball_mask,
     connected_components,
+    dilate,
     erode,
     make_grid,
+    mask_from_array,
     mask_volume,
 )
 from platetone.search import (
@@ -163,6 +166,36 @@ class TestCandidateMasks:
         state = make_state(g, m, config)
         for c in candidate_masks(state, config, g):
             assert not c.is_empty
+
+    def test_layout_on_two_disks(self):
+        config = small_config(init_shape="two_disks")
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "two_disks", OMEGA0)
+        state = make_state(g, m, config)
+        cands = candidate_masks(state, config, g)
+        nq = len(config.quantiles)
+        # above the volume target, so the budgeted growth is empty and dropped
+        assert mask_volume(m) > OMEGA0
+        count, labels = connected_components(m)
+        assert count == 2
+        assert len(cands) == nq + 3 + 2 + 2 * count
+        # superlevel cuts first, one per quantile, each at its own quantile
+        mag = np.abs(state.tone.eigenfield.values)
+        positive = mag[mag > 0.0]
+        for cut, q in zip(cands[:nq], config.quantiles):
+            thr = np.quantile(positive, q * state.aggressiveness)
+            assert cut == mask_from_array(g, mag >= thr)
+        top = cands[config.quantiles.index(max(config.quantiles))]
+        assert cands[nq:nq + 3] == [dilate(m), erode(m), dilate(top)]
+        # two volume-neutral exchanges
+        for swapped in cands[nq + 3:nq + 5]:
+            assert swapped != m
+            assert swapped.member_count == m.member_count
+        # each component, then that component grown by a budgeted ring
+        for comp in range(1, count + 1):
+            part, regrown = cands[nq + 3 + 2 * comp:nq + 5 + 2 * comp]
+            assert part == mask_from_array(g, labels == comp)
+            assert not np.any(part.inside & ~regrown.inside)
 
     def test_component_candidates_for_disconnected_mask(self):
         config = small_config(init_shape="two_disks")
