@@ -40,6 +40,7 @@ from platetone.field_grid import (
     _unpack_header,
     _HEADER_SIZE,
     make_field,
+    mask_from_array,
 )
 
 
@@ -347,8 +348,6 @@ def save_field_fld(field: ScalarField, path) -> None:
 
 
 def load_field_fld(path) -> ScalarField:
-    from platetone.field_grid import mask_from_array
-
     with open(path, "rb") as fh:
         blob = fh.read()
     grid = _unpack_header(blob, b"FLD1")

@@ -41,6 +41,7 @@ from platetone.search import (
     RunResult,
     TERMINATED_MAX_STEPS,
     optimize,
+    resolve_eps,
     validate_config,
 )
 
@@ -110,8 +111,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: " + "; ".join(errors))
     # the eps threshold check needs the oracle constants; resolve_eps raises
     # with a message citing the threshold when eps is too large
-    from platetone.search import resolve_eps
-
     try:
         resolve_eps(config)
     except ValueError as exc:
@@ -211,17 +210,10 @@ def _write_mask(mask, stem: Path):
         save_mask_msk(mask, stem.with_suffix(".msk"))
 
 
-def emit_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
-                   radius_B: float | None = None) -> dict[str, float]:
-    """The full constant record; raises on invalid parameters (e.g. n = 1)."""
-    consts = tc.compute_constants(n, omega0, eps, d_n=d_n, radius_B=radius_B)
-    return consts.as_record()
-
-
 def cmd_constants(args) -> int:
-    record = emit_constants(args.dim, args.omega0, args.eps, d_n=args.dn,
-                            radius_B=args.radius_b)
-    for key, val in record.items():
+    consts = tc.compute_constants(args.dim, args.omega0, args.eps, d_n=args.dn,
+                                  radius_B=args.radius_b)
+    for key, val in consts.as_record().items():
         print(f"{key} = {_fmt(val)}")
     return 0
 
@@ -236,7 +228,7 @@ def _verify_oracle() -> list[tuple[str, bool, str]]:
         fd = tc.gamma_ball_radial(n)
         bs = tc.gamma_ball_bessel(n)
         rel = abs(fd - bs) / bs
-        checks.append((f"dual oracle n={n}", rel <= 1e-6, f"rel={rel:.3e}"))
+        checks.append((f"dual oracle n={n}", rel <= tc.ORACLE_RTOL, f"rel={rel:.3e}"))
     return checks
 
 

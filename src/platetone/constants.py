@@ -33,6 +33,10 @@ class OracleError(RuntimeError):
     """A tone oracle failed to converge or the two oracles disagree."""
 
 
+RADIAL_TOL = 1e-8       # relative extrapolation error the radial oracle must reach
+ORACLE_RTOL = 1e-6      # relative agreement the two oracles must reach
+
+
 # ---------------------------------------------------------------------------
 # unit ball volume
 # ---------------------------------------------------------------------------
@@ -127,12 +131,12 @@ def _radial_tone_level(n: int, cells: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def gamma_ball_radial(n: int, tol: float = 1e-8) -> float:
+def gamma_ball_radial(n: int) -> float:
     """Fundamental tone of the unit n-ball from the radial finite-difference
     oracle, Richardson-extrapolated over grid levels 1024/2048/4096.
 
-    Raises OracleError if the extrapolation error estimate exceeds ``tol``
-    (relative), reporting the tolerance actually achieved.
+    Raises OracleError if the extrapolation error estimate exceeds
+    ``RADIAL_TOL`` (relative), reporting the tolerance actually achieved.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -144,10 +148,10 @@ def gamma_ball_radial(n: int, tol: float = 1e-8) -> float:
     ext_fine = v2 + (v2 - v1) / (2.0 ** p - 1.0)
     ext_coarse = v1 + (v1 - v0) / (2.0 ** p - 1.0)
     achieved = abs(ext_fine - ext_coarse) / abs(ext_fine)
-    if achieved > tol:
+    if achieved > RADIAL_TOL:
         raise OracleError(
             f"radial oracle extrapolation reached {achieved:.3e} relative, "
-            f"requested {tol:.3e} (n={n})"
+            f"requested {RADIAL_TOL:.3e} (n={n})"
         )
     return ext_fine
 
@@ -206,16 +210,16 @@ def gamma_ball_bessel(n: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def gamma_ball(n: int, agree_rtol: float = 1e-6) -> float:
+def gamma_ball(n: int) -> float:
     """Dual-oracle fundamental tone of the unit n-ball.
 
-    Both oracles are evaluated and must agree to ``agree_rtol`` relative;
+    Both oracles are evaluated and must agree to ``ORACLE_RTOL`` relative;
     the bisection value is returned (it carries no discretization error).
     """
     fd = gamma_ball_radial(n)
     bs = gamma_ball_bessel(n)
     rel = abs(fd - bs) / bs
-    if rel > agree_rtol:
+    if rel > ORACLE_RTOL:
         raise OracleError(
             f"tone oracles disagree for n={n}: radial={fd!r} bessel={bs!r} "
             f"relative difference {rel:.3e}"
@@ -227,17 +231,15 @@ def gamma_ball(n: int, agree_rtol: float = 1e-6) -> float:
 # thresholds and bounds
 # ---------------------------------------------------------------------------
 
-def eps1(n: int, omega0: float, gamma_b1: float | None = None) -> float:
+def eps1(n: int, omega0: float) -> float:
     """Penalty threshold below which excess volume never pays:
     (omega0/omega_n)^(4/n) * omega0 / gamma_ball(n)."""
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
-    gb = gamma_ball(n) if gamma_b1 is None else gamma_b1
-    return (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gb
+    return (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n)
 
 
-def eps1_effective(n: int, omega0: float, radius_B: float,
-                   gamma_b1: float | None = None) -> float:
+def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     """Dimension-corrected excess-volume threshold.
 
     The plain threshold argument needs (a-1)/(a^(4/n)-1) >= 1, which holds for
@@ -245,7 +247,7 @@ def eps1_effective(n: int, omega0: float, radius_B: float,
     a_max = |B|/omega0, and the correction factor (a_max-1)/(a_max^(4/n)-1)
     restores the bound because the ratio is decreasing in a.
     """
-    e1 = eps1(n, omega0, gamma_b1)
+    e1 = eps1(n, omega0)
     if n >= 4:
         return e1
     vol_B = unit_ball_volume(n) * radius_B ** n
@@ -257,15 +259,13 @@ def eps1_effective(n: int, omega0: float, radius_B: float,
     return e1 * (a_max - 1.0) / (a_max ** (4.0 / n) - 1.0)
 
 
-def eps0(n: int, omega0: float, d_n: float = 0.5,
-         gamma_b1: float | None = None) -> float:
+def eps0(n: int, omega0: float, d_n: float = 0.5) -> float:
     """Threshold for the volume dichotomy: min(eps1, d_n * (4/n) / eps1)."""
-    e1 = eps1(n, omega0, gamma_b1)
+    e1 = eps1(n, omega0)
     return min(e1, d_n * (4.0 / n) / e1)
 
 
-def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5,
-           gamma_b1: float | None = None) -> tuple[float, float]:
+def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, float]:
     """Volume floor for the rewarding penalty and its defining-equation residual.
 
     alpha0 is the root in (0, 1) of f(a) = eps*eps1 with
@@ -279,7 +279,7 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x = eps * eps1(n, omega0, gamma_b1)
+    x = eps * eps1(n, omega0)
     disc = (1.0 + x) ** 2 - 4.0 * d_n * x
     if disc < 0.0:
         raise ValueError(
@@ -290,27 +290,23 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5,
     return a0, residual
 
 
-def predicted_tone(gamma: float, t: float, n: int) -> float:
+def predicted_tone(gamma: float, t: float) -> float:
     """Tone of a domain rescaled by the spatial factor t: gamma * t^-4.
 
-    The result does not depend on n; a volume factor ``a`` corresponds to the
-    spatial factor t = a^(1/n).
+    The rule holds in every dimension n; a volume factor ``a`` corresponds to
+    the spatial factor t = a^(1/n).
     """
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
     return gamma * t ** -4.0
 
 
-def ball_tone_for_volume(omega: float, n: int,
-                         gamma_b1: float | None = None) -> float:
+def ball_tone_for_volume(omega: float, n: int) -> float:
     """Fundamental tone of the n-ball of volume omega:
     (omega_n/omega)^(4/n) * gamma_ball(n)."""
     if omega <= 0:
         raise ValueError("volume must be positive")
-    gb = gamma_ball(n) if gamma_b1 is None else gamma_b1
-    return (unit_ball_volume(n) / omega) ** (4.0 / n) * gb
+    return (unit_ball_volume(n) / omega) ** (4.0 / n) * gamma_ball(n)
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +349,22 @@ def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
         raise ValueError(f"d_n must lie in (0, 1), got {d_n}")
     fd = gamma_ball_radial(n)
     bs = gamma_ball_bessel(n)
-    gb = gamma_ball(n)
-    a0, res = alpha0(n, eps, omega0, d_n, gb)
+    a0, res = alpha0(n, eps, omega0, d_n)
     e1_eff = None
     if radius_B is not None:
-        e1_eff = eps1_effective(n, omega0, radius_B, gb)
+        e1_eff = eps1_effective(n, omega0, radius_B)
     return TheoryConstants(
         dim=n,
         omega0=omega0,
         eps=eps,
         d_n=d_n,
         omega_n=unit_ball_volume(n),
-        gamma_b1=gb,
+        gamma_b1=gamma_ball(n),
         gamma_b1_radial=fd,
         gamma_b1_bessel=bs,
         oracle_rel_diff=abs(fd - bs) / bs,
-        eps1=eps1(n, omega0, gb),
-        eps0=eps0(n, omega0, d_n, gb),
+        eps1=eps1(n, omega0),
+        eps0=eps0(n, omega0, d_n),
         alpha0=a0,
         alpha0_residual=res,
         eps1_effective=e1_eff,

@@ -127,18 +127,16 @@ def estimate_doubling_sigma(mask: Mask, R0: float,
     return worst
 
 
-def estimate_nondegeneracy_c1(mask: Mask, field: ScalarField, R0: float,
-                              r_min: float | None = None) -> float:
+def estimate_nondegeneracy_c1(mask: Mask, field: ScalarField, R0: float) -> float:
     """Smallest value of sup_{B_R(x0)} |grad u| / R over boundary probes x0
-    and dyadic radii; zero signals a degenerate (flat) eigenfield."""
+    and dyadic radii R0, R0/2, ... >= 4h; zero signals a degenerate (flat)
+    eigenfield."""
     grid = mask.grid
     h = grid.spacing
-    if r_min is None:
-        r_min = 4.0 * h
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
     mag = _gradient_norm(grid, field)
-    radii = dyadic_radii(R0, r_min)
+    radii = dyadic_radii(R0, 4.0 * h)
     worst = math.inf
     for idx in _probes(mask, 512):
         window, d2 = _window(grid, idx, R0)
@@ -196,25 +194,22 @@ def default_vol_tol(grid: Grid, omega0: float) -> float:
     return 5.0 * grid.spacing * r_eq ** (n - 1)
 
 
-def dichotomy_check(mask: Mask, omega0: float, grid: Grid,
-                    vol_tol: float | None = None) -> Dichotomy:
+def dichotomy_check(mask: Mask, omega0: float, grid: Grid) -> Dichotomy:
     """Classify the final volume against the scaling/translation alternative.
 
-    Volume within vol_tol of omega0 reports VOLUME_MET.  Otherwise the mask
-    is rescaled about its centroid to volume omega0 and recentered.  If the
-    scaled set fits strictly inside the reference ball (directly, or after an
-    exhaustive lattice search of translations whenever the centroid-centered
-    circumradius is within 2h of the ball radius) the case is
-    SCALED_FITS_CONTRADICTION: the theory excludes a minimizer with this
+    Volume within ``default_vol_tol`` of omega0 reports VOLUME_MET.  Otherwise
+    the mask is rescaled about its centroid to volume omega0 and recentered.
+    If the scaled set fits strictly inside the reference ball (directly, or
+    after an exhaustive lattice search of translations whenever the
+    centroid-centered circumradius is within 2h of the ball radius) the case
+    is SCALED_FITS_CONTRADICTION: the theory excludes a minimizer with this
     property, so observing it flags a search failure.  Otherwise the scaled
     set genuinely cannot be translated into the ball: SCALED_DOES_NOT_FIT.
     """
     if mask.is_empty:
         raise ValueError("dichotomy check on an empty mask")
-    if vol_tol is None:
-        vol_tol = default_vol_tol(grid, omega0)
     vol = mask_volume(mask)
-    if abs(vol - omega0) <= vol_tol:
+    if abs(vol - omega0) <= default_vol_tol(grid, omega0):
         return Dichotomy.VOLUME_MET
 
     t = (omega0 / vol) ** (1.0 / grid.dim)
@@ -251,14 +246,13 @@ def default_probe_radius(grid: Grid, omega0: float) -> float:
     return max(4.0 * grid.spacing, min(0.25 * r_eq, 32.0 * grid.spacing))
 
 
-def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField, omega0: float,
-                    R0: float | None = None,
-                    tol_grad: float | None = None) -> DiagnosticsReport:
-    """Evaluate the full diagnostic bundle on a computed (mask, field) pair."""
+def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField,
+                    omega0: float) -> DiagnosticsReport:
+    """Evaluate the full diagnostic bundle on a computed (mask, field) pair,
+    probing at the dyadic radii from ``default_probe_radius`` down to 4h."""
     if mask.is_empty:
         raise ValueError("diagnostics on an empty mask")
-    if R0 is None:
-        R0 = default_probe_radius(grid, omega0)
+    R0 = default_probe_radius(grid, omega0)
     connected, count = check_connected(mask)
     sigma = estimate_doubling_sigma(mask, R0)
     c1 = estimate_nondegeneracy_c1(mask, field, R0)
@@ -266,11 +260,9 @@ def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField, omega0: float,
     probes = _probes(mask, 128)
     profile = []
     for r in radii:
-        if r < 2.0 * grid.spacing:
-            continue
         quotients = [density_quotient(mask, tuple(p), r) for p in probes]
         profile.append((r, min(quotients)))
-    s0, s1 = classify_boundary(mask, field, tol_grad)
+    s0, s1 = classify_boundary(mask, field)
     return DiagnosticsReport(
         connected=connected,
         component_count=count,

@@ -117,9 +117,6 @@ class Mask:
     def is_empty(self) -> bool:
         return not bool(self.inside.any())
 
-    def contains(self, index: tuple[int, ...]) -> bool:
-        return bool(self.inside[index])
-
 
 def _freeze_mask(grid: Grid, raw: np.ndarray) -> Mask:
     arr = np.logical_and(raw, inside_ball(grid))
@@ -246,11 +243,6 @@ class ScalarField:
     grid: Grid
     mask: Mask
     values: np.ndarray      # float64, shape grid.shape, frozen
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ScalarField) and self.grid == other.grid
-                and self.mask == other.mask
-                and np.array_equal(self.values, other.values))
 
 
 def make_field(mask: Mask, values: np.ndarray) -> ScalarField:

@@ -7,10 +7,10 @@ from platetone.cli import (
     _CONFIG_PARSERS,
     ConfigError,
     build_parser,
-    emit_constants,
     load_config,
     main,
 )
+from platetone.constants import compute_constants
 from platetone.search import RunConfig
 
 
@@ -81,6 +81,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(path)
 
+    def test_unparsable_value_rejected_with_line(self, tmp_path):
+        path = write(tmp_path, "nodes_per_side = 33\ndim = two\n")
+        with pytest.raises(ConfigError, match=r":2: bad value for dim"):
+            load_config(path)
+
 
 class TestRunCommand:
     def test_quick_profile_budget(self, tmp_path):
@@ -143,6 +148,16 @@ class TestRunCommand:
         assert (out1 / "summary.txt").read_text().splitlines() != []
         assert (out1 / "mask_final.pgm").read_bytes() == (out2 / "mask_final.pgm").read_bytes()
 
+    def test_snapshot_every_step_writes_masks(self, tmp_path):
+        cfg = write(tmp_path, QUICK + "snapshot_every = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        steps = [int(row.split(",")[0])
+                 for row in (out / "trace.csv").read_text().splitlines()[1:]
+                 if row.endswith(",1") and not row.startswith("0,")]
+        names = sorted(p.name for p in out.glob("mask_step*.pgm"))
+        assert steps and names == [f"mask_step{s:06d}.pgm" for s in steps]
+
     def test_existing_dir_without_force_fails(self, tmp_path):
         cfg = write(tmp_path, QUICK)
         out = tmp_path / "out"
@@ -195,7 +210,7 @@ class TestRunCommand:
 
 class TestConstantsCommand:
     def test_record_fields(self):
-        record = emit_constants(2, math.pi / 4.0, 1e-4, 0.5)
+        record = compute_constants(2, math.pi / 4.0, 1e-4, 0.5).as_record()
         for key in ("omega_n", "gamma_b1", "gamma_b1_radial", "gamma_b1_bessel",
                     "oracle_rel_diff", "eps1", "eps0", "alpha0", "alpha0_residual"):
             assert key in record
@@ -204,7 +219,7 @@ class TestConstantsCommand:
 
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):
-            emit_constants(1, 1.0, 1e-4)
+            compute_constants(1, 1.0, 1e-4).as_record()
 
     def test_cli_prints_record(self, capsys):
         code = main(["constants", "--dim", "2", "--omega0", "0.785", "--eps", "1e-4"])
@@ -218,7 +233,8 @@ class TestConstantsCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("case", ["penalty", "alpha0", "oracle"])
+    @pytest.mark.parametrize("case", ["penalty", "alpha0", "oracle", "scaling",
+                                      "monotonicity"])
     def test_fast_cases_pass(self, case, capsys):
         code = main(["verify", "--case", case])
         out = capsys.readouterr().out

@@ -115,12 +115,16 @@ class TestEps1Effective:
 
 
 class TestEps0:
-    def test_min_branches(self):
+    def test_min_branches(self, monkeypatch):
         # synthetic gamma so that eps1 = 1 exactly: min(1, d_n 4/n)
+        from platetone import constants
+
         om0 = 1.0
         gb = (om0 / unit_ball_volume(4)) ** 1.0 * om0
-        assert eps0(4, om0, 0.5, gb) == pytest.approx(0.5)
-        assert eps0(4, om0, 0.999, gb) == pytest.approx(0.999)
+        monkeypatch.setattr(constants, "gamma_ball", lambda n: gb)
+        assert eps1(4, om0) == pytest.approx(1.0)
+        assert eps0(4, om0, 0.5) == pytest.approx(0.5)
+        assert eps0(4, om0, 0.999) == pytest.approx(0.999)
 
     def test_never_exceeds_eps1(self):
         for n in (2, 3, 4, 6):
@@ -184,12 +188,12 @@ class TestAlpha0:
 
 class TestScaling:
     def test_predicted_tone_identity_and_halving(self):
-        assert predicted_tone(10.0, 1.0, 2) == 10.0
-        assert predicted_tone(10.0, 0.5, 3) == pytest.approx(160.0)
+        assert predicted_tone(10.0, 1.0) == 10.0
+        assert predicted_tone(10.0, 0.5) == pytest.approx(160.0)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            predicted_tone(1.0, 0.0, 2)
+            predicted_tone(1.0, 0.0)
 
     def test_ball_tone_for_volume(self):
         for n in (2, 3):

@@ -21,6 +21,8 @@ from platetone.field_grid import (
     make_field,
     make_grid,
     mask_from_array,
+    mask_volume,
+    member_positions,
 )
 
 
@@ -241,15 +243,11 @@ class TestDichotomy:
     def test_volume_met(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        from platetone.field_grid import mask_volume
-
         assert dichotomy_check(m, mask_volume(m), g) is Dichotomy.VOLUME_MET
 
     def test_small_disk_scales_into_huge_ball(self):
         g = make_grid(2, 129, 2.0)
         m = ball_mask(g, (0.0, 0.0), 0.3)
-        from platetone.field_grid import mask_volume
-
         omega0 = 2.0 * mask_volume(m)
         assert dichotomy_check(m, omega0, g) is Dichotomy.SCALED_FITS_CONTRADICTION
 
@@ -257,21 +255,44 @@ class TestDichotomy:
         g = make_grid(2, 129, 1.0)
         axes = np.meshgrid(*[g.axis_coords()] * 2, indexing="ij")
         bar = mask_from_array(g, np.abs(axes[1]) < 0.06)
-        from platetone.field_grid import mask_volume
-
         omega0 = 2.0 * mask_volume(bar)
         assert dichotomy_check(bar, omega0, g) is Dichotomy.SCALED_DOES_NOT_FIT
 
     def test_off_center_blob_found_by_translation_search(self):
-        # a blob hugging the rim: must be translated before the scaled copy
-        # fits; the centroid-only test is near the threshold here
+        # a blob hugging the rim: recentred on its centroid, the scaled copy
+        # (circumradius about 0.44) fits at once, so the centroid test
+        # decides without the translation search (tested below)
         g = make_grid(2, 129, 1.0)
         m = ball_mask(g, (0.45, 0.0), 0.35)
-        from platetone.field_grid import mask_volume
-
         omega0 = mask_volume(m) * 1.25 ** 2
         assert dichotomy_check(m, omega0, g) in (
             Dichotomy.SCALED_FITS_CONTRADICTION, Dichotomy.VOLUME_MET)
+
+    @pytest.mark.parametrize("shape, expected", [
+        # centroid-centred the half disk reaches past R_B; centred on the
+        # disk's own centre it fits, and only the lattice search finds that
+        ("half_disk", Dichotomy.SCALED_FITS_CONTRADICTION),
+        # the disk's box fits in B, but no shift brings it inside: every
+        # shift is tried
+        ("disk", Dichotomy.SCALED_DOES_NOT_FIT),
+        # the bar is wider than B along its length: no shift is tried
+        ("bar", Dichotomy.SCALED_DOES_NOT_FIT),
+    ])
+    def test_near_threshold_translation_search(self, shape, expected):
+        # omega0 scales the mask to centroid circumradius R_B + h, between
+        # the centroid test's thresholds R_B -+ 2h
+        g = make_grid(2, 129, 1.0)
+        x, y = np.meshgrid(*[g.axis_coords()] * 2, indexing="ij")
+        disk = ball_mask(g, (0.0, 0.0), 0.5).inside
+        m = mask_from_array(g, {
+            "half_disk": disk & (x >= 0.0),
+            "disk": disk,
+            "bar": (np.abs(x) < 0.4) & (np.abs(y) < 0.05),
+        }[shape])
+        pts = member_positions(m)
+        circum = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+        omega0 = mask_volume(m) * ((g.radius_B + g.spacing) / circum) ** 2
+        assert dichotomy_check(m, omega0, g) is expected
 
     def test_empty_mask_rejected(self):
         g = make_grid(2, 49, 1.0)

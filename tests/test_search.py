@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from platetone import search
-from platetone.biharmonic import fundamental_tone
+from platetone.biharmonic import ConvergenceFailure, fundamental_tone
 from platetone.constants import unit_ball_volume
 from platetone.field_grid import (
     ball_mask,
@@ -299,12 +299,58 @@ class TestDescentStep:
         assert len(solved) == len(cands) - len(out)
         assert all(objective_floor(before, c, kind) <= bar for c in solved)
 
+    def test_failed_solve_is_skipped(self, monkeypatch, caplog):
+        # the winner's solve fails: it is logged and leaves no history row,
+        # and the best of the other candidates is accepted instead
+        config = small_config(init_shape="square")
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "square", OMEGA0)
+        kind = penalty_kind(resolve_eps(config)[0])
+        clean = descent_step(make_state(g, m, config), config, g, kind)
+        winner = clean.mask
+        real = search.objective_with_tone
 
-class TestPickBestTieBreak:
-    def test_lowest_index_wins_on_exact_tie(self):
-        entries = [(5.0, 2), (4.0, 1), (4.0, 0)]
-        best = min(entries, key=lambda e: (e[0], e[1]))
-        assert best == (4.0, 0)
+        def failing(grid, mask, *args, **kwargs):
+            if mask == winner:
+                raise ConvergenceFailure("eigensolver did not converge", None)
+            return real(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "objective_with_tone", failing)
+        caplog.set_level(logging.WARNING, logger="platetone.search")
+        state = descent_step(make_state(g, m, config), config, g, kind)
+        skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1 and skipped[0].levelno == logging.WARNING
+        won = next(row for row in clean.history if row.accepted)
+        rest = [row for row in clean.history if row is not won]
+        assert [(r.gamma, r.volume, r.J) for r in state.history] == \
+            [(r.gamma, r.volume, r.J) for r in rest]
+        best = min(rest, key=lambda r: r.J)
+        assert state.mask != m and state.mask != winner
+        assert state.J == best.J
+        assert [r.accepted for r in state.history] == [r is best for r in rest]
+
+    def test_lowest_index_wins_on_exact_tie(self, monkeypatch):
+        # two candidates with exactly equal J: the first in list order wins
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        m = ball_mask(g, (0.0, 0.0), 0.3)
+        state = make_state(g, m, config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        h = g.spacing
+        cands = [ball_mask(g, (h, 0.0), 0.3), ball_mask(g, (-h, 0.0), 0.3)]
+        tie = state.J - 1.0
+        real = search.objective_with_tone
+
+        def tied(grid, mask, *args, **kwargs):
+            _, tone, vol = real(grid, mask, *args, **kwargs)
+            return tie, tone, vol
+
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: cands)
+        monkeypatch.setattr(search, "objective_with_tone", tied)
+        state = descent_step(state, config, g, kind)
+        assert [row.J for row in state.history] == [tie, tie]
+        assert [row.accepted for row in state.history] == [True, False]
+        assert state.mask == cands[0] and state.J == tie
 
 
 class TestOptimize:
