@@ -60,23 +60,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_CONFIG_PARSERS = {
-    "dim": int,
-    "nodes_per_side": int,
-    "radius_B": float,
-    "omega0": float,
-    "eps": lambda s: None if s.lower() == "auto" else float(s),
-    "penalty_variant": str,
-    "init_shape": str,
-    "quantiles": lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip()),
-    "delta_rel": float,
-    "max_steps": int,
-    "tone_tol": float,
-    "seed": int,
-    "d_n": float,
-    "eps_override": lambda s: s.lower() in ("true", "1", "yes"),
-    "snapshot_every": int,
+def _parse_bool(s: str) -> bool:
+    if s.lower() not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(f"expected true/false/1/0/yes/no, got {s!r}")
+    return s.lower() in ("true", "1", "yes")
+
+
+# keyed by the RunConfig annotations, which are strings (postponed evaluation)
+_BY_TYPE = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "float | None": lambda s: None if s.lower() == "auto" else float(s),
 }
+_CONFIG_PARSERS = {f.name: _BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,25 @@ class TestLoadConfig:
         path = write(tmp_path, "eps = 0.5\neps_override = true\n")
         config = load_config(path)
         assert config.eps == 0.5
+
+    @pytest.mark.parametrize("word", ["TRUE", "Yes", "1", "false", "No", "0"])
+    def test_eps_override_words(self, tmp_path, word):
+        config = load_config(write(tmp_path, f"eps_override = {word}\n"))
+        assert config.eps_override is (word.lower() in ("true", "yes", "1"))
+
+    def test_eps_override_typo_rejected_with_line(self, tmp_path):
+        path = write(tmp_path, "eps = 1.0\neps_override = ture\n")
+        with pytest.raises(ConfigError, match=r":2: bad value for eps_override"):
+            load_config(path)
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        config = load_config(write(tmp_path, block))
+        assert config == RunConfig()
+        keys = [ln.split("=", 1)[0].strip() for ln in block.splitlines()]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write(tmp_path, "dim 2\n")

@@ -58,10 +58,10 @@ class TestValidateConfig:
 
     def test_collects_field_errors(self):
         bad = RunConfig(dim=5, nodes_per_side=10, omega0=-1.0,
-                        quantiles=(0.5, 0.2), penalty_variant="foo")
+                        penalty_variant="foo")
         errors = validate_config(bad)
         joined = "\n".join(errors)
-        for token in ("dim", "nodes_per_side", "omega0", "quantiles", "penalty_variant"):
+        for token in ("dim", "nodes_per_side", "omega0", "penalty_variant"):
             assert token in joined
 
     def test_omega0_must_fit_reference_ball(self):
@@ -173,27 +173,26 @@ class TestCandidateMasks:
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(g, m, config)
         cands = candidate_masks(state, config, g)
-        nq = len(config.quantiles)
+        a = state.aggressiveness
         # above the volume target, so the budgeted growth is empty and dropped
         assert mask_volume(m) > OMEGA0
         count, labels = connected_components(m)
         assert count == 2
-        assert len(cands) == nq + 3 + 2 + 2 * count
-        # superlevel cuts first, one per quantile, each at its own quantile
+        assert len(cands) == 1 + 3 + 2 + 2 * count
+        # one superlevel cut first, at the 0.02 quantile; the third
+        # morphology move dilates the cut at the 0.25 quantile
         mag = np.abs(state.tone.eigenfield.values)
         positive = mag[mag > 0.0]
-        for cut, q in zip(cands[:nq], config.quantiles):
-            thr = np.quantile(positive, q * state.aggressiveness)
-            assert cut == mask_from_array(g, mag >= thr)
-        top = cands[config.quantiles.index(max(config.quantiles))]
-        assert cands[nq:nq + 3] == [dilate(m), erode(m), dilate(top)]
+        assert cands[0] == mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
+        top = mask_from_array(g, mag >= np.quantile(positive, 0.25 * a))
+        assert cands[1:4] == [dilate(m), erode(m), dilate(top)]
         # two volume-neutral exchanges
-        for swapped in cands[nq + 3:nq + 5]:
+        for swapped in cands[4:6]:
             assert swapped != m
             assert swapped.member_count == m.member_count
         # each component, then that component grown by a budgeted ring
         for comp in range(1, count + 1):
-            part, regrown = cands[nq + 3 + 2 * comp:nq + 5 + 2 * comp]
+            part, regrown = cands[4 + 2 * comp:6 + 2 * comp]
             assert part == mask_from_array(g, labels == comp)
             assert not np.any(part.inside & ~regrown.inside)
 
