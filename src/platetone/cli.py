@@ -175,6 +175,11 @@ def cmd_run(args) -> int:
         if not args.force:
             print(f"error: output directory {out} exists (use --force)", file=sys.stderr)
             return 1
+        # a forced rerun replaces the files whose set varies from run to run;
+        # every other file in the directory is left alone
+        for pattern in ("mask_step*.pgm", "mask_step*.msk", "mask_final.*", "field_final.*"):
+            for stale in out.glob(pattern):
+                stale.unlink()
     else:
         out.mkdir(parents=True)
 

@@ -129,7 +129,7 @@ def mask_from_array(grid: Grid, members: np.ndarray) -> Mask:
     members = np.asarray(members, dtype=bool)
     if members.shape != grid.shape:
         raise ValueError(f"array shape {members.shape} does not match grid {grid.shape}")
-    return _freeze_mask(grid, members.copy())
+    return _freeze_mask(grid, members)
 
 
 def ball_mask(grid: Grid, center, radius: float) -> Mask:

@@ -191,6 +191,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out), "--force"]) == 0
 
+    def test_force_removes_stale_snapshots(self, tmp_path):
+        cfg = write(tmp_path, QUICK + "snapshot_every = 1\n")
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        (out / "notes.txt").write_text("kept\n")
+        short = write(tmp_path, QUICK.replace("max_steps = 20", "max_steps = 3")
+                      + "snapshot_every = 1\n", name="short.cfg")
+        main(["run", "--config", str(short), "--out", str(out), "--force"])
+        steps = [int(row.split(",")[0])
+                 for row in (out / "trace.csv").read_text().splitlines()[1:]
+                 if row.endswith(",1") and not row.startswith("0,")]
+        names = sorted(p.name for p in out.glob("mask_step*.pgm"))
+        assert names == [f"mask_step{s:06d}.pgm" for s in steps]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     def test_max_steps_exit_code(self, tmp_path):
         cfg = write(tmp_path, QUICK.replace("max_steps = 20", "max_steps = 2"),
                     name="short.cfg")

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from platetone import constants
 from platetone.constants import (
+    OracleError,
     TheoryConstants,
     alpha0,
     ball_tone_for_volume,
@@ -66,6 +68,72 @@ class TestToneOracles:
             gamma_ball_radial(1)
         with pytest.raises(ValueError):
             gamma_ball_bessel(1)
+
+
+@pytest.fixture
+def cold_oracles():
+    """Clear the oracle caches around a test that patches their internals,
+    so later tests see the real values."""
+    gamma_ball_radial.cache_clear()
+    gamma_ball_bessel.cache_clear()
+    yield
+    gamma_ball_radial.cache_clear()
+    gamma_ball_bessel.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_oracles")
+class TestOracleLoops:
+    def test_first_order_levels_fail_the_self_check(self, monkeypatch):
+        # levels 100 + 50/K converge at order 1, so order-2 extrapolation of
+        # the two pairs disagrees by about 8e-5 relative
+        monkeypatch.setattr(constants, "_radial_tone_level", lambda n, K: 100.0 + 50.0 / K)
+        with pytest.raises(OracleError, match="extrapolation"):
+            gamma_ball_radial(2)
+
+    def test_levels_stop_by_their_own_test(self, monkeypatch):
+        solves = []
+        real_solve, real_level = constants.cho_solve_banded, constants._radial_tone_level
+
+        def counting_solve(*args):
+            solves[-1] += 1
+            return real_solve(*args)
+
+        def level(n, K):
+            solves.append(0)
+            return real_level(n, K)
+
+        monkeypatch.setattr(constants, "cho_solve_banded", counting_solve)
+        monkeypatch.setattr(constants, "_radial_tone_level", level)
+        for n in (2, 3, 8):
+            gamma_ball_radial(n)
+        assert len(solves) == 9
+        assert max(solves) <= 20
+
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        # the "solve" alternates two fixed vectors, so the quotient never settles
+        flips = []
+
+        def alternating_solve(factor, y):
+            flips.append(len(flips) % 2)
+            return np.linspace(1.0, 1.0 + flips[-1], len(y))
+
+        monkeypatch.setattr(constants, "cho_solve_banded", alternating_solve)
+        with pytest.raises(OracleError, match="did not settle"):
+            gamma_ball_radial(2)
+
+    def test_bisection_stops_when_the_bracket_stops_moving(self, monkeypatch):
+        ks = []
+        real = constants._cross_product
+
+        def recording(n, k):
+            ks.append(k)
+            return real(n, k)
+
+        monkeypatch.setattr(constants, "_cross_product", recording)
+        gamma_ball_bessel(2)
+        # the bracket search walks up in k; the first smaller k is the first midpoint
+        first_mid = next(i for i in range(1, len(ks)) if ks[i] < ks[i - 1])
+        assert len(ks) - first_mid <= 60
 
 
 class TestEps1:
