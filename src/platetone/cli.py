@@ -128,11 +128,12 @@ def config_echo_lines(config: RunConfig) -> list[str]:
 
 
 def trace_lines(result: RunResult) -> list[str]:
-    lines = ["step,gamma,volume,penalty,J,accepted"]
+    lines = ["step,gamma,volume,penalty,J,accepted,nodes_per_side"]
     for row in result.history:
         lines.append(
             f"{row.step},{_fmt(row.gamma)},{_fmt(row.volume)},"
-            f"{_fmt(row.penalty)},{_fmt(row.J)},{1 if row.accepted else 0}"
+            f"{_fmt(row.penalty)},{_fmt(row.J)},{1 if row.accepted else 0},"
+            f"{row.nodes_per_side}"
         )
     return lines
 
@@ -150,6 +151,7 @@ def summary_lines(result: RunResult) -> list[str]:
         f"result.penalty = {_fmt(result.penalty)}",
         f"result.J = {_fmt(result.J)}",
         f"result.steps = {result.steps}",
+        f"result.levels = {_fmt(result.levels)}",
         f"result.termination = {result.termination}",
         f"result.wall_time_s = {_fmt(result.wall_time)}",
         f"result.tone_iterations = {result.tone.iterations}",

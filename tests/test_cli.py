@@ -30,6 +30,12 @@ seed = 3
 """
 
 
+def accepted_steps(out):
+    """Step numbers of the accepted trace rows, the start row excluded."""
+    rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+    return [int(parts[0]) for parts in rows[1:] if parts[5] == "1"]
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -142,7 +148,7 @@ class TestRunCommand:
                      "mask_final.pgm", "field_final.fld", "field_final.csv"):
             assert (out / name).exists(), name
         header = (out / "trace.csv").read_text().splitlines()[0]
-        assert header == "step,gamma,volume,penalty,J,accepted"
+        assert header == "step,gamma,volume,penalty,J,accepted,nodes_per_side"
 
     def test_trace_schema_and_flags(self, tmp_path):
         cfg = write(tmp_path, QUICK)
@@ -152,11 +158,12 @@ class TestRunCommand:
         assert rows
         for row in rows:
             parts = row.split(",")
-            assert len(parts) == 6
+            assert len(parts) == 7
             int(parts[0])
             for tok in parts[1:5]:
                 float(tok)
             assert parts[5] in ("0", "1")
+            assert parts[6] == "49"
 
     def test_rerun_with_same_seed_is_byte_identical(self, tmp_path):
         cfg = write(tmp_path, QUICK)
@@ -172,9 +179,7 @@ class TestRunCommand:
         cfg = write(tmp_path, QUICK + "snapshot_every = 1\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        steps = [int(row.split(",")[0])
-                 for row in (out / "trace.csv").read_text().splitlines()[1:]
-                 if row.endswith(",1") and not row.startswith("0,")]
+        steps = accepted_steps(out)
         names = sorted(p.name for p in out.glob("mask_step*.pgm"))
         assert steps and names == [f"mask_step{s:06d}.pgm" for s in steps]
 
@@ -199,12 +204,31 @@ class TestRunCommand:
         short = write(tmp_path, QUICK.replace("max_steps = 20", "max_steps = 3")
                       + "snapshot_every = 1\n", name="short.cfg")
         main(["run", "--config", str(short), "--out", str(out), "--force"])
-        steps = [int(row.split(",")[0])
-                 for row in (out / "trace.csv").read_text().splitlines()[1:]
-                 if row.endswith(",1") and not row.startswith("0,")]
+        steps = accepted_steps(out)
         names = sorted(p.name for p in out.glob("mask_step*.pgm"))
         assert names == [f"mask_step{s:06d}.pgm" for s in steps]
         assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_summary_lists_the_single_level(self, tmp_path):
+        cfg = write(tmp_path, QUICK)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        assert "result.levels = 49" in (out / "summary.txt").read_text().splitlines()
+
+    def test_two_level_run_artifacts(self, tmp_path):
+        # N=129 descends on N=65 first: the trace names both lattices, the
+        # summary lists them, and snapshots carry their own lattice's size
+        cfg = write(tmp_path, QUICK.replace("nodes_per_side = 49", "nodes_per_side = 129")
+                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert [parts[6] for parts in rows] == sorted((parts[6] for parts in rows), key=int)
+        assert {parts[6] for parts in rows} == {"65", "129"}
+        assert "result.levels = 65,129" in (out / "summary.txt").read_text().splitlines()
+        first = int(next(parts[0] for parts in rows[1:] if parts[5] == "1"))
+        assert (out / f"mask_step{first:06d}.pgm").read_bytes().startswith(b"P5\n65 65\n")
+        assert (out / "mask_final.pgm").read_bytes().startswith(b"P5\n129 129\n")
 
     def test_max_steps_exit_code(self, tmp_path):
         cfg = write(tmp_path, QUICK.replace("max_steps = 20", "max_steps = 2"),
