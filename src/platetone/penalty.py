@@ -51,21 +51,13 @@ def penalty_value(kind: PenaltyKind, s: float) -> float:
 
 def objective(grid: Grid, mask: Mask, kind: PenaltyKind,
               tone_tol: float = 1e-8,
-              initial: ScalarField | None = None) -> tuple[float, float, float]:
+              initial: ScalarField | None = None
+              ) -> tuple[float, ToneResult, float]:
     """Penalized objective J = gamma + penalty(volume) on a masked domain.
 
-    Returns (J, gamma, volume).  Eigensolver failures propagate.
+    Returns (J, tone, volume); the full tone result lets callers reuse the
+    eigenfield to warm start nearby solves.  Eigensolver failures propagate.
     """
-    J, tone, volume = objective_with_tone(grid, mask, kind, tone_tol, initial)
-    return J, tone.gamma, volume
-
-
-def objective_with_tone(grid: Grid, mask: Mask, kind: PenaltyKind,
-                        tone_tol: float = 1e-8,
-                        initial: ScalarField | None = None
-                        ) -> tuple[float, ToneResult, float]:
-    """Like objective() but hands back the full tone result, so callers can
-    reuse the eigenfield to warm start nearby solves."""
     tone = fundamental_tone(grid, mask, tol=tone_tol, initial=initial)
     volume = mask_volume(mask)
     return tone.gamma + penalty_value(kind, volume), tone, volume

@@ -23,6 +23,12 @@ incumbent), so that tone floor plus the candidate's exact penalty,
 ``objective_floor``, bounds its J from below.  A candidate whose floor lies
 above the acceptance bar is ruled out and adds no history row.
 
+A mask is solved at most once per lattice.  Accepted J falls by at least
+``delta_rel * |J|`` per step, so after a mask's solve either the incumbent is
+unchanged and a second solve would repeat the first exactly, or the bar lies
+at least that margin below the mask's J, which another warm start moves only
+by about the solve tolerance: the mask could never pass again.
+
 Everything is deterministic for a fixed config, including the seeded blob
 initializer, so a rerun reproduces the trace bit for bit.
 """
@@ -61,7 +67,7 @@ from platetone.field_grid import (
     mask_from_array,
     mask_volume,
 )
-from platetone.penalty import PenaltyKind, objective_with_tone, penalty_value
+from platetone.penalty import PenaltyKind, objective, penalty_value
 
 log = logging.getLogger(__name__)
 
@@ -130,8 +136,8 @@ class SearchState:
     aggressiveness: float
     history: list[HistoryRow] = field(default_factory=list)
     terminated: str | None = None
-    # packed masks evaluated against this incumbent in rejected steps
-    rejected: set[bytes] = field(default_factory=set)
+    # packed masks solved on this lattice, its start mask included
+    solved: set[bytes] = field(default_factory=set)
     accepted_steps: int = 0
 
 
@@ -323,14 +329,12 @@ def _best(idx: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
 
 
 def _superlevels(grid: Grid, values: np.ndarray, low: float,
-                 high: float) -> tuple[Mask | None, Mask | None]:
+                 high: float) -> tuple[Mask, Mask]:
     """Superlevel sets {|u| >= t_q}, t_q the q-quantile of the positive
-    magnitudes of u, for q = low and q = high (None when u vanishes)."""
+    magnitudes of u, for q = low and q = high.  The incumbent eigenfield is
+    normalized and finite, so it never vanishes."""
     mag = np.abs(values)
-    positive = mag[mag > 0.0]
-    if positive.size == 0:
-        return None, None
-    t_low, t_high = np.quantile(positive, [low, high])
+    t_low, t_high = np.quantile(mag[mag > 0.0], [low, high])
     return mask_from_array(grid, mag >= t_low), mask_from_array(grid, mag >= t_high)
 
 
@@ -410,7 +414,7 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
         cut,
         grown,
         shrunk,
-        dilate(top) if top is not None else None,
+        dilate(top),
         _grow_to_budget(grid, mask, ring, score, config.omega0),
         _exchange(grid, mask, ring, boundary, score, 0.25 * state.aggressiveness),
         _exchange(grid, mask, ring, boundary, score, 0.05 * state.aggressiveness),
@@ -450,7 +454,8 @@ def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
 
     The tone part is the incumbent's tone when the candidate is a subset of
     the incumbent mask (tone monotonicity under inclusion), and 0 otherwise
-    (A = K^T K is positive definite); the penalty part is exact.  On the
+    (A = K^T K is positive definite); the penalty part is exact, so the
+    incumbent's own floor is its J, above any acceptance bar.  On the
     lattice, monotonicity is the continuum theorem: a ragged subset can
     undercut the incumbent's tone, but only by a discretization artifact.
     """
@@ -470,32 +475,28 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
     incumbent eigenfield; a candidate whose solve fails is skipped and
     logged, never fatal.  Every evaluation lands in the history.
 
-    A candidate already evaluated in a rejected step against the same
-    incumbent is not evaluated again: with the same warm start its solve
-    repeats exactly, so it fails the unchanged acceptance test again (dilate
-    and erode recur in every step of a run's closing rejections).
+    A mask is solved at most once per lattice: it joins ``state.solved``
+    just before its solve.  Against the same incumbent a second solve would
+    repeat exactly; after an acceptance the bar lies ``delta_rel * |J|`` or
+    more below the mask's J, far beyond the ~``tone_tol`` that another warm
+    start moves it.  A mask whose solve fails is not retried on the lattice.
     """
     state.step += 1
     bar = state.J - config.delta_rel * abs(state.J)
     evals: list[tuple[float, int, Mask, ToneResult, float]] = []
-    tried: list[bytes] = []
     for idx, cand in enumerate(candidate_masks(state, config, grid)):
-        if cand == state.mask:
-            continue
         key = np.packbits(cand.inside).tobytes()
-        if key in state.rejected:
+        if key in state.solved:
             continue
         floor = objective_floor(state, cand, kind)
         if floor > bar:
             log.debug("step %d: candidate %d ruled out: floor %.17g > bar %.17g",
                       state.step, idx, floor, bar)
             continue
-        tried.append(key)
+        state.solved.add(key)
         try:
-            J, tone, vol = objective_with_tone(
-                grid, cand, kind, tone_tol=config.tone_tol,
-                initial=state.tone.eigenfield,
-            )
+            J, tone, vol = objective(grid, cand, kind, tone_tol=config.tone_tol,
+                                     initial=state.tone.eigenfield)
         except (ConvergenceFailure, EmptyMaskError) as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
             continue
@@ -514,9 +515,7 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
     if accepted_entry is not None:
         J, _, cand, tone, vol = accepted_entry
         state.mask, state.tone, state.J, state.volume = cand, tone, J, vol
-        state.rejected.clear()
     else:
-        state.rejected.update(tried)
         state.aggressiveness *= 0.5
         if state.aggressiveness < AGGRESSIVENESS_FLOOR:
             state.terminated = TERMINATED_CONVERGED
@@ -537,9 +536,9 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     running count is a multiple of config.snapshot_every.
     """
     grid = mask.grid
-    J0, tone0, vol0 = objective_with_tone(grid, mask, kind, tone_tol=config.tone_tol)
+    J0, tone0, vol0 = objective(grid, mask, kind, tone_tol=config.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
-                        aggressiveness=1.0)
+                        aggressiveness=1.0, solved={np.packbits(mask.inside).tobytes()})
     if prior is not None:
         state.step, state.history = prior.step, prior.history
         state.accepted_steps = prior.accepted_steps

@@ -91,9 +91,9 @@ class TestObjective:
         vol = mask_volume(m)
         for variant in ("plain", "rewarding"):
             kind = PenaltyKind(variant, 1e-3, vol)
-            J, gamma, volume = objective(g, m, kind, tone_tol=1e-9)
+            J, tone, volume = objective(g, m, kind, tone_tol=1e-9)
             assert volume == vol
-            assert J == gamma
+            assert J == tone.gamma
 
     def test_rewarding_half_volume_formula(self):
         g = make_grid(2, 49, 1.0)
@@ -102,7 +102,7 @@ class TestObjective:
 
         vol = mask_volume(m)
         kind = PenaltyKind("rewarding", 1e-3, 2.0 * vol)
-        J, gamma, volume = objective(g, m, kind, tone_tol=1e-9)
+        J, tone, volume = objective(g, m, kind, tone_tol=1e-9)
         expected = fundamental_tone(g, m, tol=1e-9).gamma - 1e-3 * vol
         assert J == pytest.approx(expected, rel=1e-10)
 
@@ -110,5 +110,5 @@ class TestObjective:
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
         kind = PenaltyKind("rewarding", 0.05, 0.5)
-        J, gamma, volume = objective(g, m, kind, tone_tol=1e-9)
-        assert J - gamma == penalty_value(kind, volume)
+        J, tone, volume = objective(g, m, kind, tone_tol=1e-9)
+        assert J - tone.gamma == penalty_value(kind, volume)

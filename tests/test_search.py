@@ -291,13 +291,13 @@ class TestDescentStep:
         assert any((c.inside & ~m.inside).any() for c in out)
 
         solved = []
-        real = search.objective_with_tone
+        real = search.objective
 
         def recording(grid, mask, *args, **kwargs):
             solved.append(mask)
             return real(grid, mask, *args, **kwargs)
 
-        monkeypatch.setattr(search, "objective_with_tone", recording)
+        monkeypatch.setattr(search, "objective", recording)
         descent_step(state, config, g, kind)
         assert len(solved) == len(cands) - len(out)
         assert all(objective_floor(before, c, kind) <= bar for c in solved)
@@ -311,14 +311,14 @@ class TestDescentStep:
         kind = penalty_kind(resolve_eps(config)[0])
         clean = descent_step(make_state(g, m, config), config, g, kind)
         winner = clean.mask
-        real = search.objective_with_tone
+        real = search.objective
 
         def failing(grid, mask, *args, **kwargs):
             if mask == winner:
                 raise ConvergenceFailure("eigensolver did not converge", None)
             return real(grid, mask, *args, **kwargs)
 
-        monkeypatch.setattr(search, "objective_with_tone", failing)
+        monkeypatch.setattr(search, "objective", failing)
         caplog.set_level(logging.WARNING, logger="platetone.search")
         state = descent_step(make_state(g, m, config), config, g, kind)
         skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
@@ -342,18 +342,73 @@ class TestDescentStep:
         h = g.spacing
         cands = [ball_mask(g, (h, 0.0), 0.3), ball_mask(g, (-h, 0.0), 0.3)]
         tie = state.J - 1.0
-        real = search.objective_with_tone
+        real = search.objective
 
         def tied(grid, mask, *args, **kwargs):
             _, tone, vol = real(grid, mask, *args, **kwargs)
             return tie, tone, vol
 
         monkeypatch.setattr(search, "candidate_masks", lambda *args: cands)
-        monkeypatch.setattr(search, "objective_with_tone", tied)
+        monkeypatch.setattr(search, "objective", tied)
         state = descent_step(state, config, g, kind)
         assert [row.J for row in state.history] == [tie, tie]
         assert [row.accepted for row in state.history] == [True, False]
         assert state.mask == cands[0] and state.J == tie
+
+
+    def _two_ball_steps(self, monkeypatch, fail_x):
+        # two steps from a small ball, each offering a shifted ball x first
+        # and then a larger ball that wins; x is not a subset of either
+        # incumbent and stays below omega0, so its floor (0) passes both bars
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        state = make_state(g, ball_mask(g, (0.0, 0.0), 0.3), config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        x = ball_mask(g, (g.spacing, 0.0), 0.3)
+        rounds = iter([[x, ball_mask(g, (0.0, 0.0), 0.32)],
+                       [x, ball_mask(g, (0.0, 0.0), 0.34)]])
+        attempts = []
+        real = search.objective
+
+        def recording(grid, mask, *args, **kwargs):
+            attempts.append(mask)
+            if fail_x and mask == x:
+                raise ConvergenceFailure("eigensolver did not converge", None)
+            return real(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: next(rounds))
+        monkeypatch.setattr(search, "objective", recording)
+        for _ in range(2):
+            incumbent = state.mask
+            assert objective_floor(state, x, kind) <= state.J - config.delta_rel * abs(state.J)
+            state = descent_step(state, config, g, kind)
+            assert state.mask != incumbent
+        return x, attempts
+
+    def test_mask_solved_before_an_acceptance_not_solved_again(self, monkeypatch):
+        x, attempts = self._two_ball_steps(monkeypatch, fail_x=False)
+        assert len(attempts) == 3
+        assert sum(m == x for m in attempts) == 1
+
+    def test_failed_mask_attempted_once_per_lattice(self, monkeypatch):
+        # not once per incumbent: the failure is not retried after the
+        # acceptance either
+        x, attempts = self._two_ball_steps(monkeypatch, fail_x=True)
+        assert len(attempts) == 3
+        assert sum(m == x for m in attempts) == 1
+
+    def test_incumbent_floor_is_its_J(self):
+        # the incumbent is a subset of itself, so its floor is exactly its J,
+        # which lies above every acceptance bar: it is never solved again
+        g = make_grid(2, 49, 1.5)
+        for shape in ("disk", "square", "annulus", "two_disks"):
+            for variant in ("plain", "rewarding"):
+                config = small_config(init_shape=shape, penalty_variant=variant)
+                kind = penalty_kind(resolve_eps(config)[0])
+                state = make_state(g, initial_mask(g, shape, OMEGA0), config)
+                assert objective_floor(state, state.mask, kind) == state.J
+                state = descent_step(state, config, g, kind)
+                assert objective_floor(state, state.mask, kind) == state.J
 
 
 class TestOptimize:
@@ -444,6 +499,21 @@ class TestOptimize:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             optimize(small_config(omega0=-2.0))
+
+    def test_mask_solved_at_most_once_per_lattice(self, monkeypatch):
+        # two_disks at N=49 offers masks after an acceptance that an earlier
+        # step already solved; each (lattice, mask) is solved once, and every
+        # solve lands in the history
+        keys = []
+        real = search.objective
+
+        def recording(grid, mask, *args, **kwargs):
+            keys.append((grid.nodes_per_side, mask.inside.tobytes()))
+            return real(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "objective", recording)
+        res = optimize(small_config(init_shape="two_disks"))
+        assert len(set(keys)) == len(keys) == len(res.history)
 
     def test_snapshot_hook_called(self):
         seen = []
