@@ -185,10 +185,15 @@ def cmd_run(args) -> int:
     else:
         out.mkdir(parents=True)
 
-    def snapshot(state):
-        _write_mask(state.mask, out / f"mask_step{state.step:06d}")
+    accepted = 0
 
-    result = optimize(config, snapshot_hook=snapshot)
+    def snapshot(state):
+        nonlocal accepted
+        accepted += 1
+        if accepted % config.snapshot_every == 0:
+            _write_mask(state.mask, out / f"mask_step{state.step:06d}")
+
+    result = optimize(config, on_accept=snapshot)
 
     (out / "config_echo.txt").write_text(
         "\n".join(config_echo_lines(result.config)) + "\n"

@@ -239,6 +239,8 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     a_max = |B|/omega0, and the correction factor (a_max-1)/(a_max^(4/n)-1)
     restores the bound because the ratio is decreasing in a.
     """
+    if not 0 < radius_B < math.inf:
+        raise ValueError(f"radius_B must be positive and finite, got {radius_B}")
     e1 = eps1(n, omega0)
     if n >= 4:
         return e1
@@ -335,8 +337,10 @@ def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
     """Evaluate the full constant bundle, running the dual-oracle protocol."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < d_n < 1.0:
         raise ValueError(f"d_n must lie in (0, 1), got {d_n}")
     fd = gamma_ball_radial(n)

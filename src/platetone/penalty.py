@@ -12,6 +12,7 @@ Both vanish at s = omega0 and are continuous there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from platetone.biharmonic import ToneResult, fundamental_tone
@@ -31,8 +32,8 @@ class PenaltyKind:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
 

@@ -7,14 +7,15 @@ scaled by an aggressiveness knob, one bare and one dilated), from one-ring
 morphology, from a volume-targeted partial dilation, from volume-neutral
 boundary exchanges, and from connected-component restrictions (bare and
 regrown).  The candidate with the lowest objective wins, ties broken by list
-position; a step that fails to improve the objective by the relative margin
-``delta_rel`` halves the aggressiveness, and the run stops when the
-aggressiveness underflows 1e-3 or the step budget is exhausted.
+position; a step that fails to improve the objective by the fixed relative
+margin ``DELTA_REL`` (1e-6) halves the aggressiveness, and the run stops when
+the aggressiveness underflows 1e-3 or the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
-exact volume (see ``coarse_nodes_per_side``); this recurses, so a 2D N=257
-run descends on N=65, then 129, then 257.  One history spans the levels.
+exact volume (see ``coarse_nodes_per_side``); ``optimize`` loops over the
+lattices, so a 2D N=257 run descends on N=65, then 129, then 257.  One
+history spans the levels; a step works on its incumbent mask's lattice.
 
 No candidate is solved whose objective is bounded away from acceptance
 before any solve: the tone is positive, and a subset of the incumbent has a
@@ -24,7 +25,7 @@ incumbent), so that tone floor plus the candidate's exact penalty,
 above the acceptance bar is ruled out and adds no history row.
 
 A mask is solved at most once per lattice.  Accepted J falls by at least
-``delta_rel * |J|`` per step, so after a mask's solve either the incumbent is
+``DELTA_REL * |J|`` per step, so after a mask's solve either the incumbent is
 unchanged and a second solve would repeat the first exactly, or the bar lies
 at least that margin below the mask's J, which another warm start moves only
 by about the solve tolerance: the mask could never pass again.
@@ -75,6 +76,7 @@ INIT_SHAPES = ("disk", "square", "annulus", "two_disks", "random_blob")
 TERMINATED_CONVERGED = "aggressiveness_floor"
 TERMINATED_MAX_STEPS = "max_steps"
 AGGRESSIVENESS_FLOOR = 1e-3
+DELTA_REL = 1e-6    # a step is accepted only when it lowers J by DELTA_REL * |J|
 
 # A run starts on the lattice of half its resolution while that lattice has
 # at least this many nodes across the diameter of the ball of volume omega0.
@@ -104,7 +106,6 @@ class RunConfig:
     eps: float | None = None
     penalty_variant: str = "plain"
     init_shape: str = "disk"
-    delta_rel: float = 1e-6
     max_steps: int = 300
     tone_tol: float = 1e-8
     seed: int = 0
@@ -138,7 +139,6 @@ class SearchState:
     terminated: str | None = None
     # packed masks solved on this lattice, its start mask included
     solved: set[bytes] = field(default_factory=set)
-    accepted_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,27 +171,27 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"dim: must be 2 or 3, got {c.dim}")
     if c.nodes_per_side < 9 or c.nodes_per_side % 2 == 0:
         errors.append(f"nodes_per_side: must be odd and >= 9, got {c.nodes_per_side}")
-    if not c.radius_B > 0:
-        errors.append(f"radius_B: must be positive, got {c.radius_B}")
+    if not 0 < c.radius_B < math.inf:
+        errors.append(f"radius_B: must be positive and finite, got {c.radius_B}")
     if not c.omega0 > 0:
         errors.append(f"omega0: must be positive, got {c.omega0}")
-    if c.eps is not None and not c.eps > 0:
-        errors.append(f"eps: must be positive, got {c.eps}")
+    if c.eps is not None and not 0 < c.eps < math.inf:
+        errors.append(f"eps: must be positive and finite, got {c.eps}")
     if c.penalty_variant not in ("plain", "rewarding"):
         errors.append(f"penalty_variant: must be plain or rewarding, got {c.penalty_variant!r}")
     if c.init_shape not in INIT_SHAPES:
         errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {c.init_shape!r}")
-    if not c.delta_rel > 0:
-        errors.append(f"delta_rel: must be positive, got {c.delta_rel}")
     if c.max_steps < 1:
         errors.append(f"max_steps: must be >= 1, got {c.max_steps}")
     if not c.tone_tol > 0:
         errors.append(f"tone_tol: must be positive, got {c.tone_tol}")
     if not 0.0 < c.d_n < 1.0:
         errors.append(f"d_n: must lie in (0, 1), got {c.d_n}")
+    if c.seed < 0:
+        errors.append(f"seed: must be >= 0, got {c.seed}")
     if c.snapshot_every < 1:
         errors.append(f"snapshot_every: must be >= 1, got {c.snapshot_every}")
-    if c.dim in (2, 3) and c.omega0 > 0 and c.radius_B > 0:
+    if c.dim in (2, 3) and c.omega0 > 0 and 0 < c.radius_B < math.inf:
         if c.omega0 >= unit_ball_volume(c.dim) * c.radius_B ** c.dim:
             errors.append("omega0: target volume does not fit inside the reference ball")
     return errors
@@ -338,7 +338,7 @@ def _superlevels(grid: Grid, values: np.ndarray, low: float,
     return mask_from_array(grid, mag >= t_low), mask_from_array(grid, mag >= t_high)
 
 
-def _exchange(grid: Grid, mask: Mask, ring: np.ndarray, boundary: np.ndarray,
+def _exchange(mask: Mask, ring: np.ndarray, boundary: np.ndarray,
               score: np.ndarray, fraction: float) -> Mask | None:
     """Volume-neutral boundary exchange: swap the k weakest boundary members
     for the k strongest exterior ring nodes (flat indices, ranked by score).
@@ -359,10 +359,10 @@ def _exchange(grid: Grid, mask: Mask, ring: np.ndarray, boundary: np.ndarray,
     swapped = mask.inside.copy()
     swapped.ravel()[_best(ring, score[ring], k)] = True
     swapped.ravel()[_best(boundary, -score[boundary], k)] = False
-    return mask_from_array(grid, swapped)
+    return mask_from_array(mask.grid, swapped)
 
 
-def _grow_to_budget(grid: Grid, mask: Mask, ring: np.ndarray, score: np.ndarray,
+def _grow_to_budget(mask: Mask, ring: np.ndarray, score: np.ndarray,
                     omega0: float) -> Mask | None:
     """One partial dilation ring toward volume omega0, best nodes first.
 
@@ -373,16 +373,16 @@ def _grow_to_budget(grid: Grid, mask: Mask, ring: np.ndarray, score: np.ndarray,
     neighbors of the mask; the clamped operator charges it only beyond
     features too thin to clamp, so here it just ranks the nodes.
     """
-    hn = grid.spacing ** grid.dim
+    hn = mask.grid.spacing ** mask.grid.dim
     budget = int(math.floor((omega0 - mask_volume(mask)) / hn))
     if budget <= 0 or ring.size == 0:
         return None
     grown = mask.inside.copy()
     grown.ravel()[_best(ring, score[ring], budget)] = True
-    return mask_from_array(grid, grown)
+    return mask_from_array(mask.grid, grown)
 
 
-def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[Mask]:
+def candidate_masks(state: SearchState, config: RunConfig) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
     Order: the superlevel set at quantile 0.02 * aggressiveness, dilate,
@@ -399,7 +399,7 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
     The incumbent's dilation, erosion, exterior ring, boundary, score and
     quantile thresholds are each computed once and shared by the moves.
     """
-    mask = state.mask
+    mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
     grown, shrunk = dilate(mask), erode(mask)
     ring = np.flatnonzero(grown.inside & ~mask.inside)
@@ -415,9 +415,9 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
         grown,
         shrunk,
         dilate(top),
-        _grow_to_budget(grid, mask, ring, score, config.omega0),
-        _exchange(grid, mask, ring, boundary, score, 0.25 * state.aggressiveness),
-        _exchange(grid, mask, ring, boundary, score, 0.05 * state.aggressiveness),
+        _grow_to_budget(mask, ring, score, config.omega0),
+        _exchange(mask, ring, boundary, score, 0.25 * state.aggressiveness),
+        _exchange(mask, ring, boundary, score, 0.05 * state.aggressiveness),
     ]
     count, labels = connected_components(mask)
     if count > 1:
@@ -428,7 +428,7 @@ def candidate_masks(state: SearchState, config: RunConfig, grid: Grid) -> list[M
                 continue    # no growth budget: skip building the ring and score
             part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
             part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
-            cands.append(_grow_to_budget(grid, part, part_ring, part_score, config.omega0))
+            cands.append(_grow_to_budget(part, part_ring, part_score, config.omega0))
     return [m for m in cands if m is not None and not m.is_empty]
 
 
@@ -464,11 +464,11 @@ def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
     return tone + penalty_value(kind, mask_volume(cand))
 
 
-def descent_step(state: SearchState, config: RunConfig, grid: Grid,
+def descent_step(state: SearchState, config: RunConfig,
                  kind: PenaltyKind) -> SearchState:
     """Evaluate the candidates, accept the best strict improvement.
 
-    Acceptance requires J_new <= bar = J_old - delta_rel * |J_old|; otherwise
+    Acceptance requires J_new <= bar = J_old - DELTA_REL * |J_old|; otherwise
     the aggressiveness is halved.  A candidate whose ``objective_floor`` lies
     above the bar cannot pass, so it is not solved and adds no history row
     (logged at DEBUG).  Candidate eigensolves are warm started from the
@@ -477,14 +477,14 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
 
     A mask is solved at most once per lattice: it joins ``state.solved``
     just before its solve.  Against the same incumbent a second solve would
-    repeat exactly; after an acceptance the bar lies ``delta_rel * |J|`` or
+    repeat exactly; after an acceptance the bar lies ``DELTA_REL * |J|`` or
     more below the mask's J, far beyond the ~``tone_tol`` that another warm
     start moves it.  A mask whose solve fails is not retried on the lattice.
     """
     state.step += 1
-    bar = state.J - config.delta_rel * abs(state.J)
+    bar = state.J - DELTA_REL * abs(state.J)
     evals: list[tuple[float, int, Mask, ToneResult, float]] = []
-    for idx, cand in enumerate(candidate_masks(state, config, grid)):
+    for idx, cand in enumerate(candidate_masks(state, config)):
         key = np.packbits(cand.inside).tobytes()
         if key in state.solved:
             continue
@@ -495,7 +495,7 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
             continue
         state.solved.add(key)
         try:
-            J, tone, vol = objective(grid, cand, kind, tone_tol=config.tone_tol,
+            J, tone, vol = objective(cand.grid, cand, kind, tone_tol=config.tone_tol,
                                      initial=state.tone.eigenfield)
         except (ConvergenceFailure, EmptyMaskError) as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
@@ -523,34 +523,29 @@ def descent_step(state: SearchState, config: RunConfig, grid: Grid,
 
 
 def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
-            prior: SearchState | None = None, snapshot_hook=None) -> SearchState:
-    """Solve the start ``mask`` on its lattice, then take descent steps until
-    the aggressiveness underflows or ``config.max_steps`` steps have been
-    taken.
+            prior: SearchState | None = None, on_accept=None) -> SearchState:
+    """Solve the start ``mask`` on its lattice, then take descent steps on
+    that lattice until the aggressiveness underflows or ``config.max_steps``
+    steps have been taken.
 
-    ``prior`` is the finished state of a coarser lattice.  Its history, step
-    count and accepted-step count carry on, so steps are numbered
-    continuously across lattices and ``config.max_steps`` bounds their
-    total; the start row shares the step number of the last coarse step.
-    ``snapshot_hook(state)`` is invoked after every accepted step whose
-    running count is a multiple of config.snapshot_every.
+    ``prior`` is the finished state of a coarser lattice.  Its history and
+    step count carry on, so steps are numbered continuously across lattices
+    and ``config.max_steps`` bounds their total; the start row shares the
+    step number of the last coarse step.  ``on_accept(state)`` is invoked
+    after every accepted step; the start is not a step.
     """
-    grid = mask.grid
-    J0, tone0, vol0 = objective(grid, mask, kind, tone_tol=config.tone_tol)
+    J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=config.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
                         aggressiveness=1.0, solved={np.packbits(mask.inside).tobytes()})
     if prior is not None:
         state.step, state.history = prior.step, prior.history
-        state.accepted_steps = prior.accepted_steps
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)
 
     while state.terminated is None and state.step < config.max_steps:
         j_before = state.J
-        state = descent_step(state, config, grid, kind)
-        if state.J < j_before:
-            state.accepted_steps += 1
-            if snapshot_hook is not None and state.accepted_steps % config.snapshot_every == 0:
-                snapshot_hook(state)
+        state = descent_step(state, config, kind)
+        if on_accept is not None and state.J < j_before:
+            on_accept(state)
     if state.terminated is None:
         state.terminated = TERMINATED_MAX_STEPS
     return state
@@ -614,28 +609,12 @@ def prolong_mask(mask: Mask, values: np.ndarray, grid: Grid) -> Mask:
     return mask_from_array(grid, keep.reshape(grid.shape))
 
 
-def _descend_levels(config: RunConfig, kind: PenaltyKind, snapshot_hook) -> SearchState:
-    """``descend`` on the configured lattice, from the prolonged optimum of
-    the coarse lattice when ``coarse_nodes_per_side`` names one (recursing),
-    else from ``init_shape``."""
-    grid = make_grid(config.dim, config.nodes_per_side, config.radius_B)
-    coarse = coarse_nodes_per_side(config)
-    if coarse is None:
-        mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
-        return descend(config, kind, mask, snapshot_hook=snapshot_hook)
-    prior = _descend_levels(replace(config, nodes_per_side=coarse), kind, snapshot_hook)
-    mask = prolong_mask(prior.mask, prior.tone.eigenfield.values, grid)
-    return descend(config, kind, mask, prior, snapshot_hook)
-
-
-def optimize(config: RunConfig,
-             snapshot_hook=None) -> RunResult:
-    """Run the full search: initialize, descend (coarse lattices first, see
-    ``coarse_nodes_per_side``), bundle diagnostics of the final lattice.
-
-    ``snapshot_hook(state)`` is invoked after every accepted step whose
-    running count is a multiple of config.snapshot_every (the CLI uses it to
-    dump masks); a coarse level's state holds a mask on its own lattice.
+def optimize(config: RunConfig, on_accept=None) -> RunResult:
+    """Run the full search: ``descend`` on each lattice, coarsest first (see
+    ``coarse_nodes_per_side``), from ``init_shape`` on the first and from the
+    previous optimum, prolonged, on each later one; bundle diagnostics of the
+    final lattice.  ``on_accept(state)`` is invoked after every accepted step
+    on any lattice (the CLI counts the calls to dump masks).
     """
     errors = validate_config(config)
     if errors:
@@ -644,7 +623,18 @@ def optimize(config: RunConfig,
     kind = penalty_kind(config)
 
     t_start = time.perf_counter()
-    state = _descend_levels(config, kind, snapshot_hook)
+    sizes = [config.nodes_per_side]
+    while coarse := coarse_nodes_per_side(replace(config, nodes_per_side=sizes[-1])):
+        sizes.append(coarse)
+    levels = tuple(reversed(sizes))
+    state = None
+    for n in levels:
+        grid = make_grid(config.dim, n, config.radius_B)
+        if state is None:
+            mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
+        else:
+            mask = prolong_mask(state.mask, state.tone.eigenfield.values, grid)
+        state = descend(config, kind, mask, state, on_accept)
     diagnostics = run_diagnostics(state.mask.grid, state.mask, state.tone.eigenfield,
                                   config.omega0)
     wall = time.perf_counter() - t_start
@@ -662,5 +652,5 @@ def optimize(config: RunConfig,
         termination=state.terminated,
         steps=state.step,
         wall_time=wall,
-        levels=tuple(dict.fromkeys(row.nodes_per_side for row in state.history)),
+        levels=levels,
     )

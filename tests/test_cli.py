@@ -31,9 +31,11 @@ seed = 3
 
 
 def accepted_steps(out):
-    """Step numbers of the accepted trace rows, the start row excluded."""
+    """Step numbers of the accepted trace rows, each lattice's start row
+    (its first row) excluded."""
     rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
-    return [int(parts[0]) for parts in rows[1:] if parts[5] == "1"]
+    return [int(parts[0]) for prev, parts in zip(rows, rows[1:])
+            if parts[5] == "1" and parts[6] == prev[6]]
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -230,6 +232,23 @@ class TestRunCommand:
         assert (out / f"mask_step{first:06d}.pgm").read_bytes().startswith(b"P5\n65 65\n")
         assert (out / "mask_final.pgm").read_bytes().startswith(b"P5\n129 129\n")
 
+    def test_two_level_snapshots_count_across_lattices(self, tmp_path):
+        # every third accepted step, counted on both lattices together: the
+        # coarse lattice's count is not a multiple of 3, so a count restarted
+        # on the fine lattice would pick other steps
+        cfg = write(tmp_path, QUICK.replace("nodes_per_side = 49", "nodes_per_side = 129")
+                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        steps = accepted_steps(out)
+        rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+        fine_start = int(next(parts[0] for parts in rows if parts[6] == "129"))
+        assert sum(s <= fine_start for s in steps) % 3 != 0
+        names = sorted(p.name for p in out.glob("mask_step*.pgm"))
+        assert names == [f"mask_step{s:06d}.pgm" for s in steps[2::3]]
+        sizes = {(out / name).read_bytes().split(b"\n")[1] for name in names}
+        assert sizes == {b"65 65", b"129 129"}
+
     def test_max_steps_exit_code(self, tmp_path):
         cfg = write(tmp_path, QUICK.replace("max_steps = 20", "max_steps = 2"),
                     name="short.cfg")
@@ -245,7 +264,7 @@ class TestRunCommand:
         from platetone import cli
         from platetone.biharmonic import ConvergenceFailure
 
-        def fail(config, snapshot_hook=None):
+        def fail(config, on_accept=None):
             raise ConvergenceFailure("eigensolver did not converge", None)
 
         monkeypatch.setattr(cli, "optimize", fail)
@@ -265,6 +284,25 @@ class TestRunCommand:
                       "diagnostics.dichotomy", "diagnostics.doubling_sigma",
                       "result.gamma", "result.termination"):
             assert token in text, token
+
+
+class TestInvalidRunConfig:
+    @pytest.mark.parametrize("text, field", [
+        ("radius_B = inf\n", "radius_B"),
+        ("radius_B = nan\n", "radius_B"),
+        ("eps = nan\n", "eps"),
+        ("penalty_variant = rewarding\neps = inf\neps_override = true\n", "eps"),
+        ("init_shape = random_blob\nseed = -1\n", "seed"),
+    ], ids=["radius_B-inf", "radius_B-nan", "eps-nan", "eps-inf-rewarding", "seed-negative"])
+    def test_error_names_the_field(self, tmp_path, capsys, text, field):
+        cfg = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f": {field}: must be"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f": {field}: must be" in err
+        assert not out.exists()
 
 
 class TestConstantsCommand:
@@ -289,6 +327,24 @@ class TestConstantsCommand:
     def test_cli_dim_one_fails(self, capsys):
         code = main(["constants", "--dim", "1", "--omega0", "1.0", "--eps", "1e-4"])
         assert code == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("option, value, field", [
+        ("--omega0", "nan", "omega0"),
+        ("--omega0", "inf", "omega0"),
+        ("--eps", "nan", "eps"),
+        ("--eps", "inf", "eps"),
+        ("--radius-b", "nan", "radius_B"),
+        ("--radius-b", "inf", "radius_B"),
+        ("--radius-b", "-1.5", "radius_B"),
+    ])
+    def test_cli_invalid_input_names_the_field(self, capsys, dim, option, value, field):
+        # the later option overrides the valid one before it
+        code = main(["constants", "--dim", str(dim), "--omega0", "0.785", "--eps", "1e-4",
+                     "--radius-b", "1.5", option, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be positive and finite, got ")
 
 
 class TestVerifyCommand:

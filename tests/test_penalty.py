@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,11 @@ class TestPenaltyKindValidation:
             PenaltyKind("plain", 0.0, 1.0)
         with pytest.raises(ValueError):
             PenaltyKind("plain", 0.1, -1.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_eps_that_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            PenaltyKind("rewarding", eps, 1.0)
 
 
 class TestObjective:

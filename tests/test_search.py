@@ -150,7 +150,7 @@ class TestCandidateMasks:
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(g, m, config)
         state.aggressiveness = 1e-12
-        cands = candidate_masks(state, config, g)
+        cands = candidate_masks(state, config)
         # with the threshold at the minimum positive magnitude the superlevel
         # set is the support of the eigenfield, i.e. the current mask
         assert any(c == m for c in cands)
@@ -160,7 +160,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(g, m, config)
-        cands = candidate_masks(state, config, g)
+        cands = candidate_masks(state, config)
         assert any(c == erode(m) for c in cands)
 
     def test_all_candidates_nonempty(self):
@@ -168,7 +168,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(g, m, config)
-        for c in candidate_masks(state, config, g):
+        for c in candidate_masks(state, config):
             assert not c.is_empty
 
     def test_layout_on_two_disks(self):
@@ -176,7 +176,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(g, m, config)
-        cands = candidate_masks(state, config, g)
+        cands = candidate_masks(state, config)
         a = state.aggressiveness
         # above the volume target, so the budgeted growth is empty and dropped
         assert mask_volume(m) > OMEGA0
@@ -205,24 +205,25 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(g, m, config)
-        cands = candidate_masks(state, config, g)
+        cands = candidate_masks(state, config)
         comp_counts = [connected_components(c)[0] for c in cands]
         assert 1 in comp_counts
 
 
 class TestDescentStep:
-    def test_rejection_halves_aggressiveness(self):
+    def test_rejection_halves_aggressiveness(self, monkeypatch):
         # a disk at the target volume with plain penalty is already locally
         # optimal at coarse aggressiveness 1e-2-ish; force rejection by
-        # shrinking delta_rel's complement: use a state where no candidate
-        # improves by making delta_rel huge
-        config = small_config(delta_rel=0.5)
+        # shrinking DELTA_REL's complement: use a state where no candidate
+        # improves by making DELTA_REL huge
+        monkeypatch.setattr(search, "DELTA_REL", 0.5)
+        config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         before = state.aggressiveness
-        state = descent_step(state, config, g, kind)
+        state = descent_step(state, config, kind)
         assert state.aggressiveness == 0.5 * before
         assert state.mask == m
         assert all(not row.accepted for row in state.history)
@@ -234,30 +235,31 @@ class TestDescentStep:
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         j0 = state.J
-        state = descent_step(state, config, g, kind)
+        state = descent_step(state, config, kind)
         assert state.J < j0
         assert any(row.accepted for row in state.history)
 
-    def test_rejected_candidates_not_solved_again(self):
+    def test_rejected_candidates_not_solved_again(self, monkeypatch):
         # a rejected step leaves the incumbent and its warm start as they
         # were, so the next step solves only the candidates new to it
-        config = small_config(delta_rel=0.5)
+        monkeypatch.setattr(search, "DELTA_REL", 0.5)
+        config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        bar = state.J - config.delta_rel * abs(state.J)
+        bar = state.J - search.DELTA_REL * abs(state.J)
 
         def solvable(cands):
             return [c for c in cands
                     if c != m and objective_floor(state, c, kind) <= bar]
 
-        first = solvable(candidate_masks(state, config, g))
-        state = descent_step(state, config, g, kind)
+        first = solvable(candidate_masks(state, config))
+        state = descent_step(state, config, kind)
         assert len(state.history) == len(first)
-        second = solvable(candidate_masks(state, config, g))
+        second = solvable(candidate_masks(state, config))
         new = [c for c in second if not any(c == f for f in first)]
-        state = descent_step(state, config, g, kind)
+        state = descent_step(state, config, kind)
         assert 0 < len(new) < len(second)
         assert len(state.history) == len(first) + len(new)
 
@@ -267,11 +269,11 @@ class TestDescentStep:
         m = initial_mask(g, "square", OMEGA0)
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        bar = state.J - config.delta_rel * abs(state.J)
-        cands = candidate_masks(state, config, g)
+        bar = state.J - search.DELTA_REL * abs(state.J)
+        cands = candidate_masks(state, config)
         distinct = [c for c in cands if c != state.mask
                     and objective_floor(state, c, kind) <= bar]
-        state = descent_step(state, config, g, kind)
+        state = descent_step(state, config, kind)
         assert len(state.history) == len(distinct)
 
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
@@ -284,8 +286,8 @@ class TestDescentStep:
         state = make_state(g, m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         before = replace(state, history=[])
-        bar = state.J - config.delta_rel * abs(state.J)
-        cands = [c for c in candidate_masks(state, config, g) if c != m]
+        bar = state.J - search.DELTA_REL * abs(state.J)
+        cands = [c for c in candidate_masks(state, config) if c != m]
         out = [c for c in cands if objective_floor(before, c, kind) > bar]
         assert any(c == erode(m) for c in out)
         assert any((c.inside & ~m.inside).any() for c in out)
@@ -298,7 +300,7 @@ class TestDescentStep:
             return real(grid, mask, *args, **kwargs)
 
         monkeypatch.setattr(search, "objective", recording)
-        descent_step(state, config, g, kind)
+        descent_step(state, config, kind)
         assert len(solved) == len(cands) - len(out)
         assert all(objective_floor(before, c, kind) <= bar for c in solved)
 
@@ -309,7 +311,7 @@ class TestDescentStep:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "square", OMEGA0)
         kind = penalty_kind(resolve_eps(config)[0])
-        clean = descent_step(make_state(g, m, config), config, g, kind)
+        clean = descent_step(make_state(g, m, config), config, kind)
         winner = clean.mask
         real = search.objective
 
@@ -320,7 +322,7 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "objective", failing)
         caplog.set_level(logging.WARNING, logger="platetone.search")
-        state = descent_step(make_state(g, m, config), config, g, kind)
+        state = descent_step(make_state(g, m, config), config, kind)
         skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
         assert len(skipped) == 1 and skipped[0].levelno == logging.WARNING
         won = next(row for row in clean.history if row.accepted)
@@ -350,7 +352,7 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "candidate_masks", lambda *args: cands)
         monkeypatch.setattr(search, "objective", tied)
-        state = descent_step(state, config, g, kind)
+        state = descent_step(state, config, kind)
         assert [row.J for row in state.history] == [tie, tie]
         assert [row.accepted for row in state.history] == [True, False]
         assert state.mask == cands[0] and state.J == tie
@@ -380,8 +382,8 @@ class TestDescentStep:
         monkeypatch.setattr(search, "objective", recording)
         for _ in range(2):
             incumbent = state.mask
-            assert objective_floor(state, x, kind) <= state.J - config.delta_rel * abs(state.J)
-            state = descent_step(state, config, g, kind)
+            assert objective_floor(state, x, kind) <= state.J - search.DELTA_REL * abs(state.J)
+            state = descent_step(state, config, kind)
             assert state.mask != incumbent
         return x, attempts
 
@@ -407,7 +409,7 @@ class TestDescentStep:
                 kind = penalty_kind(resolve_eps(config)[0])
                 state = make_state(g, initial_mask(g, shape, OMEGA0), config)
                 assert objective_floor(state, state.mask, kind) == state.J
-                state = descent_step(state, config, g, kind)
+                state = descent_step(state, config, kind)
                 assert objective_floor(state, state.mask, kind) == state.J
 
 
@@ -517,8 +519,8 @@ class TestOptimize:
 
     def test_snapshot_hook_called(self):
         seen = []
-        config = small_config(init_shape="square", max_steps=40, snapshot_every=1)
-        optimize(config, snapshot_hook=lambda s: seen.append(s.step))
+        config = small_config(init_shape="square", max_steps=40)
+        optimize(config, on_accept=lambda s: seen.append(s.step))
         assert seen
 
 
@@ -627,6 +629,20 @@ class TestMultiLevelHistory:
                         if row.accepted and row.nodes_per_side == n]
             assert len(accepted) > 1
             assert all(a > b for a, b in zip(accepted, accepted[1:]))
+
+    def test_on_accept_called_once_per_accepted_step(self, two_level_run):
+        # in step order across both lattices; a lattice's start row (its
+        # first row) is not a step
+        calls = []
+        res = optimize(small_config(nodes_per_side=129, init_shape="square", max_steps=300),
+                       on_accept=lambda s: calls.append((s.step, s.mask.grid.nodes_per_side, s.J)))
+        rows = res.history
+        expected = [(row.step, row.nodes_per_side, row.J)
+                    for prev, row in zip(rows, rows[1:])
+                    if row.accepted and row.nodes_per_side == prev.nodes_per_side]
+        assert rows == two_level_run.history
+        assert calls == expected
+        assert {n for _, n, _ in calls} == {65, 129}
 
     def test_max_steps_bounds_the_total(self, two_level_run):
         coarse_steps = next(row.step for row in two_level_run.history
