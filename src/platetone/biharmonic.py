@@ -20,7 +20,9 @@ its tone converges at second order in h.  The smallest eigenvalue is found by
 shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) at shift
 zero, with a single sparse LU of A, factored in SuperLU's symmetric mode
 (minimum degree ordering of A + A^T, diagonal pivots), serving every inverse
-application.
+application.  Every function reads the lattice from its mask and the mask
+from its field; ``rayleigh_quotient`` and ``eigen_residual`` also take both,
+and reject copies that differ.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _steps(grid: Grid) -> np.ndarray:
     return np.concatenate([strides, -strides[::-1]]).astype(np.int32)
 
 
-def _clamped_rows(grid: Grid, mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
+def _clamped_rows(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     """Rows K of the clamped energy |K u|^2 over the members, and the flat index.
 
     Column j of K is member ``flat[j]``.  The wall sits at the midpoint of
@@ -130,6 +132,7 @@ def _clamped_rows(grid: Grid, mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     Members lie strictly inside the reference ball, so none is on a box face
     and every neighbor index below is in range.
     """
+    grid = mask.grid
     inside = mask.inside.ravel()
     flat = np.flatnonzero(inside).astype(np.int32)
     n = flat.size
@@ -193,32 +196,37 @@ def _clamped_rows(grid: Grid, mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     return K, flat
 
 
-def _masked_bilap(grid: Grid, mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
+def _masked_bilap(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     """Masked clamped biharmonic matrix A = K^T K and the flat index."""
-    K, flat = _clamped_rows(grid, mask)
+    K, flat = _clamped_rows(mask)
     return K.T.tocsr() @ K, flat
 
 
 def _clamped_energy(grid: Grid, mask: Mask, field: ScalarField):
-    """(K, flat, u): the rows of the mask's energy and the field's member values."""
+    """(K, u): the rows of the mask's energy and the field's member values.
+
+    The field carries the grid and mask; its two callers keep them as
+    arguments because the benchmark worker passes them."""
+    if grid != mask.grid:
+        raise ValueError("grid does not match the mask's lattice")
     if field.mask is not mask and field.mask != mask:
         raise ValueError("field mask does not match the operator mask")
-    K, flat = _clamped_rows(grid, mask)
-    return K, flat, field.values.ravel()[flat]
+    K, flat = _clamped_rows(mask)
+    return K, field.values.ravel()[flat]
 
 
-def apply_clamped_bilap(grid: Grid, mask: Mask, field: ScalarField) -> ScalarField:
-    """A u = K^T K u on the mask, the matrix that ``fundamental_tone`` solves."""
-    K, flat, u = _clamped_energy(grid, mask, field)
-    out = np.zeros(grid.node_count)
-    out[flat] = K.T @ (K @ u)
-    return make_field(mask, out.reshape(grid.shape))
+def apply_clamped_bilap(field: ScalarField) -> ScalarField:
+    """A u = K^T K u on the field's mask, the matrix ``fundamental_tone`` solves."""
+    K, flat = _clamped_rows(field.mask)
+    out = np.zeros(field.grid.node_count)
+    out[flat] = K.T @ (K @ field.values.ravel()[flat])
+    return make_field(field.mask, out.reshape(field.grid.shape))
 
 
 def rayleigh_quotient(grid: Grid, mask: Mask, field: ScalarField) -> float:
     """|K u|^2 / |u|^2, the clamped energy of the field over its squared norm
     (h^n cancels between the two, so neither carries it)."""
-    K, _, u = _clamped_energy(grid, mask, field)
+    K, u = _clamped_energy(grid, mask, field)
     den = float(u @ u)
     if den == 0.0:
         raise VanishingFieldError("Rayleigh quotient of a vanishing field")
@@ -226,26 +234,15 @@ def rayleigh_quotient(grid: Grid, mask: Mask, field: ScalarField) -> float:
     return float(Ku @ Ku) / den
 
 
-def gradient_field(grid: Grid, field: ScalarField) -> np.ndarray:
+def gradient_field(field: ScalarField) -> np.ndarray:
     """Central differences of the zero-extended field, shape (dim, *grid)."""
-    v = field.values
-    h = grid.spacing
-    out = np.zeros((grid.dim,) + grid.shape)
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        g = out[ax]
-        g[tuple(lo)] += v[tuple(hi)]
-        g[tuple(hi)] -= v[tuple(lo)]
-        g /= 2.0 * h
-    return out
+    grads = np.gradient(np.pad(field.values, 1), field.grid.spacing)
+    return np.stack([g[(slice(1, -1),) * field.grid.dim] for g in grads])
 
 
 def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> float:
     """||A u - gamma u||_2 / ||u||_2 for the masked operator."""
-    K, _, u = _clamped_energy(grid, mask, field)
+    K, u = _clamped_energy(grid, mask, field)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise VanishingFieldError("residual of a vanishing field")
@@ -256,8 +253,8 @@ def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> 
 # eigensolver
 # ---------------------------------------------------------------------------
 
-def fundamental_tone(grid: Grid, mask: Mask, tol: float = 1e-8,
-                     max_iter: int = 200, initial: ScalarField | None = None,
+def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
+                     initial: ScalarField | None = None,
                      residual_tol: float | None = None) -> ToneResult:
     """Smallest eigenvalue of the masked clamped bilaplacian.
 
@@ -274,19 +271,20 @@ def fundamental_tone(grid: Grid, mask: Mask, tol: float = 1e-8,
     ``initial`` seeds the Lanczos start vector, which makes repeated solves
     on slowly changing masks cheap.
 
-    Raises EmptyMaskError on an empty mask and ConvergenceFailure (carrying
-    the best pair found) if ARPACK exhausts ``max_iter`` or the residual
-    exceeds ``residual_tol * gamma`` (``residual_tol`` defaults to
-    sqrt(tol)).
+    Raises ValueError unless tol is positive and finite, EmptyMaskError on
+    an empty mask and ConvergenceFailure (carrying the best pair found) if
+    ARPACK exhausts ``max_iter`` or the residual exceeds
+    ``residual_tol * gamma`` (``residual_tol`` defaults to sqrt(tol)).
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if residual_tol is None:
         residual_tol = tol ** 0.5
 
-    A, flat = _masked_bilap(grid, mask)
+    grid = mask.grid
+    A, flat = _masked_bilap(mask)
     solves = 0
     failure = None
     if flat.size <= NCV:

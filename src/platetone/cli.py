@@ -280,8 +280,8 @@ def _verify_alpha0() -> list[tuple[str, bool, str]]:
 
 def _verify_scaling() -> list[tuple[str, bool, str]]:
     grid = make_grid(2, 129, 1.0)
-    g1 = fundamental_tone(grid, ball_mask(grid, (0.0, 0.0), 1.0), tol=1e-9).gamma
-    g2 = fundamental_tone(grid, ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
+    g1 = fundamental_tone(ball_mask(grid, (0.0, 0.0), 1.0), tol=1e-9).gamma
+    g2 = fundamental_tone(ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
     ratio = g2 / g1
     return [("disk tone ratio r=0.5 vs 1.0", abs(ratio / 16.0 - 1.0) <= 0.05,
              f"ratio={ratio:.4f}")]
@@ -296,8 +296,8 @@ def _verify_monotonicity() -> list[tuple[str, bool, str]]:
         center = rng.uniform(-0.2, 0.2, size=2)
         outer = ball_mask(grid, center, float(rng.uniform(0.55, 0.8)))
         inner = erode(outer)
-        g_out = fundamental_tone(grid, outer, tol=1e-10).gamma
-        g_in = fundamental_tone(grid, inner, tol=1e-10).gamma
+        g_out = fundamental_tone(outer, tol=1e-10).gamma
+        g_in = fundamental_tone(inner, tol=1e-10).gamma
         if g_in < g_out - 1e-8:
             ok = False
             detail = f"trial {trial}: inner {g_in} < outer {g_out}"

@@ -1,4 +1,4 @@
-"""Structural diagnostics for a computed (mask, eigenfield) pair.
+"""Structural diagnostics for a computed eigenfield and its mask.
 
 These probes measure, on the discrete output of a run, the quantities the
 theory reasons about: connectedness, the boundary doubling ratio, the
@@ -80,9 +80,9 @@ def _window(grid: Grid, idx: np.ndarray, R: float) -> tuple[tuple[slice, ...], n
     return tuple(slice(a, b) for a, b in zip(lo, hi)), sum(cc * cc for cc in coords)
 
 
-def _gradient_norm(grid: Grid, field: ScalarField) -> np.ndarray:
+def _gradient_norm(field: ScalarField) -> np.ndarray:
     """|grad u| at every node."""
-    grad = gradient_field(grid, field)
+    grad = gradient_field(field)
     return np.sqrt(np.sum(grad * grad, axis=0))
 
 
@@ -127,18 +127,18 @@ def estimate_doubling_sigma(mask: Mask, R0: float,
     return worst
 
 
-def estimate_nondegeneracy_c1(mask: Mask, field: ScalarField, R0: float) -> float:
-    """Smallest value of sup_{B_R(x0)} |grad u| / R over boundary probes x0
-    and dyadic radii R0, R0/2, ... >= 4h; zero signals a degenerate (flat)
-    eigenfield."""
-    grid = mask.grid
+def estimate_nondegeneracy_c1(field: ScalarField, R0: float) -> float:
+    """Smallest value of sup_{B_R(x0)} |grad u| / R over probes x0 on the
+    boundary of the field's mask and dyadic radii R0, R0/2, ... >= 4h; zero
+    signals a degenerate (flat) eigenfield."""
+    grid = field.grid
     h = grid.spacing
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    mag = _gradient_norm(grid, field)
+    mag = _gradient_norm(field)
     radii = dyadic_radii(R0, 4.0 * h)
     worst = math.inf
-    for idx in _probes(mask, 512):
+    for idx in _probes(field.mask, 512):
         window, d2 = _window(grid, idx, R0)
         local = mag[window]
         for r in radii:
@@ -166,22 +166,20 @@ def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
     return inside / total
 
 
-def classify_boundary(mask: Mask, field: ScalarField,
-                      tol_grad: float | None = None
+def classify_boundary(field: ScalarField, tol_grad: float | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Split boundary nodes into the flat part (|grad u| <= tol_grad) and the
-    nodal part (|grad u| > tol_grad).
+    """Split the boundary nodes of the field's mask into the flat part
+    (|grad u| <= tol_grad) and the nodal part (|grad u| > tol_grad).
 
     tol_grad defaults to 10 h max|grad u|: a sharp zero test is meaningless
     in floating point, and the gradient of a genuinely clamped field decays
     like h at the free boundary, so stability of the split under refinement
     is the meaningful check.
     """
-    grid = mask.grid
-    mag = _gradient_norm(grid, field)
+    mag = _gradient_norm(field)
     if tol_grad is None:
-        tol_grad = 10.0 * grid.spacing * float(mag.max())
-    boundary = boundary_nodes(mask)
+        tol_grad = 10.0 * field.grid.spacing * float(mag.max())
+    boundary = boundary_nodes(field.mask)
     sigma0 = np.logical_and(boundary, mag <= tol_grad)
     sigma1 = np.logical_and(boundary, mag > tol_grad)
     return sigma0, sigma1
@@ -194,7 +192,7 @@ def default_vol_tol(grid: Grid, omega0: float) -> float:
     return 5.0 * grid.spacing * r_eq ** (n - 1)
 
 
-def dichotomy_check(mask: Mask, omega0: float, grid: Grid) -> Dichotomy:
+def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
     """Classify the final volume against the scaling/translation alternative.
 
     Volume within ``default_vol_tol`` of omega0 reports VOLUME_MET.  Otherwise
@@ -208,6 +206,7 @@ def dichotomy_check(mask: Mask, omega0: float, grid: Grid) -> Dichotomy:
     """
     if mask.is_empty:
         raise ValueError("dichotomy check on an empty mask")
+    grid = mask.grid
     vol = mask_volume(mask)
     if abs(vol - omega0) <= default_vol_tol(grid, omega0):
         return Dichotomy.VOLUME_MET
@@ -246,23 +245,23 @@ def default_probe_radius(grid: Grid, omega0: float) -> float:
     return max(4.0 * grid.spacing, min(0.25 * r_eq, 32.0 * grid.spacing))
 
 
-def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField,
-                    omega0: float) -> DiagnosticsReport:
-    """Evaluate the full diagnostic bundle on a computed (mask, field) pair,
+def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
+    """Evaluate the full diagnostic bundle on a computed field and its mask,
     probing at the dyadic radii from ``default_probe_radius`` down to 4h."""
+    mask, grid = field.mask, field.grid
     if mask.is_empty:
         raise ValueError("diagnostics on an empty mask")
     R0 = default_probe_radius(grid, omega0)
     connected, count = check_connected(mask)
     sigma = estimate_doubling_sigma(mask, R0)
-    c1 = estimate_nondegeneracy_c1(mask, field, R0)
+    c1 = estimate_nondegeneracy_c1(field, R0)
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
     probes = _probes(mask, 128)
     profile = []
     for r in radii:
         quotients = [density_quotient(mask, tuple(p), r) for p in probes]
         profile.append((r, min(quotients)))
-    s0, s1 = classify_boundary(mask, field)
+    s0, s1 = classify_boundary(field)
     return DiagnosticsReport(
         connected=connected,
         component_count=count,
@@ -271,6 +270,6 @@ def run_diagnostics(grid: Grid, mask: Mask, field: ScalarField,
         density_c2_profile=tuple(profile),
         sigma0_count=int(np.count_nonzero(s0)),
         sigma1_count=int(np.count_nonzero(s1)),
-        dichotomy=dichotomy_check(mask, omega0, grid),
+        dichotomy=dichotomy_check(mask, omega0),
         probe_radii=radii,
     )

@@ -3,9 +3,9 @@
 The computational substrate is a uniform lattice with an odd number of nodes
 per side covering the cube [-R_B, R_B]^n; the open reference ball B of radius
 R_B is inscribed in that cube.  A Mask is a finite set of lattice nodes lying
-strictly inside B and stands for the open set the eigenfunction lives on.
-A ScalarField stores one value per lattice node and is identically zero
-outside its mask, the discrete version of extending by zero to the whole of B.
+strictly inside B, carries its Grid, and stands for the open set the
+eigenfunction lives on.  A ScalarField carries its Mask and one value per
+lattice node, zero outside the mask (extension by zero to the whole of B).
 
 All operations are pure: they return fresh immutable objects and never touch
 their inputs, so grids, masks and fields can be shared freely across threads.
@@ -240,9 +240,12 @@ def rescale_mask(mask: Mask, t: float) -> Mask:
 class ScalarField:
     """One value per lattice node, identically zero outside the mask."""
 
-    grid: Grid
     mask: Mask
     values: np.ndarray      # float64, shape grid.shape, frozen
+
+    @property
+    def grid(self) -> Grid:
+        return self.mask.grid
 
 
 def make_field(mask: Mask, values: np.ndarray) -> ScalarField:
@@ -259,7 +262,7 @@ def make_field(mask: Mask, values: np.ndarray) -> ScalarField:
         raise ValueError("field values must be finite")
     out = np.where(mask.inside, values, 0.0)
     out.setflags(write=False)
-    return ScalarField(mask.grid, mask, out)
+    return ScalarField(mask, out)
 
 
 # ---------------------------------------------------------------------------

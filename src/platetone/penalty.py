@@ -59,6 +59,9 @@ def objective(grid: Grid, mask: Mask, kind: PenaltyKind,
     Returns (J, tone, volume); the full tone result lets callers reuse the
     eigenfield to warm start nearby solves.  Eigensolver failures propagate.
     """
-    tone = fundamental_tone(grid, mask, tol=tone_tol, initial=initial)
+    # the mask carries its grid; the argument stays for the benchmark worker
+    if grid != mask.grid:
+        raise ValueError("grid does not match the mask's lattice")
+    tone = fundamental_tone(mask, tol=tone_tol, initial=initial)
     volume = mask_volume(mask)
     return tone.gamma + penalty_value(kind, volume), tone, volume

@@ -29,6 +29,7 @@ A mask is solved at most once per lattice.  Accepted J falls by at least
 unchanged and a second solve would repeat the first exactly, or the bar lies
 at least that margin below the mask's J, which another warm start moves only
 by about the solve tolerance: the mask could never pass again.
+``validate_config`` holds ``tone_tol`` below ``DELTA_REL`` for this.
 
 Everything is deterministic for a fixed config, including the seeded blob
 initializer, so a rerun reproduces the trace bit for bit.
@@ -59,6 +60,7 @@ from platetone.diagnostics import DiagnosticsReport, run_diagnostics
 from platetone.field_grid import (
     Grid,
     Mask,
+    ScalarField,
     ball_mask,
     connected_components,
     dilate,
@@ -183,8 +185,8 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {c.init_shape!r}")
     if c.max_steps < 1:
         errors.append(f"max_steps: must be >= 1, got {c.max_steps}")
-    if not c.tone_tol > 0:
-        errors.append(f"tone_tol: must be positive, got {c.tone_tol}")
+    if not 0 < c.tone_tol < DELTA_REL:
+        errors.append(f"tone_tol: must be in (0, DELTA_REL = {DELTA_REL}), got {c.tone_tol}")
     if not 0.0 < c.d_n < 1.0:
         errors.append(f"d_n: must lie in (0, 1), got {c.d_n}")
     if c.seed < 0:
@@ -586,22 +588,20 @@ def _prolong(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def prolong_mask(mask: Mask, values: np.ndarray, grid: Grid) -> Mask:
-    """A coarse mask on ``grid``, the lattice of half its spacing, at the
-    coarse mask's exact volume.
+def prolong_mask(field: ScalarField) -> Mask:
+    """The mask of a coarse eigenfield on the lattice of half its spacing, at
+    the coarse mask's exact volume.
 
     Keeps 2^n times the coarse member count of the nodes strictly inside B,
     ranked by the multilinear interpolation of the coarse membership, ties
-    broken by the interpolated magnitude of the coarse eigenfield ``values``,
-    then by flat index.  Every fine node that coincides with a coarse member
-    interpolates to 1 and is kept: at most 2^n fine nodes interpolate to 1
-    per coarse member.
+    broken by the interpolated magnitude of the field, then by flat index.
+    Every fine node that coincides with a coarse member interpolates to 1
+    and is kept: at most 2^n fine nodes interpolate to 1 per coarse member.
     """
-    coarse = mask.grid
-    if grid.nodes_per_side != 2 * coarse.nodes_per_side - 1 or grid.radius_B != coarse.radius_B:
-        raise ValueError(f"{grid} does not halve the spacing of {coarse}")
+    mask, coarse = field.mask, field.grid
+    grid = make_grid(coarse.dim, 2 * coarse.nodes_per_side - 1, coarse.radius_B)
     membership = _prolong(mask.inside.astype(float)).ravel()
-    magnitude = _prolong(np.abs(values)).ravel()
+    magnitude = _prolong(np.abs(field.values)).ravel()
     idx = np.flatnonzero(inside_ball(grid))
     order = np.lexsort((idx, -magnitude[idx], -membership[idx]))
     keep = np.zeros(grid.node_count, dtype=bool)
@@ -627,16 +627,12 @@ def optimize(config: RunConfig, on_accept=None) -> RunResult:
     while coarse := coarse_nodes_per_side(replace(config, nodes_per_side=sizes[-1])):
         sizes.append(coarse)
     levels = tuple(reversed(sizes))
-    state = None
-    for n in levels:
-        grid = make_grid(config.dim, n, config.radius_B)
-        if state is None:
-            mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
-        else:
-            mask = prolong_mask(state.mask, state.tone.eigenfield.values, grid)
-        state = descend(config, kind, mask, state, on_accept)
-    diagnostics = run_diagnostics(state.mask.grid, state.mask, state.tone.eigenfield,
-                                  config.omega0)
+    grid = make_grid(config.dim, levels[0], config.radius_B)
+    mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
+    state = descend(config, kind, mask, None, on_accept)
+    for _ in levels[1:]:
+        state = descend(config, kind, prolong_mask(state.tone.eigenfield), state, on_accept)
+    diagnostics = run_diagnostics(state.tone.eigenfield, config.omega0)
     wall = time.perf_counter() - t_start
     return RunResult(
         config=config,

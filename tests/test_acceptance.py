@@ -62,7 +62,7 @@ def test_criterion_2_grid_vs_oracle_tone():
     t0 = time.perf_counter()
     grid = make_grid(2, 129, 1.0)
     mask = ball_mask(grid, (0.0, 0.0), 1.0)
-    tone = fundamental_tone(grid, mask, tol=1e-10)
+    tone = fundamental_tone(mask, tol=1e-10)
     oracle = gamma_ball_radial(2)
     rel = abs(tone.gamma - oracle) / oracle
     elapsed = time.perf_counter() - t0
@@ -77,8 +77,8 @@ def test_criterion_3_scaling_law():
     errors = []
     for n in (65, 129, 257):
         grid = make_grid(2, n, 1.0)
-        g_half = fundamental_tone(grid, ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
-        g_full = fundamental_tone(grid, ball_mask(grid, (0.0, 0.0), 1.0), tol=1e-9).gamma
+        g_half = fundamental_tone(ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
+        g_full = fundamental_tone(ball_mask(grid, (0.0, 0.0), 1.0), tol=1e-9).gamma
         errors.append(abs(g_half / g_full / 16.0 - 1.0))
     monotone = errors[0] > errors[1] > errors[2]
     ok = monotone and errors[2] <= 0.03
@@ -121,8 +121,8 @@ def test_criterion_4_domain_monotonicity():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         inner, outer = _nested_pair(grid, rng)
-        g_in = fundamental_tone(grid, inner, tol=1e-12).gamma
-        g_out = fundamental_tone(grid, outer, tol=1e-12).gamma
+        g_in = fundamental_tone(inner, tol=1e-12).gamma
+        g_out = fundamental_tone(outer, tol=1e-12).gamma
         gap = g_in - g_out
         worst = min(worst, gap)
         if gap < -1e-8:
@@ -185,7 +185,7 @@ def test_criterion_7_optimizer_recovers_disk():
     # same resolution, the discretization-matched optimum
     grid = make_grid(2, 129, 1.5)
     lattice_disk = fundamental_tone(
-        grid, ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
+        ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
     matched_rel = abs(result.gamma - lattice_disk) / lattice_disk
     ok = (gamma_rel <= 0.05 and vol_rel <= 0.02
           and result.diagnostics.dichotomy is Dichotomy.VOLUME_MET

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from platetone.field_grid import (
     make_grid,
     mask_from_array,
 )
+from platetone.penalty import PenaltyKind, objective
 
 
 def single_node_setup(n=33, dim=2):
@@ -49,19 +52,19 @@ class TestApplyClampedBilap:
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         f = make_field(m, np.zeros(g.shape))
-        out = apply_clamped_bilap(g, m, f)
+        out = apply_clamped_bilap(f)
         assert np.all(out.values == 0.0)
 
     def test_single_node_2d(self):
         # composing the 5-point stencil with itself on a delta gives
         # (4^2 + 4)/h^4 at the center
         g, m, f, center = single_node_setup()
-        out = apply_clamped_bilap(g, m, f)
+        out = apply_clamped_bilap(f)
         assert out.values[center] == pytest.approx(20.0 / g.spacing ** 4, rel=1e-13)
 
     def test_single_node_3d(self):
         g, m, f, center = single_node_setup(n=17, dim=3)
-        out = apply_clamped_bilap(g, m, f)
+        out = apply_clamped_bilap(f)
         assert out.values[center] == pytest.approx(42.0 / g.spacing ** 4, rel=1e-13)
 
     def test_symmetry_random_pairs(self):
@@ -73,8 +76,8 @@ class TestApplyClampedBilap:
         for _ in range(100):
             u = random_field(m, rng)
             w = random_field(m, rng)
-            au_w = float(np.sum(apply_clamped_bilap(g, m, u).values * w.values))
-            u_aw = float(np.sum(u.values * apply_clamped_bilap(g, m, w).values))
+            au_w = float(np.sum(apply_clamped_bilap(u).values * w.values))
+            u_aw = float(np.sum(u.values * apply_clamped_bilap(w).values))
             scale = abs(au_w) + abs(u_aw)
             assert abs(au_w - u_aw) <= 1e-12 * scale
 
@@ -82,10 +85,10 @@ class TestApplyClampedBilap:
         rng = np.random.default_rng(5)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.1, 0.0), 0.6)
-        A, flat = _masked_bilap(g, m)
+        A, flat = _masked_bilap(m)
         u = random_field(m, rng)
         via_sparse = A @ u.values.ravel()[flat]
-        via_stencil = apply_clamped_bilap(g, m, u).values.ravel()[flat]
+        via_stencil = apply_clamped_bilap(u).values.ravel()[flat]
         assert np.allclose(via_sparse, via_stencil, rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("dim, n, seed", [(2, 13, 0), (2, 13, 1), (3, 9, 2)])
@@ -119,18 +122,10 @@ class TestApplyClampedBilap:
                         exterior.setdefault(j, np.zeros(len(members)))[col[i]] += 1.0
             rows.append(row)
         K = np.array(rows + list(exterior.values())) / h ** 2
-        A, flat = _masked_bilap(g, m)
+        A, flat = _masked_bilap(m)
         assert [tuple(np.unravel_index(f, g.shape)) for f in flat] == members
         ref = K.T @ K
         assert np.allclose(A.toarray(), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-
-    def test_mask_mismatch_rejected(self):
-        g = make_grid(2, 33, 1.0)
-        m1 = ball_mask(g, (0.0, 0.0), 0.5)
-        m2 = ball_mask(g, (0.0, 0.0), 0.4)
-        f = make_field(m2, np.ones(g.shape))
-        with pytest.raises(ValueError):
-            apply_clamped_bilap(g, m1, f)
 
 
 class TestRayleighQuotient:
@@ -153,7 +148,7 @@ class TestRayleighQuotient:
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
         f = random_field(m, rng)
-        au = apply_clamped_bilap(g, m, f)
+        au = apply_clamped_bilap(f)
         quad = float(np.sum(au.values * f.values)) / float(np.sum(f.values ** 2))
         assert rayleigh_quotient(g, m, f) == pytest.approx(quad, rel=1e-12)
 
@@ -164,6 +159,38 @@ class TestRayleighQuotient:
         with pytest.raises(VanishingFieldError):
             rayleigh_quotient(g, m, f)
 
+    def test_mask_mismatch_rejected(self):
+        g = make_grid(2, 33, 1.0)
+        m1 = ball_mask(g, (0.0, 0.0), 0.5)
+        m2 = ball_mask(g, (0.0, 0.0), 0.4)
+        f = make_field(m2, np.ones(g.shape))
+        with pytest.raises(ValueError):
+            rayleigh_quotient(g, m1, f)
+
+
+class TestGridArgument:
+    # objective, rayleigh_quotient and eigen_residual keep a grid argument
+    # that the mask already carries; a grid other than the mask's is an
+    # error, not a second lattice (the 2D N=33 disk of radius 0.5 built at
+    # radius_B 1.5 scored 9890.93 on the radius_B 1.0 lattice, 5.11 times
+    # its tone 1935.46 on its own)
+    @pytest.mark.parametrize("call", [
+        lambda g, f: objective(g, f.mask, PenaltyKind("plain", 0.1, 0.5)),
+        lambda g, f: rayleigh_quotient(g, f.mask, f),
+        lambda g, f: eigen_residual(g, f.mask, f, 1.0),
+    ], ids=["objective", "rayleigh_quotient", "eigen_residual"])
+    def test_mismatched_grid_rejected(self, call):
+        m = ball_mask(make_grid(2, 33, 1.5), (0.0, 0.0), 0.5)
+        f = make_field(m, np.ones(m.grid.shape))
+        with pytest.raises(ValueError, match="lattice"):
+            call(make_grid(2, 33, 1.0), f)
+
+    def test_tone_reads_the_lattice_from_the_mask(self):
+        m = ball_mask(make_grid(2, 33, 1.5), (0.0, 0.0), 0.5)
+        tone = fundamental_tone(m, tol=1e-9)
+        assert tone.gamma == pytest.approx(1935.46, rel=1e-5)
+        assert tone.eigenfield.grid is m.grid
+
 
 class TestFundamentalTone:
     def test_disk_matches_oracle_coarse(self):
@@ -171,15 +198,15 @@ class TestFundamentalTone:
         # suite; this guards against gross regressions at small N
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 1.0)
-        tone = fundamental_tone(g, m, tol=1e-9)
+        tone = fundamental_tone(m, tol=1e-9)
         assert tone.gamma == pytest.approx(gamma_ball(2), rel=0.10)
 
     def test_matches_dense_eigenvalue(self):
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 1.0)
-        A, _ = _masked_bilap(g, m)
+        A, _ = _masked_bilap(m)
         dense = float(np.linalg.eigvalsh(A.toarray())[0])
-        tone = fundamental_tone(g, m, tol=1e-12)
+        tone = fundamental_tone(m, tol=1e-12)
         assert tone.gamma == pytest.approx(dense, rel=1e-10)
 
     def test_tiny_mask_solved_densely(self):
@@ -187,34 +214,42 @@ class TestFundamentalTone:
         inside = np.zeros(g.shape, dtype=bool)
         inside[16, 15:18] = True
         m = mask_from_array(g, inside)
-        A, _ = _masked_bilap(g, m)
-        tone = fundamental_tone(g, m)
+        A, _ = _masked_bilap(m)
+        tone = fundamental_tone(m)
         assert tone.iterations == 0
         assert tone.gamma == pytest.approx(float(np.linalg.eigvalsh(A.toarray())[0]), rel=1e-12)
 
     def test_gamma_is_rayleigh_quotient_of_eigenfield(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        tone = fundamental_tone(g, m, tol=1e-10)
+        tone = fundamental_tone(m, tol=1e-10)
         rq = rayleigh_quotient(g, m, tone.eigenfield)
         assert rq == pytest.approx(tone.gamma, rel=1e-9)
 
     def test_normalization(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        tone = fundamental_tone(g, m)
+        tone = fundamental_tone(m)
         assert float(np.sum(tone.eigenfield.values ** 2)) * g.spacing ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_empty_mask_rejected(self):
         g = make_grid(2, 33, 1.0)
         with pytest.raises(EmptyMaskError):
-            fundamental_tone(g, ball_mask(g, (0.0, 0.0), 0.0))
+            fundamental_tone(ball_mask(g, (0.0, 0.0), 0.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tol used to run out all 200 restarts and end in a
+        # ConvergenceFailure; an infinite one was accepted silently
+        m = ball_mask(make_grid(2, 33, 1.0), (0.0, 0.0), 0.5)
+        with pytest.raises(ValueError, match="tol"):
+            fundamental_tone(m, tol=tol)
 
     def test_max_iter_exhaustion_carries_iterate(self):
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
         with pytest.raises(ConvergenceFailure) as info:
-            fundamental_tone(g, m, tol=1e-15, residual_tol=1e-15, max_iter=2)
+            fundamental_tone(m, tol=1e-15, residual_tol=1e-15, max_iter=2)
         assert isinstance(info.value.last_result, ToneResult)
         assert info.value.last_result.gamma > 0
 
@@ -225,7 +260,7 @@ class TestFundamentalTone:
         left = ball_mask(g, (-0.5, 0.0), 0.35).inside
         m = mask_from_array(g, left | left[::-1, :])
         with pytest.raises(ConvergenceFailure, match="ARPACK") as info:
-            fundamental_tone(g, m, tol=1e-14, max_iter=1)
+            fundamental_tone(m, tol=1e-14, max_iter=1)
         last = info.value.last_result
         assert last.iterations > 0
         assert last.gamma == pytest.approx(
@@ -235,8 +270,8 @@ class TestFundamentalTone:
         g = make_grid(2, 49, 1.0)
         outer = ball_mask(g, (0.0, 0.0), 0.8)
         inner = erode(outer)
-        g_out = fundamental_tone(g, outer, tol=1e-10).gamma
-        g_in = fundamental_tone(g, inner, tol=1e-10).gamma
+        g_out = fundamental_tone(outer, tol=1e-10).gamma
+        g_in = fundamental_tone(inner, tol=1e-10).gamma
         assert g_in >= g_out - 1e-8
 
     def test_scale_covariance_at_fixed_grid(self):
@@ -248,7 +283,7 @@ class TestFundamentalTone:
         products = []
         for r in (0.5, 0.75, 1.0):
             m = ball_mask(g, (0.0, 0.0), r)
-            products.append(fundamental_tone(g, m, tol=1e-9).gamma * r ** 4)
+            products.append(fundamental_tone(m, tol=1e-9).gamma * r ** 4)
         mean = sum(products) / len(products)
         for p in products:
             assert abs(p / mean - 1.0) <= 0.03
@@ -256,10 +291,10 @@ class TestFundamentalTone:
     def test_warm_start_converges_faster(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        cold = fundamental_tone(g, m, tol=1e-10)
+        cold = fundamental_tone(m, tol=1e-10)
         m2 = dilate(m)
-        warm = fundamental_tone(g, m2, tol=1e-10, initial=cold.eigenfield)
-        cold2 = fundamental_tone(g, m2, tol=1e-10)
+        warm = fundamental_tone(m2, tol=1e-10, initial=cold.eigenfield)
+        cold2 = fundamental_tone(m2, tol=1e-10)
         assert warm.gamma == pytest.approx(cold2.gamma, rel=1e-9)
         assert warm.iterations <= cold2.iterations
 
@@ -271,10 +306,10 @@ class TestFundamentalTone:
         right = left[::-1, :].copy()
         right[18, 15:17] = True
         m = mask_from_array(g, left | right)
-        A, _ = _masked_bilap(g, m)
+        A, _ = _masked_bilap(m)
         dense = np.linalg.eigvalsh(A.toarray())
         assert 0.015 < dense[1] / dense[0] - 1.0 < 0.03
-        tone = fundamental_tone(g, m, tol=1e-10)
+        tone = fundamental_tone(m, tol=1e-10)
         assert tone.gamma == pytest.approx(float(dense[0]), rel=1e-10)
 
     def test_square_wall_converges_second_order(self):
@@ -288,7 +323,7 @@ class TestFundamentalTone:
             x = g.axis_coords()
             inside = (np.abs(x)[:, None] < 0.5) & (np.abs(x)[None, :] < 0.5)
             side = np.count_nonzero(np.abs(x) < 0.5) * g.spacing
-            tone = fundamental_tone(g, mask_from_array(g, inside), tol=1e-10)
+            tone = fundamental_tone(mask_from_array(g, inside), tol=1e-10)
             products.append(tone.gamma * side ** 4)
         first, second = products[1] - products[0], products[2] - products[1]
         assert abs(first) >= 3.0 * abs(second)
@@ -302,7 +337,7 @@ class TestFundamentalTone:
         inside = np.zeros(g.shape, dtype=bool)
         inside[3:5, 3:5] = True
         m = mask_from_array(g, inside)
-        A, flat = _masked_bilap(g, m)
+        A, flat = _masked_bilap(m)
         # rows of the zero-extension energy: the 5-point Laplacian at every
         # lattice node, restricted to the member columns
         lap = np.zeros(g.shape + g.shape)
@@ -320,8 +355,8 @@ class TestFundamentalTone:
         big = ball_mask(g, (-0.45, 0.0), 0.35)
         small = ball_mask(g, (0.5, 0.0), 0.2)
         union = mask_from_array(g, big.inside | small.inside)
-        gu = fundamental_tone(g, union, tol=1e-10).gamma
-        gb = fundamental_tone(g, big, tol=1e-10).gamma
+        gu = fundamental_tone(union, tol=1e-10).gamma
+        gb = fundamental_tone(big, tol=1e-10).gamma
         assert gu == pytest.approx(gb, rel=1e-8)
 
 
@@ -329,13 +364,13 @@ class TestEigenResidual:
     def test_exact_pair_is_small(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        tone = fundamental_tone(g, m, tol=1e-11)
+        tone = fundamental_tone(m, tol=1e-11)
         assert eigen_residual(g, m, tone.eigenfield, tone.gamma) <= 1e-4 * tone.gamma
 
     def test_shifted_gamma_raises_residual(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        tone = fundamental_tone(g, m, tol=1e-11)
+        tone = fundamental_tone(m, tol=1e-11)
         r = eigen_residual(g, m, tone.eigenfield, tone.gamma + 1.0)
         assert r >= 1.0 - 1e-3
 
@@ -354,7 +389,7 @@ class TestSPD:
         m = ball_mask(g, (0.0, 0.0), 0.7)
         for _ in range(50):
             f = random_field(m, rng)
-            au = apply_clamped_bilap(g, m, f)
+            au = apply_clamped_bilap(f)
             assert float(np.sum(au.values * f.values)) > 0.0
 
 
@@ -363,7 +398,7 @@ class TestGradientField:
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.7)
         f = make_field(m, np.ones(g.shape))
-        grad = gradient_field(g, f)
+        grad = gradient_field(f)
         interior = erode(erode(m)).inside
         assert np.allclose(grad[:, interior], 0.0)
 
@@ -373,7 +408,7 @@ class TestGradientField:
         x = g.axis_coords()[:, None] * np.ones(g.shape)
         a = 1.7
         f = make_field(m, a * x)
-        grad = gradient_field(g, f)
+        grad = gradient_field(f)
         interior = erode(erode(m)).inside
         assert np.allclose(grad[0][interior], a, atol=1e-12)
         assert np.allclose(grad[1][interior], 0.0, atol=1e-12)
@@ -385,8 +420,8 @@ class TestGradientField:
         for n in (65, 129):
             g = make_grid(2, n, 1.0)
             m = ball_mask(g, (0.0, 0.0), 0.8)
-            tone = fundamental_tone(g, m, tol=1e-9)
-            grad = gradient_field(g, tone.eigenfield)
+            tone = fundamental_tone(m, tol=1e-9)
+            grad = gradient_field(tone.eigenfield)
             mag = np.sqrt(np.sum(grad * grad, axis=0))
             from platetone.field_grid import boundary_nodes
 
@@ -399,7 +434,7 @@ class TestFieldSerialization:
     def test_fld_round_trip(self, tmp_path):
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
-        tone = fundamental_tone(g, m, tol=1e-8)
+        tone = fundamental_tone(m, tol=1e-8)
         path = tmp_path / "f.fld"
         save_field_fld(tone.eigenfield, path)
         again = load_field_fld(path)

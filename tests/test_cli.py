@@ -293,7 +293,9 @@ class TestInvalidRunConfig:
         ("eps = nan\n", "eps"),
         ("penalty_variant = rewarding\neps = inf\neps_override = true\n", "eps"),
         ("init_shape = random_blob\nseed = -1\n", "seed"),
-    ], ids=["radius_B-inf", "radius_B-nan", "eps-nan", "eps-inf-rewarding", "seed-negative"])
+        ("tone_tol = inf\n", "tone_tol"),
+    ], ids=["radius_B-inf", "radius_B-nan", "eps-nan", "eps-inf-rewarding", "seed-negative",
+            "tone_tol-inf"])
     def test_error_names_the_field(self, tmp_path, capsys, text, field):
         cfg = write(tmp_path, text)
         with pytest.raises(ConfigError, match=f": {field}: must be"):

@@ -109,7 +109,7 @@ class TestNondegeneracy:
         slope = 2.5
         f = make_field(m, slope * x)
         h = g.spacing
-        c1 = estimate_nondegeneracy_c1(m, f, R0=8.0 * h)
+        c1 = estimate_nondegeneracy_c1(f, R0=8.0 * h)
         # sup |grad| over any probe ball is the slope itself, up to the
         # one-sided stencil at the cut where the extension jumps
         assert c1 >= slope / (8.0 * h) * 0.0  # positivity
@@ -119,13 +119,13 @@ class TestNondegeneracy:
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         f = make_field(m, np.zeros(g.shape))
-        assert estimate_nondegeneracy_c1(m, f, R0=4.0 * g.spacing) == 0.0
+        assert estimate_nondegeneracy_c1(f, R0=4.0 * g.spacing) == 0.0
 
     def test_eigenfield_strictly_positive(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.7)
-        tone = fundamental_tone(g, m, tol=1e-9)
-        c1 = estimate_nondegeneracy_c1(m, tone.eigenfield, R0=8.0 * g.spacing)
+        tone = fundamental_tone(m, tol=1e-9)
+        c1 = estimate_nondegeneracy_c1(tone.eigenfield, R0=8.0 * g.spacing)
         assert c1 > 0.0
 
     def test_refinement_stability_within_factor_two(self):
@@ -133,8 +133,8 @@ class TestNondegeneracy:
         for n in (65, 129):
             g = make_grid(2, n, 1.0)
             m = ball_mask(g, (0.0, 0.0), 0.7)
-            tone = fundamental_tone(g, m, tol=1e-9)
-            values.append(estimate_nondegeneracy_c1(m, tone.eigenfield, R0=0.125))
+            tone = fundamental_tone(m, tol=1e-9)
+            values.append(estimate_nondegeneracy_c1(tone.eigenfield, R0=0.125))
         lo, hi = sorted(values)
         assert hi / lo <= 2.0
 
@@ -205,22 +205,22 @@ class TestClassifyBoundary:
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         f = make_field(m, np.zeros(g.shape))
-        s0, s1 = classify_boundary(m, f)
+        s0, s1 = classify_boundary(f)
         assert np.array_equal(s0, boundary_nodes(m))
         assert not s1.any()
 
     def test_infinite_tolerance_empties_nodal_part(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        tone = fundamental_tone(g, m, tol=1e-8)
-        s0, s1 = classify_boundary(m, tone.eigenfield, tol_grad=math.inf)
+        tone = fundamental_tone(m, tol=1e-8)
+        s0, s1 = classify_boundary(tone.eigenfield, tol_grad=math.inf)
         assert not s1.any()
 
     def test_partition_property(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
-        tone = fundamental_tone(g, m, tol=1e-8)
-        s0, s1 = classify_boundary(m, tone.eigenfield)
+        tone = fundamental_tone(m, tol=1e-8)
+        s0, s1 = classify_boundary(tone.eigenfield)
         b = boundary_nodes(m)
         assert np.array_equal(s0 | s1, b)
         assert not (s0 & s1).any()
@@ -233,7 +233,7 @@ class TestClassifyBoundary:
         axes = np.meshgrid(*[g.axis_coords()] * 2, indexing="ij", sparse=True)
         bump = np.exp(-4.0 * (axes[0] ** 2 + axes[1] ** 2))
         f = make_field(m, bump)
-        s0, s1 = classify_boundary(m, f)
+        s0, s1 = classify_boundary(f)
         iy = g.nodes_per_side // 2
         ix = int(np.argwhere(np.isclose(g.axis_coords(), -g.spacing))[0][0])
         assert s1[ix, iy]
@@ -243,20 +243,20 @@ class TestDichotomy:
     def test_volume_met(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        assert dichotomy_check(m, mask_volume(m), g) is Dichotomy.VOLUME_MET
+        assert dichotomy_check(m, mask_volume(m)) is Dichotomy.VOLUME_MET
 
     def test_small_disk_scales_into_huge_ball(self):
         g = make_grid(2, 129, 2.0)
         m = ball_mask(g, (0.0, 0.0), 0.3)
         omega0 = 2.0 * mask_volume(m)
-        assert dichotomy_check(m, omega0, g) is Dichotomy.SCALED_FITS_CONTRADICTION
+        assert dichotomy_check(m, omega0) is Dichotomy.SCALED_FITS_CONTRADICTION
 
     def test_spanning_bar_cannot_fit(self):
         g = make_grid(2, 129, 1.0)
         axes = np.meshgrid(*[g.axis_coords()] * 2, indexing="ij")
         bar = mask_from_array(g, np.abs(axes[1]) < 0.06)
         omega0 = 2.0 * mask_volume(bar)
-        assert dichotomy_check(bar, omega0, g) is Dichotomy.SCALED_DOES_NOT_FIT
+        assert dichotomy_check(bar, omega0) is Dichotomy.SCALED_DOES_NOT_FIT
 
     def test_off_center_blob_found_by_translation_search(self):
         # a blob hugging the rim: recentred on its centroid, the scaled copy
@@ -265,7 +265,7 @@ class TestDichotomy:
         g = make_grid(2, 129, 1.0)
         m = ball_mask(g, (0.45, 0.0), 0.35)
         omega0 = mask_volume(m) * 1.25 ** 2
-        assert dichotomy_check(m, omega0, g) in (
+        assert dichotomy_check(m, omega0) in (
             Dichotomy.SCALED_FITS_CONTRADICTION, Dichotomy.VOLUME_MET)
 
     @pytest.mark.parametrize("shape, expected", [
@@ -292,20 +292,20 @@ class TestDichotomy:
         pts = member_positions(m)
         circum = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
         omega0 = mask_volume(m) * ((g.radius_B + g.spacing) / circum) ** 2
-        assert dichotomy_check(m, omega0, g) is expected
+        assert dichotomy_check(m, omega0) is expected
 
     def test_empty_mask_rejected(self):
         g = make_grid(2, 49, 1.0)
         with pytest.raises(ValueError):
-            dichotomy_check(ball_mask(g, (0.0, 0.0), 0.0), 1.0, g)
+            dichotomy_check(ball_mask(g, (0.0, 0.0), 0.0), 1.0)
 
 
 class TestBundle:
     def test_run_diagnostics_fields(self):
         g = make_grid(2, 65, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        tone = fundamental_tone(g, m, tol=1e-9)
-        rep = run_diagnostics(g, m, tone.eigenfield, math.pi / 4.0)
+        tone = fundamental_tone(m, tol=1e-9)
+        rep = run_diagnostics(tone.eigenfield, math.pi / 4.0)
         assert rep.connected and rep.component_count == 1
         assert rep.doubling_sigma >= 1.0
         assert rep.nondegeneracy_c1 > 0.0

@@ -110,7 +110,7 @@ class TestObjective:
         vol = mask_volume(m)
         kind = PenaltyKind("rewarding", 1e-3, 2.0 * vol)
         J, tone, volume = objective(g, m, kind, tone_tol=1e-9)
-        expected = fundamental_tone(g, m, tol=1e-9).gamma - 1e-3 * vol
+        expected = fundamental_tone(m, tol=1e-9).gamma - 1e-3 * vol
         assert J == pytest.approx(expected, rel=1e-10)
 
     def test_exact_decomposition(self):

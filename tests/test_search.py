@@ -14,6 +14,7 @@ from platetone.field_grid import (
     dilate,
     erode,
     inside_ball,
+    make_field,
     make_grid,
     mask_from_array,
     mask_volume,
@@ -45,9 +46,9 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
-def make_state(grid, mask, config):
+def make_state(mask, config):
     kind = penalty_kind(resolve_eps(config)[0])
-    tone = fundamental_tone(grid, mask, tol=config.tone_tol)
+    tone = fundamental_tone(mask, tol=config.tone_tol)
     vol = mask_volume(mask)
     from platetone.penalty import penalty_value
 
@@ -71,6 +72,15 @@ class TestValidateConfig:
     def test_omega0_must_fit_reference_ball(self):
         bad = RunConfig(omega0=100.0)
         assert any("fit" in e for e in validate_config(bad))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, search.DELTA_REL, 1e-3, math.inf, math.nan])
+    def test_tone_tol_must_lie_below_the_acceptance_margin(self, tol):
+        # a mask is solved once per lattice only while the solve tolerance
+        # stays well below the acceptance margin DELTA_REL
+        errors = validate_config(RunConfig(tone_tol=tol))
+        assert len(errors) == 1
+        assert errors[0].startswith("tone_tol: must be in (0, DELTA_REL = ")
+        assert validate_config(RunConfig(tone_tol=1e-7)) == []
 
 
 class TestResolveEps:
@@ -148,7 +158,7 @@ class TestCandidateMasks:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         state.aggressiveness = 1e-12
         cands = candidate_masks(state, config)
         # with the threshold at the minimum positive magnitude the superlevel
@@ -159,7 +169,7 @@ class TestCandidateMasks:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         cands = candidate_masks(state, config)
         assert any(c == erode(m) for c in cands)
 
@@ -167,7 +177,7 @@ class TestCandidateMasks:
         config = small_config(init_shape="two_disks")
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         for c in candidate_masks(state, config):
             assert not c.is_empty
 
@@ -175,7 +185,7 @@ class TestCandidateMasks:
         config = small_config(init_shape="two_disks")
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         cands = candidate_masks(state, config)
         a = state.aggressiveness
         # above the volume target, so the budgeted growth is empty and dropped
@@ -204,7 +214,7 @@ class TestCandidateMasks:
         config = small_config(init_shape="two_disks")
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         cands = candidate_masks(state, config)
         comp_counts = [connected_components(c)[0] for c in cands]
         assert 1 in comp_counts
@@ -220,7 +230,7 @@ class TestDescentStep:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         before = state.aggressiveness
         state = descent_step(state, config, kind)
@@ -232,7 +242,7 @@ class TestDescentStep:
         config = small_config(init_shape="square")
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "square", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         j0 = state.J
         state = descent_step(state, config, kind)
@@ -246,7 +256,7 @@ class TestDescentStep:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
 
@@ -267,7 +277,7 @@ class TestDescentStep:
         config = small_config(init_shape="square")
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "square", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
         cands = candidate_masks(state, config)
@@ -283,7 +293,7 @@ class TestDescentStep:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         before = replace(state, history=[])
         bar = state.J - search.DELTA_REL * abs(state.J)
@@ -311,7 +321,7 @@ class TestDescentStep:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "square", OMEGA0)
         kind = penalty_kind(resolve_eps(config)[0])
-        clean = descent_step(make_state(g, m, config), config, kind)
+        clean = descent_step(make_state(m, config), config, kind)
         winner = clean.mask
         real = search.objective
 
@@ -322,7 +332,7 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "objective", failing)
         caplog.set_level(logging.WARNING, logger="platetone.search")
-        state = descent_step(make_state(g, m, config), config, kind)
+        state = descent_step(make_state(m, config), config, kind)
         skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
         assert len(skipped) == 1 and skipped[0].levelno == logging.WARNING
         won = next(row for row in clean.history if row.accepted)
@@ -339,7 +349,7 @@ class TestDescentStep:
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.3)
-        state = make_state(g, m, config)
+        state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         h = g.spacing
         cands = [ball_mask(g, (h, 0.0), 0.3), ball_mask(g, (-h, 0.0), 0.3)]
@@ -364,7 +374,7 @@ class TestDescentStep:
         # incumbent and stays below omega0, so its floor (0) passes both bars
         config = small_config()
         g = make_grid(2, 49, 1.5)
-        state = make_state(g, ball_mask(g, (0.0, 0.0), 0.3), config)
+        state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
         kind = penalty_kind(resolve_eps(config)[0])
         x = ball_mask(g, (g.spacing, 0.0), 0.3)
         rounds = iter([[x, ball_mask(g, (0.0, 0.0), 0.32)],
@@ -407,7 +417,7 @@ class TestDescentStep:
             for variant in ("plain", "rewarding"):
                 config = small_config(init_shape=shape, penalty_variant=variant)
                 kind = penalty_kind(resolve_eps(config)[0])
-                state = make_state(g, initial_mask(g, shape, OMEGA0), config)
+                state = make_state(initial_mask(g, shape, OMEGA0), config)
                 assert objective_floor(state, state.mask, kind) == state.J
                 state = descent_step(state, config, kind)
                 assert objective_floor(state, state.mask, kind) == state.J
@@ -425,7 +435,7 @@ class TestOptimize:
         config = small_config(nodes_per_side=129, init_shape="disk", max_steps=60)
         res = optimize(config)
         g = make_grid(2, 129, 1.5)
-        disk_tone = fundamental_tone(g, initial_mask(g, "disk", OMEGA0), tol=1e-9).gamma
+        disk_tone = fundamental_tone(initial_mask(g, "disk", OMEGA0), tol=1e-9).gamma
         assert abs(res.gamma - disk_tone) <= 0.01 * disk_tone
         assert abs(res.volume - OMEGA0) <= 0.02 * OMEGA0
 
@@ -433,7 +443,7 @@ class TestOptimize:
         config = small_config(init_shape="square", max_steps=80)
         res = optimize(config)
         g = make_grid(2, 49, 1.5)
-        disk_tone = fundamental_tone(g, initial_mask(g, "disk", OMEGA0), tol=1e-9).gamma
+        disk_tone = fundamental_tone(initial_mask(g, "disk", OMEGA0), tol=1e-9).gamma
         assert res.gamma <= disk_tone * 1.05
         assert abs(res.volume - OMEGA0) <= 0.02 * OMEGA0
 
@@ -551,15 +561,16 @@ class TestContinuation:
         center = (1.2,) + (0.0,) * (dim - 1)
         mask = ball_mask(coarse, center, 0.6)
         rng = np.random.default_rng(3)
-        values = np.where(mask.inside, rng.standard_normal(coarse.shape), 0.0)
+        field = make_field(mask, rng.standard_normal(coarse.shape))
         fine = make_grid(dim, 2 * n - 1, 1.5)
-        out = prolong_mask(mask, values, fine)
+        out = prolong_mask(field)
+        assert out.grid == fine
         assert out.member_count == 2 ** dim * mask.member_count
         assert mask_volume(out) == pytest.approx(mask_volume(mask), rel=1e-12)
         assert not np.any(out.inside & ~inside_ball(fine))
         even = (slice(None, None, 2),) * dim
         assert np.all(out.inside[even][mask.inside])
-        assert out == prolong_mask(mask, values, fine)
+        assert out == prolong_mask(field)
 
     def test_prolongation_ranks_ties_by_field_magnitude(self):
         # two coarse members keep 8 fine nodes: the 3 that interpolate to 1,
@@ -572,19 +583,18 @@ class TestContinuation:
         mask = mask_from_array(coarse, inside)
         values = np.zeros(coarse.shape)
         values[8, 8], values[8, 9] = 1.0, 2.0
-        fine = make_grid(2, 33, 1.5)
-        out = prolong_mask(mask, values, fine)
+        out = prolong_mask(make_field(mask, values))
         kept = {tuple(int(k) for k in i) for i in np.argwhere(out.inside)}
         assert kept == {(16, 16), (16, 17), (16, 18),
                         (16, 19), (15, 18), (17, 18), (15, 17), (17, 17)}
 
-    def test_prolongation_rejects_a_lattice_that_is_not_the_half_spacing(self):
-        coarse = make_grid(2, 17, 1.5)
-        mask = initial_mask(coarse, "disk", OMEGA0)
-        with pytest.raises(ValueError):
-            prolong_mask(mask, np.zeros(coarse.shape), make_grid(2, 35, 1.5))
-        with pytest.raises(ValueError):
-            prolong_mask(mask, np.zeros(coarse.shape), make_grid(2, 33, 1.0))
+    def test_prolongation_builds_the_half_spacing_lattice(self):
+        for dim, n, radius_B in [(2, 17, 1.5), (3, 9, 1.2)]:
+            coarse = make_grid(dim, n, radius_B)
+            mask = ball_mask(coarse, (0.0,) * dim, 0.5)
+            out = prolong_mask(make_field(mask, np.ones(coarse.shape)))
+            assert out.grid == make_grid(dim, 2 * n - 1, radius_B)
+            assert out.grid.spacing == pytest.approx(coarse.spacing / 2.0, rel=1e-15)
 
     def test_descend_from_the_initial_mask_is_a_single_level_run(self):
         config = small_config(init_shape="square", max_steps=30)
