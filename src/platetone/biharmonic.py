@@ -271,10 +271,11 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
     ``initial`` seeds the Lanczos start vector, which makes repeated solves
     on slowly changing masks cheap.
 
-    Raises ValueError unless tol is positive and finite, EmptyMaskError on
-    an empty mask and ConvergenceFailure (carrying the best pair found) if
-    ARPACK exhausts ``max_iter`` or the residual exceeds
-    ``residual_tol * gamma`` (``residual_tol`` defaults to sqrt(tol)).
+    Raises ValueError unless tol, and residual_tol when given, are positive
+    and finite, EmptyMaskError on an empty mask and ConvergenceFailure
+    (carrying the best pair found) if ARPACK exhausts ``max_iter`` or the
+    residual exceeds ``residual_tol * gamma`` (``residual_tol`` defaults to
+    sqrt(tol)).
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
@@ -282,6 +283,8 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if residual_tol is None:
         residual_tol = tol ** 0.5
+    elif not (residual_tol > 0 and np.isfinite(residual_tol)):
+        raise ValueError(f"residual_tol must be positive and finite, got {residual_tol}")
 
     grid = mask.grid
     A, flat = _masked_bilap(mask)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components as graph_components
 
 
 class MaskClippedWarning(UserWarning):
@@ -93,11 +94,6 @@ def inside_ball(grid: Grid) -> np.ndarray:
     return ins
 
 
-@lru_cache(maxsize=8)
-def _face_structure(dim: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(dim, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class Mask:
     """A set of lattice nodes strictly inside the reference ball."""
@@ -154,24 +150,55 @@ def mask_volume(mask: Mask) -> float:
     return mask.grid.spacing ** mask.grid.dim * mask.member_count
 
 
+def _face_neighbours(values: np.ndarray, fill):
+    """The 2n face-neighbour views of a node array, ``fill`` beyond its
+    border: view k holds, at each node, its k-th neighbour's value."""
+    padded = np.pad(values, 1, constant_values=fill)
+    core = [slice(1, -1)] * values.ndim
+    for ax in range(values.ndim):
+        for lo in (0, 2):
+            shift = list(core)
+            shift[ax] = slice(lo, lo + values.shape[ax])
+            yield padded[tuple(shift)]
+
+
 def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
     """Face-adjacency components.  Returns (count, labels); labels are 0 for
-    non-members and 1..count for members."""
-    labels, count = ndimage.label(mask.inside, structure=_face_structure(mask.grid.dim))
+    non-members and 1..count for members, numbered in the C order of each
+    component's first member."""
+    inside, members = mask.inside, mask.member_count
+    ids = np.full(inside.shape, -1)
+    ids[inside] = np.arange(members)
+    # the graph is undirected: the upper neighbour along each axis suffices
+    upper = list(_face_neighbours(ids, -1))[1::2]
+    rows = np.tile(ids[inside], inside.ndim)
+    cols = np.concatenate([view[inside] for view in upper])
+    linked = cols >= 0
+    adjacency = coo_array((np.ones(np.count_nonzero(linked)), (rows[linked], cols[linked])),
+                          shape=(members, members))
+    count, comp = graph_components(adjacency, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(count, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(1, count + 1, dtype=np.int32)
+    labels = np.zeros(inside.shape, dtype=np.int32)
+    labels[inside] = rank[comp]
     return int(count), labels
 
 
 def dilate(mask: Mask) -> Mask:
     """Add one ring of face neighbors, clipped to the reference ball."""
-    grown = ndimage.binary_dilation(mask.inside, structure=_face_structure(mask.grid.dim))
+    grown = mask.inside.copy()
+    for neighbour in _face_neighbours(mask.inside, False):
+        grown |= neighbour
     return _freeze_mask(mask.grid, grown)
 
 
 def erode(mask: Mask) -> Mask:
-    """Remove members that have any non-member face neighbor."""
-    kept = ndimage.binary_erosion(
-        mask.inside, structure=_face_structure(mask.grid.dim), border_value=0
-    )
+    """Remove members that have any non-member face neighbor (nodes beyond
+    the lattice count as non-members)."""
+    kept = mask.inside.copy()
+    for neighbour in _face_neighbours(mask.inside, False):
+        kept &= neighbour
     return _freeze_mask(mask.grid, kept)
 
 

@@ -18,11 +18,12 @@ lattices, so a 2D N=257 run descends on N=65, then 129, then 257.  One
 history spans the levels; a step works on its incumbent mask's lattice.
 
 No candidate is solved whose objective is bounded away from acceptance
-before any solve: the tone is positive, and a subset of the incumbent has a
-tone at least the incumbent's (H^2_0 of the subset lies in H^2_0 of the
-incumbent), so that tone floor plus the candidate's exact penalty,
-``objective_floor``, bounds its J from below.  A candidate whose floor lies
-above the acceptance bar is ruled out and adds no history row.
+before any solve: the tone is positive, and a subset of a solved mask has a
+tone at least that mask's (H^2_0 of the subset lies in H^2_0 of the mask), so
+the largest tone among the incumbent and the masks solved on the lattice that
+contain the candidate, plus the candidate's exact penalty, bounds its J from
+below (``objective_floor``).  A candidate whose floor lies above the
+acceptance bar is ruled out and adds no history row.
 
 A mask is solved at most once per lattice.  Accepted J falls by at least
 ``DELTA_REL * |J|`` per step, so after a mask's solve either the incumbent is
@@ -41,6 +42,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -139,8 +141,9 @@ class SearchState:
     aggressiveness: float
     history: list[HistoryRow] = field(default_factory=list)
     terminated: str | None = None
-    # packed masks solved on this lattice, its start mask included
-    solved: set[bytes] = field(default_factory=set)
+    # packed mask -> tone, for every mask solved on this lattice (its start
+    # mask included); a mask whose solve failed maps to 0.0 and bounds nothing
+    solved: dict[bytes, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -454,15 +457,21 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
 def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
     """Lower bound on the candidate's J, without a solve.
 
-    The tone part is the incumbent's tone when the candidate is a subset of
-    the incumbent mask (tone monotonicity under inclusion), and 0 otherwise
-    (A = K^T K is positive definite); the penalty part is exact, so the
-    incumbent's own floor is its J, above any acceptance bar.  On the
+    The tone part is the largest tone among the incumbent and the masks in
+    ``state.solved`` that contain the candidate (tone monotonicity under
+    inclusion), and 0 when none does (A = K^T K is positive definite); the
+    penalty part is exact, so the incumbent's own floor is at least its J,
+    above any acceptance bar.  Containment is one AND of the candidate's
+    packed bits against every packed mask solved on the lattice.  On the
     lattice, monotonicity is the continuum theorem: a ragged subset can
-    undercut the incumbent's tone, but only by a discretization artifact.
+    undercut a superset's tone, but only by a discretization artifact.
     """
-    subset = not np.any(cand.inside & ~state.mask.inside)
-    tone = state.tone.gamma if subset else 0.0
+    tone = 0.0 if np.any(cand.inside & ~state.mask.inside) else state.tone.gamma
+    if state.solved:
+        bits = np.packbits(cand.inside)
+        packed = np.frombuffer(b"".join(state.solved), dtype=np.uint8)
+        contains = np.all((packed.reshape(len(state.solved), -1) & bits) == bits, axis=1)
+        tone = max(tone, max(compress(state.solved.values(), contains), default=0.0))
     return tone + penalty_value(kind, mask_volume(cand))
 
 
@@ -478,10 +487,12 @@ def descent_step(state: SearchState, config: RunConfig,
     logged, never fatal.  Every evaluation lands in the history.
 
     A mask is solved at most once per lattice: it joins ``state.solved``
-    just before its solve.  Against the same incumbent a second solve would
-    repeat exactly; after an acceptance the bar lies ``DELTA_REL * |J|`` or
-    more below the mask's J, far beyond the ~``tone_tol`` that another warm
-    start moves it.  A mask whose solve fails is not retried on the lattice.
+    just before its solve, and gets its tone there once the solve succeeds,
+    so it bounds the candidates after it, in this step and later ones.
+    Against the same incumbent a second solve would repeat exactly; after an
+    acceptance the bar lies ``DELTA_REL * |J|`` or more below the mask's J,
+    far beyond the ~``tone_tol`` that another warm start moves it.  A mask
+    whose solve fails is not retried on the lattice and bounds nothing.
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
@@ -495,13 +506,14 @@ def descent_step(state: SearchState, config: RunConfig,
             log.debug("step %d: candidate %d ruled out: floor %.17g > bar %.17g",
                       state.step, idx, floor, bar)
             continue
-        state.solved.add(key)
+        state.solved[key] = 0.0
         try:
             J, tone, vol = objective(cand.grid, cand, kind, tone_tol=config.tone_tol,
                                      initial=state.tone.eigenfield)
         except (ConvergenceFailure, EmptyMaskError) as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
             continue
+        state.solved[key] = tone.gamma
         evals.append((J, idx, cand, tone, vol))
 
     accepted_entry = None
@@ -538,7 +550,8 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     """
     J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=config.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
-                        aggressiveness=1.0, solved={np.packbits(mask.inside).tobytes()})
+                        aggressiveness=1.0,
+                        solved={np.packbits(mask.inside).tobytes(): tone0.gamma})
     if prior is not None:
         state.step, state.history = prior.step, prior.history
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)

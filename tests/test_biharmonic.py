@@ -245,6 +245,14 @@ class TestFundamentalTone:
         with pytest.raises(ValueError, match="tol"):
             fundamental_tone(m, tol=tol)
 
+    @pytest.mark.parametrize("residual_tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_residual_tol_rejected(self, residual_tol):
+        # a NaN residual_tol used to turn the residual gate off silently, and
+        # a negative one to end in a ConvergenceFailure
+        m = ball_mask(make_grid(2, 33, 1.0), (0.0, 0.0), 0.5)
+        with pytest.raises(ValueError, match="residual_tol"):
+            fundamental_tone(m, tol=1e-3, residual_tol=residual_tol)
+
     def test_max_iter_exhaustion_carries_iterate(self):
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)

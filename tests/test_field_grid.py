@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platetone
 from platetone.field_grid import (
+    Mask,
     MaskClippedWarning,
     ball_mask,
     boundary_nodes,
@@ -181,6 +187,43 @@ class TestMorphology:
             pts = member_positions(candidate)
             if pts.size:
                 assert np.all(np.linalg.norm(pts, axis=1) < g.radius_B)
+
+
+class TestMatchesNdimage:
+    """The shift and graph versions reproduce scipy.ndimage's face-structure
+    dilation, erosion (border_value=0) and labelling, which the package
+    no longer imports."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_masks(self, dim):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        structure = ndimage.generate_binary_structure(dim, 1)
+        rng = np.random.default_rng(dim)
+        for _ in range(150):
+            g = make_grid(dim, int(rng.choice([9, 11, 17])), 1.0)
+            arr = rng.random(g.shape) < rng.uniform(0.05, 0.95)
+            # a raw Mask reaches the lattice's border, where erosion must
+            # treat the nodes beyond as non-members
+            for m in (mask_from_array(g, arr), Mask(g, arr)):
+                grown = ndimage.binary_dilation(m.inside, structure=structure)
+                assert np.array_equal(dilate(m).inside, grown & inside_ball(g))
+                kept = ndimage.binary_erosion(m.inside, structure=structure,
+                                              border_value=0)
+                assert np.array_equal(erode(m).inside, kept & inside_ball(g))
+                labels, count = ndimage.label(m.inside, structure=structure)
+                got_count, got_labels = connected_components(m)
+                assert got_count == count
+                assert np.array_equal(got_labels, labels)
+
+    def test_import_leaves_ndimage_out(self):
+        src = str(Path(platetone.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, platetone, platetone.cli; "
+                "print('scipy.ndimage' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestBoundaryNodes:

@@ -19,6 +19,7 @@ from platetone.field_grid import (
     mask_from_array,
     mask_volume,
 )
+from platetone.penalty import penalty_value
 from platetone.search import (
     RunConfig,
     SearchState,
@@ -55,6 +56,25 @@ def make_state(mask, config):
     return SearchState(mask=mask, tone=tone,
                        J=tone.gamma + penalty_value(kind, vol),
                        volume=vol, step=0, aggressiveness=1.0)
+
+
+def packed(mask):
+    return np.packbits(mask.inside).tobytes()
+
+
+def predicted_solves(state, cands, kind):
+    """The candidates a step solves, in list order: each one not solved on
+    the lattice yet whose floor, against the masks solved before it, lies at
+    or below the bar."""
+    bar = state.J - search.DELTA_REL * abs(state.J)
+    sim = replace(state, solved=dict(state.solved))
+    out = []
+    for c in cands:
+        if packed(c) in sim.solved or objective_floor(sim, c, kind) > bar:
+            continue
+        sim.solved[packed(c)] = fundamental_tone(c).gamma
+        out.append(c)
+    return out
 
 
 class TestValidateConfig:
@@ -251,27 +271,28 @@ class TestDescentStep:
 
     def test_rejected_candidates_not_solved_again(self, monkeypatch):
         # a rejected step leaves the incumbent and its warm start as they
-        # were, so the next step solves only the candidates new to it
-        monkeypatch.setattr(search, "DELTA_REL", 0.5)
+        # were, so the next step solves only candidates new to the lattice;
+        # each step solves exactly the candidates that pass the floor against
+        # the masks solved before them.  At DELTA_REL = 0.1 the disk's first
+        # step is rejected, and its second still has a new mask to solve
+        monkeypatch.setattr(search, "DELTA_REL", 0.1)
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        bar = state.J - search.DELTA_REL * abs(state.J)
 
-        def solvable(cands):
-            return [c for c in cands
-                    if c != m and objective_floor(state, c, kind) <= bar]
-
-        first = solvable(candidate_masks(state, config))
+        first = predicted_solves(state, candidate_masks(state, config), kind)
         state = descent_step(state, config, kind)
-        assert len(state.history) == len(first)
-        second = solvable(candidate_masks(state, config))
-        new = [c for c in second if not any(c == f for f in first)]
+        assert state.mask == m
+        assert [r.volume for r in state.history] == [mask_volume(c) for c in first]
+        cands = candidate_masks(state, config)
+        second = predicted_solves(state, cands, kind)
         state = descent_step(state, config, kind)
-        assert 0 < len(new) < len(second)
-        assert len(state.history) == len(first) + len(new)
+        assert any(c == f for c in cands for f in first)
+        assert second and not any(c == f for c in second for f in first)
+        assert [r.volume for r in state.history[len(first):]] == \
+            [mask_volume(c) for c in second]
 
     def test_every_evaluation_recorded(self):
         config = small_config(init_shape="square")
@@ -287,20 +308,23 @@ class TestDescentStep:
         assert len(state.history) == len(distinct)
 
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
-        # at the lattice disk both branches of the floor rule candidates out:
-        # erode is a subset (floor = the incumbent's tone) and dilate's
-        # excess volume alone costs more than J
+        # at the lattice disk both branches of the incumbent's floor rule
+        # candidates out before the step: erode is a subset (floor = the
+        # incumbent's tone) and dilate's excess volume alone costs more than
+        # J; the step solves exactly the candidates that pass the floor
+        # against the masks solved before them
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        before = replace(state, history=[])
         bar = state.J - search.DELTA_REL * abs(state.J)
         cands = [c for c in candidate_masks(state, config) if c != m]
-        out = [c for c in cands if objective_floor(before, c, kind) > bar]
+        out = [c for c in cands if objective_floor(state, c, kind) > bar]
         assert any(c == erode(m) for c in out)
         assert any((c.inside & ~m.inside).any() for c in out)
+        expected = predicted_solves(state, cands, kind)
+        assert 0 < len(expected) <= len(cands) - len(out)
 
         solved = []
         real = search.objective
@@ -311,8 +335,8 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "objective", recording)
         descent_step(state, config, kind)
-        assert len(solved) == len(cands) - len(out)
-        assert all(objective_floor(before, c, kind) <= bar for c in solved)
+        assert len(solved) == len(expected)
+        assert all(a == b for a, b in zip(solved, expected))
 
     def test_failed_solve_is_skipped(self, monkeypatch, caplog):
         # the winner's solve fails: it is logged and leaves no history row,
@@ -370,8 +394,10 @@ class TestDescentStep:
 
     def _two_ball_steps(self, monkeypatch, fail_x):
         # two steps from a small ball, each offering a shifted ball x first
-        # and then a larger ball that wins; x is not a subset of either
-        # incumbent and stays below omega0, so its floor (0) passes both bars
+        # and then a larger ball that wins; x lies in no incumbent and in no
+        # other solved mask and stays below omega0, so only x itself can
+        # bound it: its floor is 0 before its solve, and stays 0 after a
+        # failed one
         config = small_config()
         g = make_grid(2, 49, 1.5)
         state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
@@ -392,7 +418,11 @@ class TestDescentStep:
         monkeypatch.setattr(search, "objective", recording)
         for _ in range(2):
             incumbent = state.mask
-            assert objective_floor(state, x, kind) <= state.J - search.DELTA_REL * abs(state.J)
+            others = replace(state, solved={k: t for k, t in state.solved.items()
+                                            if k != packed(x)})
+            assert objective_floor(others, x, kind) == 0.0
+            if fail_x:
+                assert objective_floor(state, x, kind) == 0.0
             state = descent_step(state, config, kind)
             assert state.mask != incumbent
         return x, attempts
@@ -410,8 +440,11 @@ class TestDescentStep:
         assert sum(m == x for m in attempts) == 1
 
     def test_incumbent_floor_is_its_J(self):
-        # the incumbent is a subset of itself, so its floor is exactly its J,
-        # which lies above every acceptance bar: it is never solved again
+        # the incumbent is a subset of itself, so its floor is at least its
+        # J, above every acceptance bar: it is never solved again.  Only a
+        # solved superset can lift the floor, and a lattice superset's tone
+        # is at most the incumbent's up to round-off (after a two_disks step,
+        # a two-disk candidate ties the one-disk incumbent to 1.5e-14)
         g = make_grid(2, 49, 1.5)
         for shape in ("disk", "square", "annulus", "two_disks"):
             for variant in ("plain", "rewarding"):
@@ -420,7 +453,87 @@ class TestDescentStep:
                 state = make_state(initial_mask(g, shape, OMEGA0), config)
                 assert objective_floor(state, state.mask, kind) == state.J
                 state = descent_step(state, config, kind)
-                assert objective_floor(state, state.mask, kind) == state.J
+                floor = objective_floor(state, state.mask, kind)
+                bar = state.J - search.DELTA_REL * abs(state.J)
+                assert state.J <= floor <= state.J + 1e-13 * abs(state.J)
+                assert floor > bar
+
+    def test_candidate_inside_a_solved_mask_gets_its_tone(self):
+        # the floor's tone part is the largest tone among the incumbent (for
+        # its subsets) and the solved masks that contain the candidate; a
+        # mask whose solve failed is stored with 0.0 and bounds nothing
+        config = small_config()
+        kind = penalty_kind(resolve_eps(config)[0])
+        g = make_grid(2, 49, 1.5)
+        state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
+        big = ball_mask(g, (0.7, 0.0), 0.4)
+        mid = ball_mask(g, (0.7, 0.0), 0.3)
+        cand = ball_mask(g, (0.7, 0.0), 0.2)
+        apart = ball_mask(g, (-0.7, 0.0), 0.2)
+        free = penalty_value(kind, mask_volume(cand))
+        assert objective_floor(state, cand, kind) == free
+        state.solved[packed(big)] = 1e4
+        state.solved[packed(mid)] = 2e4
+        state.solved[packed(apart)] = 3e4
+        assert objective_floor(state, cand, kind) == 2e4 + free
+        assert objective_floor(state, big, kind) == 1e4 + penalty_value(kind, mask_volume(big))
+        state.solved[packed(mid)] = 0.0
+        assert objective_floor(state, cand, kind) == 1e4 + free
+        # a subset of the incumbent takes the larger of its tone and theirs
+        inner = ball_mask(g, (0.0, 0.0), 0.2)
+        inner_free = penalty_value(kind, mask_volume(inner))
+        state.solved[packed(ball_mask(g, (0.0, 0.0), 0.5))] = 1.0
+        assert objective_floor(state, inner, kind) == state.tone.gamma + inner_free
+        state.solved[packed(ball_mask(g, (0.0, 0.0), 0.25))] = 4e4
+        assert objective_floor(state, inner, kind) == 4e4 + inner_free
+
+    def test_failed_solve_bounds_nothing(self, monkeypatch):
+        # a step offers a ball s beside the incumbent and then a ball inside
+        # s; solved, s's tone rules the inner ball out, while a failed solve
+        # of s leaves the inner ball's floor at 0 and it is solved
+        config = small_config()
+        kind = penalty_kind(resolve_eps(config)[0])
+        g = make_grid(2, 49, 1.5)
+        s = ball_mask(g, (0.7, 0.0), 0.28)
+        inner = ball_mask(g, (0.7, 0.0), 0.26)
+        real = search.objective
+        for fail_s in (False, True):
+            state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
+            attempts = []
+
+            def recording(grid, mask, *args, **kwargs):
+                attempts.append(mask)
+                if fail_s and mask == s:
+                    raise ConvergenceFailure("eigensolver did not converge", None)
+                return real(grid, mask, *args, **kwargs)
+
+            monkeypatch.setattr(search, "candidate_masks", lambda *args: [s, inner])
+            monkeypatch.setattr(search, "objective", recording)
+            state = descent_step(state, config, kind)
+            assert state.solved[packed(s)] == (0.0 if fail_s else fundamental_tone(s).gamma)
+            assert [m == inner for m in attempts] == ([False, True] if fail_s else [False])
+
+    @pytest.mark.parametrize("variant", ["plain", "rewarding"])
+    def test_ruled_out_by_a_solved_superset_would_not_pass(self, monkeypatch, variant):
+        # every candidate that a solved non-incumbent superset rules out,
+        # solved anyway, has its J above the bar
+        real_floor = search.objective_floor
+        audited = []
+
+        def auditing(state, cand, kind):
+            floor = real_floor(state, cand, kind)
+            bar = state.J - search.DELTA_REL * abs(state.J)
+            if floor > bar >= real_floor(replace(state, solved={}), cand, kind):
+                J, _, _ = search.objective(cand.grid, cand, kind, tone_tol=1e-8,
+                                           initial=state.tone.eigenfield)
+                audited.append((J, bar))
+            return floor
+
+        monkeypatch.setattr(search, "objective_floor", auditing)
+        for shape in ("annulus", "two_disks"):
+            optimize(small_config(init_shape=shape, penalty_variant=variant))
+        assert audited
+        assert all(J > bar for J, bar in audited)
 
 
 class TestOptimize:
