@@ -27,7 +27,6 @@ from platetone.field_grid import (
     make_grid,
     mask_from_array,
     mask_volume,
-    rescale_mask,
 )
 from platetone.biharmonic import (
     ToneResult,

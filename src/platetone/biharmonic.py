@@ -269,13 +269,13 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
     nodes are solved densely.
 
     ``initial`` seeds the Lanczos start vector, which makes repeated solves
-    on slowly changing masks cheap.
+    on slowly changing masks cheap; it must lie on the mask's lattice.
 
     Raises ValueError unless tol, and residual_tol when given, are positive
-    and finite, EmptyMaskError on an empty mask and ConvergenceFailure
-    (carrying the best pair found) if ARPACK exhausts ``max_iter`` or the
-    residual exceeds ``residual_tol * gamma`` (``residual_tol`` defaults to
-    sqrt(tol)).
+    and finite, or when ``initial`` lies on another lattice, EmptyMaskError
+    on an empty mask and ConvergenceFailure (carrying the best pair found)
+    if ARPACK exhausts ``max_iter`` or the residual exceeds
+    ``residual_tol * gamma`` (``residual_tol`` defaults to sqrt(tol)).
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
@@ -285,6 +285,8 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
         residual_tol = tol ** 0.5
     elif not (residual_tol > 0 and np.isfinite(residual_tol)):
         raise ValueError(f"residual_tol must be positive and finite, got {residual_tol}")
+    if initial is not None and initial.grid != mask.grid:
+        raise ValueError("initial field lies on another lattice than the mask")
 
     grid = mask.grid
     A, flat = _masked_bilap(mask)

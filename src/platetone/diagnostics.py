@@ -24,7 +24,6 @@ from platetone.field_grid import (
     ScalarField,
     boundary_nodes,
     connected_components,
-    mask_centroid,
     mask_volume,
     member_positions,
 )
@@ -212,8 +211,8 @@ def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
         return Dichotomy.VOLUME_MET
 
     t = (omega0 / vol) ** (1.0 / grid.dim)
-    centroid = mask_centroid(mask)
-    pts = t * (member_positions(mask) - centroid)   # recentred scaled set
+    pos = member_positions(mask)
+    pts = t * (pos - pos.mean(axis=0))   # recentred scaled set
     h = grid.spacing
     circum = float(np.linalg.norm(pts, axis=1).max())
     if circum < grid.radius_B - 2.0 * h:

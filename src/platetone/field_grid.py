@@ -14,17 +14,12 @@ their inputs, so grids, masks and fields can be shared freely across threads.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components as graph_components
-
-
-class MaskClippedWarning(UserWarning):
-    """A geometric image left the reference ball and was clipped back to it."""
 
 
 @dataclass(frozen=True)
@@ -79,17 +74,10 @@ def _axis_coords(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _radius_sq(grid: Grid) -> np.ndarray:
-    axes = np.meshgrid(*[_axis_coords(grid)] * grid.dim, indexing="ij", sparse=True)
-    r2 = sum(a * a for a in axes)
-    r2.setflags(write=False)
-    return r2
-
-
-@lru_cache(maxsize=32)
 def inside_ball(grid: Grid) -> np.ndarray:
     """Boolean array of nodes strictly inside the open reference ball."""
-    ins = _radius_sq(grid) < grid.radius_B ** 2
+    axes = np.meshgrid(*[_axis_coords(grid)] * grid.dim, indexing="ij", sparse=True)
+    ins = sum(a * a for a in axes) < grid.radius_B ** 2
     ins.setflags(write=False)
     return ins
 
@@ -211,52 +199,6 @@ def member_positions(mask: Mask) -> np.ndarray:
     """Coordinates of the member nodes, shape (count, dim)."""
     idx = np.argwhere(mask.inside)
     return idx * mask.grid.spacing - mask.grid.radius_B
-
-
-def mask_centroid(mask: Mask) -> np.ndarray:
-    if mask.is_empty:
-        raise ValueError("centroid of an empty mask is undefined")
-    return member_positions(mask).mean(axis=0)
-
-
-def rescale_mask(mask: Mask, t: float) -> Mask:
-    """Rescale about the mask centroid by the spatial factor t.
-
-    A target node x is a member when the pulled-back point
-    centroid + (x - centroid)/t lands (nearest-node sampling) on a member of
-    the original mask, so the volume scales like t^n up to one boundary
-    layer.  If the exact image leaves the open ball the result is clipped and
-    a MaskClippedWarning is emitted.
-    """
-    if not (t > 0 and np.isfinite(t)):
-        raise ValueError(f"scale factor must be positive and finite, got {t}")
-    if t == 1.0 or mask.is_empty:
-        return mask
-    grid = mask.grid
-    h = grid.spacing
-    centroid = mask_centroid(mask)
-
-    pts = member_positions(mask)
-    image_radii = np.linalg.norm(centroid + t * (pts - centroid), axis=1)
-    clipped = bool(np.any(image_radii >= grid.radius_B))
-
-    targets = np.argwhere(inside_ball(grid))
-    x = targets * h - grid.radius_B
-    src = centroid + (x - centroid) / t
-    idx = np.rint((src + grid.radius_B) / h).astype(np.int64)
-    valid = np.all((idx >= 0) & (idx < grid.nodes_per_side), axis=1)
-    hit = np.zeros(len(targets), dtype=bool)
-    hit[valid] = mask.inside[tuple(idx[valid].T)]
-
-    out = np.zeros(grid.shape, dtype=bool)
-    out[tuple(targets[hit].T)] = True
-    if clipped:
-        warnings.warn(
-            f"rescale by t={t} pushed the mask outside the reference ball; clipped",
-            MaskClippedWarning,
-            stacklevel=2,
-        )
-    return _freeze_mask(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,17 @@ history spans the levels; a step works on its incumbent mask's lattice.
 No candidate is solved whose objective is bounded away from acceptance
 before any solve: the tone is positive, and a subset of a solved mask has a
 tone at least that mask's (H^2_0 of the subset lies in H^2_0 of the mask), so
-the largest tone among the incumbent and the masks solved on the lattice that
-contain the candidate, plus the candidate's exact penalty, bounds its J from
-below (``objective_floor``).  A candidate whose floor lies above the
-acceptance bar is ruled out and adds no history row.
+the largest tone among the masks solved on the lattice (the incumbent among
+them) that contain the candidate, plus the candidate's exact penalty, bounds
+its J from below (``objective_floor``).  A candidate whose floor lies above
+the acceptance bar is ruled out and adds no history row.
 
 A mask is solved at most once per lattice.  Accepted J falls by at least
 ``DELTA_REL * |J|`` per step, so after a mask's solve either the incumbent is
 unchanged and a second solve would repeat the first exactly, or the bar lies
 at least that margin below the mask's J, which another warm start moves only
-by about the solve tolerance: the mask could never pass again.
-``validate_config`` holds ``tone_tol`` below ``DELTA_REL`` for this.
+by about the solve tolerance: the mask could never pass again.  That
+tolerance is the constant ``RunConfig.tone_tol``, below ``DELTA_REL``.
 
 Everything is deterministic for a fixed config, including the seeded blob
 initializer, so a rerun reproduces the trace bit for bit.
@@ -43,6 +43,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from itertools import compress
+from typing import ClassVar
 
 import numpy as np
 
@@ -111,11 +112,14 @@ class RunConfig:
     penalty_variant: str = "plain"
     init_shape: str = "disk"
     max_steps: int = 300
-    tone_tol: float = 1e-8
     seed: int = 0
     d_n: float = 0.5
     eps_override: bool = False
     snapshot_every: int = 10
+    # Relative tolerance of every eigensolve.  A constant, not a key: a mask
+    # is solved once per lattice only while a warm start moves its J far less
+    # than the acceptance margin DELTA_REL (1e-6) (see descent_step).
+    tone_tol: ClassVar[float] = 1e-8
 
 
 @dataclass
@@ -188,8 +192,6 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {c.init_shape!r}")
     if c.max_steps < 1:
         errors.append(f"max_steps: must be >= 1, got {c.max_steps}")
-    if not 0 < c.tone_tol < DELTA_REL:
-        errors.append(f"tone_tol: must be in (0, DELTA_REL = {DELTA_REL}), got {c.tone_tol}")
     if not 0.0 < c.d_n < 1.0:
         errors.append(f"d_n: must lie in (0, 1), got {c.d_n}")
     if c.seed < 0:
@@ -457,21 +459,21 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
 def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
     """Lower bound on the candidate's J, without a solve.
 
-    The tone part is the largest tone among the incumbent and the masks in
-    ``state.solved`` that contain the candidate (tone monotonicity under
-    inclusion), and 0 when none does (A = K^T K is positive definite); the
-    penalty part is exact, so the incumbent's own floor is at least its J,
-    above any acceptance bar.  Containment is one AND of the candidate's
-    packed bits against every packed mask solved on the lattice.  On the
-    lattice, monotonicity is the continuum theorem: a ragged subset can
-    undercut a superset's tone, but only by a discretization artifact.
+    The tone part is the largest tone among the masks in ``state.solved``
+    that contain the candidate (tone monotonicity under inclusion), and 0
+    when none does (A = K^T K is positive definite).  The incumbent is among
+    them with its exact tone (``descend`` seeds it, ``descent_step`` stores
+    it on acceptance) and the penalty part is exact, so the incumbent's own
+    floor is at least its J, above any acceptance bar.  Containment is one
+    AND of the candidate's packed bits against every packed mask solved on
+    the lattice.  On the lattice, monotonicity is the continuum theorem: a
+    ragged subset can undercut a superset's tone, but only by a
+    discretization artifact.
     """
-    tone = 0.0 if np.any(cand.inside & ~state.mask.inside) else state.tone.gamma
-    if state.solved:
-        bits = np.packbits(cand.inside)
-        packed = np.frombuffer(b"".join(state.solved), dtype=np.uint8)
-        contains = np.all((packed.reshape(len(state.solved), -1) & bits) == bits, axis=1)
-        tone = max(tone, max(compress(state.solved.values(), contains), default=0.0))
+    bits = np.packbits(cand.inside)
+    packed = np.frombuffer(b"".join(state.solved), dtype=np.uint8)
+    contains = np.all((packed.reshape(len(state.solved), bits.size) & bits) == bits, axis=1)
+    tone = max(compress(state.solved.values(), contains), default=0.0)
     return tone + penalty_value(kind, mask_volume(cand))
 
 
@@ -491,8 +493,9 @@ def descent_step(state: SearchState, config: RunConfig,
     so it bounds the candidates after it, in this step and later ones.
     Against the same incumbent a second solve would repeat exactly; after an
     acceptance the bar lies ``DELTA_REL * |J|`` or more below the mask's J,
-    far beyond the ~``tone_tol`` that another warm start moves it.  A mask
-    whose solve fails is not retried on the lattice and bounds nothing.
+    far beyond the ~``RunConfig.tone_tol`` (a constant below ``DELTA_REL``)
+    that another warm start moves it.  A mask whose solve fails is not
+    retried on the lattice and bounds nothing.
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)

@@ -175,7 +175,7 @@ def test_criterion_7_optimizer_recovers_disk():
     t0 = time.perf_counter()
     config = RunConfig(dim=2, nodes_per_side=129, radius_B=1.5, omega0=OMEGA0,
                        eps=None, penalty_variant="plain", init_shape="square",
-                       max_steps=300, tone_tol=1e-8, seed=0)
+                       max_steps=300, seed=0)
     result = optimize(config)
     elapsed = time.perf_counter() - t0
     target = ball_tone_for_volume(OMEGA0, 2)
@@ -205,8 +205,7 @@ def test_criterion_8_rewarding_volume_window():
     t0 = time.perf_counter()
     config = RunConfig(dim=2, nodes_per_side=129, radius_B=1.5, omega0=OMEGA0,
                        eps=None, penalty_variant="rewarding",
-                       init_shape="two_disks", max_steps=300, tone_tol=1e-8,
-                       seed=0)
+                       init_shape="two_disks", max_steps=300, seed=0)
     result = optimize(config)
     elapsed = time.perf_counter() - t0
     assert result.config.eps <= result.constants.eps0

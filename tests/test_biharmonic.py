@@ -306,6 +306,16 @@ class TestFundamentalTone:
         assert warm.gamma == pytest.approx(cold2.gamma, rel=1e-9)
         assert warm.iterations <= cold2.iterations
 
+    @pytest.mark.parametrize("warm_n", [33, 129], ids=["coarser", "finer"])
+    def test_warm_start_on_another_lattice_rejected(self, warm_n):
+        # the warm start is read at the mask's flat indices: on a coarser
+        # lattice they run past its nodes, on a finer one they land elsewhere
+        m = ball_mask(make_grid(2, 65, 1.0), (0.0, 0.0), 0.8)
+        other = ball_mask(make_grid(2, warm_n, 1.0), (0.0, 0.0), 0.8)
+        warm = make_field(other, other.inside.astype(float))
+        with pytest.raises(ValueError, match="another lattice"):
+            fundamental_tone(m, initial=warm)
+
     def test_near_degenerate_two_disks_match_dense(self):
         # mirrored disks, one grown by two boundary nodes: the two lowest
         # eigenvalues sit about 2% apart, which stalls plain inverse iteration

@@ -64,6 +64,10 @@ class TestLoadConfig:
         path = write(tmp_path, "dim = 2\nshape = disk\n")
         with pytest.raises(ConfigError, match=r":2"):
             load_config(path)
+        # the solve tolerance is a RunConfig class constant, not a key
+        path = write(tmp_path, "dim = 2\ntone_tol = 1e-8\n")
+        with pytest.raises(ConfigError, match=r":2: unknown key 'tone_tol'"):
+            load_config(path)
 
     def test_negative_omega0_rejected(self, tmp_path):
         path = write(tmp_path, "omega0 = -1.0\n")
@@ -130,7 +134,7 @@ class TestRunCommand:
 
     def test_3d_run_writes_msk(self, tmp_path):
         cfg = write(tmp_path, "dim = 3\nnodes_per_side = 17\nradius_B = 1.2\n"
-                              "omega0 = 0.5\nmax_steps = 8\ntone_tol = 1e-7\n",
+                              "omega0 = 0.5\nmax_steps = 8\n",
                     name="run3d.cfg")
         out = tmp_path / "out3d"
         code = main(["run", "--config", str(cfg), "--out", str(out)])
@@ -293,9 +297,7 @@ class TestInvalidRunConfig:
         ("eps = nan\n", "eps"),
         ("penalty_variant = rewarding\neps = inf\neps_override = true\n", "eps"),
         ("init_shape = random_blob\nseed = -1\n", "seed"),
-        ("tone_tol = inf\n", "tone_tol"),
-    ], ids=["radius_B-inf", "radius_B-nan", "eps-nan", "eps-inf-rewarding", "seed-negative",
-            "tone_tol-inf"])
+    ], ids=["radius_B-inf", "radius_B-nan", "eps-nan", "eps-inf-rewarding", "seed-negative"])
     def test_error_names_the_field(self, tmp_path, capsys, text, field):
         cfg = write(tmp_path, text)
         with pytest.raises(ConfigError, match=f": {field}: must be"):

@@ -10,7 +10,6 @@ import pytest
 import platetone
 from platetone.field_grid import (
     Mask,
-    MaskClippedWarning,
     ball_mask,
     boundary_nodes,
     connected_components,
@@ -24,7 +23,6 @@ from platetone.field_grid import (
     mask_from_array,
     mask_volume,
     member_positions,
-    rescale_mask,
     save_mask_msk,
     save_mask_pgm,
 )
@@ -259,42 +257,6 @@ class TestBoundaryNodes:
         pts = np.argwhere(b) * g.spacing - g.radius_B
         radii = np.linalg.norm(pts, axis=1)
         assert radii.min() > g.radius_B - 3.0 * g.spacing
-
-
-class TestRescaleMask:
-    def test_identity(self):
-        g = make_grid(2, 65, 1.0)
-        m = ball_mask(g, (0.2, -0.1), 0.4)
-        assert rescale_mask(m, 1.0) == m
-
-    def test_volume_doubling_2d(self):
-        g = make_grid(2, 257, 1.5)
-        m = ball_mask(g, (0.0, 0.0), 0.5)
-        t = 2.0 ** 0.5
-        scaled = rescale_mask(m, t)
-        assert mask_volume(scaled) / mask_volume(m) == pytest.approx(2.0, rel=0.03)
-
-    def test_shrink_volume(self):
-        g = make_grid(2, 257, 1.0)
-        m = ball_mask(g, (0.0, 0.0), 0.6)
-        scaled = rescale_mask(m, 0.5)
-        assert mask_volume(scaled) / mask_volume(m) == pytest.approx(0.25, rel=0.05)
-
-    def test_clipping_warns(self):
-        g = make_grid(2, 65, 1.0)
-        m = ball_mask(g, (0.0, 0.0), 0.5)
-        with pytest.warns(MaskClippedWarning):
-            scaled = rescale_mask(m, 3.0)
-        pts = member_positions(scaled)
-        assert np.all(np.linalg.norm(pts, axis=1) < g.radius_B)
-
-    def test_rejects_nonpositive_factor(self):
-        g = make_grid(2, 33, 1.0)
-        m = ball_mask(g, (0.0, 0.0), 0.5)
-        with pytest.raises(ValueError):
-            rescale_mask(m, 0.0)
-        with pytest.raises(ValueError):
-            rescale_mask(m, -2.0)
 
 
 class TestScalarField:
