@@ -94,16 +94,23 @@ class TestValidateConfig:
         bad = RunConfig(omega0=100.0)
         assert any("fit" in e for e in validate_config(bad))
 
-    def test_tone_tol_must_lie_below_the_acceptance_margin(self):
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, search.DELTA_REL, 1e-3, math.inf, math.nan])
+    def test_tone_tol_must_lie_below_the_acceptance_margin(self, tol):
         # a mask is solved once per lattice only while the solve tolerance
         # stays well below the acceptance margin DELTA_REL; the tolerance is
-        # a class constant, so no config can move it
+        # a class constant, so no config can move it to a value outside
+        # (0, DELTA_REL) such as tol
+        assert not 0 < tol < search.DELTA_REL
         assert "tone_tol" not in {f.name for f in dataclasses.fields(RunConfig)}
         assert 0 < RunConfig.tone_tol < search.DELTA_REL
-        # an instance reads the constant, as the benchmark worker does
-        assert RunConfig().tone_tol == RunConfig.tone_tol
         with pytest.raises(TypeError):
-            RunConfig(tone_tol=1e-7)
+            RunConfig(tone_tol=tol)
+        with pytest.raises(TypeError):
+            replace(RunConfig(), tone_tol=tol)
+        # an instance reads the constant, as the benchmark worker does
+        config = RunConfig()
+        assert config.tone_tol == RunConfig.tone_tol
+        assert validate_config(config) == []
 
 
 class TestResolveEps:
