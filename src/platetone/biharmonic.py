@@ -50,6 +50,7 @@ from platetone.field_grid import (
 # for NCV = 5/6/7/8/10: 6612/4693/4528/4184/4659 on the 2D N=129 annulus
 # start and 684/591/624/702/858 on the 3D N=33 square start.
 NCV = 6
+MAX_RESTARTS = 200      # ARPACK's restart budget per eigensolve
 
 # Weight, in units of 1/h, of the consistency rows.  Weaker rows let modes
 # that are not clamped through: over random ragged masks (2D N=17, 3D N=11)
@@ -253,15 +254,14 @@ def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> 
 # eigensolver
 # ---------------------------------------------------------------------------
 
-def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
-                     initial: ScalarField | None = None,
-                     residual_tol: float | None = None) -> ToneResult:
+def fundamental_tone(mask: Mask, tol: float = 1e-8,
+                     initial: ScalarField | None = None) -> ToneResult:
     """Smallest eigenvalue of the masked clamped bilaplacian.
 
     A is factored once in SuperLU's symmetric mode and ARPACK's
     shift-invert Lanczos (``eigsh`` with sigma = 0) finds the largest
     eigenvalue of A^-1; ``tol`` is ARPACK's relative accuracy of that Ritz
-    value and ``max_iter`` its restart budget.  Lanczos keeps ``NCV`` basis
+    value and ``MAX_RESTARTS`` its restart budget.  Lanczos keeps ``NCV`` basis
     vectors, which separate a near-degenerate lowest pair (two similar
     components, an annulus) that a single-vector iteration cannot.  gamma
     is then recomputed as the Rayleigh quotient of the
@@ -271,20 +271,15 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
     ``initial`` seeds the Lanczos start vector, which makes repeated solves
     on slowly changing masks cheap; it must lie on the mask's lattice.
 
-    Raises ValueError unless tol, and residual_tol when given, are positive
-    and finite, or when ``initial`` lies on another lattice, EmptyMaskError
-    on an empty mask and ConvergenceFailure (carrying the best pair found)
-    if ARPACK exhausts ``max_iter`` or the residual exceeds
-    ``residual_tol * gamma`` (``residual_tol`` defaults to sqrt(tol)).
+    Raises ValueError unless tol is positive and finite, or when ``initial``
+    lies on another lattice, EmptyMaskError on an empty mask and
+    ConvergenceFailure (carrying the best pair found) if ARPACK exhausts its
+    restarts or the residual exceeds sqrt(tol) * gamma.
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if residual_tol is None:
-        residual_tol = tol ** 0.5
-    elif not (residual_tol > 0 and np.isfinite(residual_tol)):
-        raise ValueError(f"residual_tol must be positive and finite, got {residual_tol}")
     if initial is not None and initial.grid != mask.grid:
         raise ValueError("initial field lies on another lattice than the mask")
 
@@ -313,10 +308,10 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
         op = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
         try:
             _, vecs = spla.eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op,
-                                 v0=v0, tol=tol, ncv=NCV, maxiter=max_iter)
+                                 v0=v0, tol=tol, ncv=NCV, maxiter=MAX_RESTARTS)
         except spla.ArpackNoConvergence as exc:
             vecs = exc.eigenvectors
-            failure = f"ARPACK did not converge in {max_iter} restarts"
+            failure = f"ARPACK did not converge in {MAX_RESTARTS} restarts"
         # with no converged pair, one inverse-iteration step is the best guess
         u = vecs[:, 0] if vecs.size else solve(v0)
 
@@ -331,8 +326,8 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8, max_iter: int = 200,
     result = ToneResult(gamma=gamma,
                         eigenfield=make_field(mask, full.reshape(grid.shape)),
                         iterations=solves, residual=residual)
-    if failure is None and residual > residual_tol * gamma:
-        failure = f"residual above {residual_tol!r} * gamma"
+    if failure is None and residual > tol ** 0.5 * gamma:
+        failure = f"residual above {tol ** 0.5!r} * gamma"
     if failure is not None:
         raise ConvergenceFailure(
             f"{failure} (last gamma {gamma!r}, residual {residual!r})", result)

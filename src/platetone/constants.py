@@ -228,7 +228,13 @@ def eps1(n: int, omega0: float) -> float:
     (omega0/omega_n)^(4/n) * omega0 / gamma_ball(n)."""
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
-    return (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n)
+    try:
+        e1 = (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n)
+    except OverflowError:
+        e1 = math.inf
+    if not 0.0 < e1 < math.inf:
+        raise ValueError(f"eps1 = {e1!r} at omega0={omega0!r}: outside the positive finite floats")
+    return e1
 
 
 def eps1_effective(n: int, omega0: float, radius_B: float) -> float:

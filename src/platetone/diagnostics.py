@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,35 +55,34 @@ def check_connected(mask: Mask) -> tuple[bool, int]:
     return count == 1, count
 
 
-def _probes(mask: Mask, cap: int) -> np.ndarray:
-    """Boundary-node indices, deterministically thinned to at most cap."""
-    idx = np.argwhere(boundary_nodes(mask))
+def _probes(boundary: np.ndarray, cap: int) -> list:
+    """Indices of the boundary nodes, deterministically thinned to at most cap."""
+    idx = np.argwhere(boundary)
     if idx.shape[0] == 0:
         raise ValueError("mask has no boundary nodes")
-    if idx.shape[0] > cap:
-        stride = int(math.ceil(idx.shape[0] / cap))
-        idx = idx[::stride]
-    return idx
+    return idx[::int(math.ceil(idx.shape[0] / cap))].tolist()
 
 
-def _window(grid: Grid, idx: np.ndarray, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Index box around node idx that holds the ball of radius R, and the
-    squared distances of its nodes to idx."""
-    h = grid.spacing
-    span = int(math.ceil(R / h)) + 1
-    lo = np.maximum(idx - span, 0)
-    hi = np.minimum(idx + span + 1, grid.nodes_per_side)
-    coords = np.meshgrid(
-        *[(np.arange(a, b) - c) * h for a, b, c in zip(lo, hi, idx)],
-        indexing="ij", sparse=True,
-    )
-    return tuple(slice(a, b) for a, b in zip(lo, hi)), sum(cc * cc for cc in coords)
+@lru_cache(maxsize=8)
+def _distance_table(grid: Grid, span: int) -> np.ndarray:
+    """Squared distances of the (2 span + 1)^n lattice offsets to the centre."""
+    d2 = sum((k * grid.spacing) ** 2 for k in np.ogrid[(slice(-span, span + 1),) * grid.dim])
+    d2.setflags(write=False)
+    return d2
+
+
+def _window(grid: Grid, idx, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Index box around node idx that holds the ball of radius R, clipped to
+    the lattice, and the squared distances of its nodes to idx."""
+    span = int(math.ceil(R / grid.spacing)) + 1
+    box = tuple(slice(max(c - span, 0), min(c + span + 1, grid.nodes_per_side)) for c in idx)
+    cut = tuple(slice(b.start - c + span, b.stop - c + span) for b, c in zip(box, idx))
+    return box, _distance_table(grid, span)[cut]
 
 
 def _gradient_norm(field: ScalarField) -> np.ndarray:
     """|grad u| at every node."""
-    grad = gradient_field(field)
-    return np.sqrt(np.sum(grad * grad, axis=0))
+    return np.linalg.norm(gradient_field(field), axis=0)
 
 
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
@@ -111,15 +111,17 @@ def estimate_doubling_sigma(mask: Mask, R0: float,
         r_min = 4.0 * h
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    probes = _probes(mask, 512) * h - mask.grid.radius_B
-    members = member_positions(mask)
-    radii = dyadic_radii(R0, r_min)
+    return _doubling_sigma(mask, boundary_nodes(mask), R0, dyadic_radii(R0, r_min))
+
+
+def _doubling_sigma(mask: Mask, boundary: np.ndarray, R0: float, radii: tuple) -> float:
     worst = 1.0
-    for x0 in probes:
-        d2 = np.sum((members - x0) ** 2, axis=1)
+    for idx in _probes(boundary, 512):
+        box, d2 = _window(mask.grid, idx, 2.0 * R0)
+        near = d2[mask.inside[box]]
         for r in radii:
-            inner = int(np.count_nonzero(d2 < r * r)) - 1   # minus the probe
-            outer = int(np.count_nonzero(d2 < 4.0 * r * r)) - 1
+            inner = int(np.count_nonzero(near < r * r)) - 1   # minus the probe
+            outer = int(np.count_nonzero(near < 4.0 * r * r)) - 1
             if inner <= 0:
                 return math.inf
             worst = max(worst, outer / inner)
@@ -130,39 +132,41 @@ def estimate_nondegeneracy_c1(field: ScalarField, R0: float) -> float:
     """Smallest value of sup_{B_R(x0)} |grad u| / R over probes x0 on the
     boundary of the field's mask and dyadic radii R0, R0/2, ... >= 4h; zero
     signals a degenerate (flat) eigenfield."""
-    grid = field.grid
-    h = grid.spacing
+    h = field.grid.spacing
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    mag = _gradient_norm(field)
-    radii = dyadic_radii(R0, 4.0 * h)
+    return _nondegeneracy_c1(boundary_nodes(field.mask), _gradient_norm(field),
+                             field.grid, dyadic_radii(R0, 4.0 * h))
+
+
+def _nondegeneracy_c1(boundary: np.ndarray, mag: np.ndarray, grid: Grid, radii: tuple) -> float:
     worst = math.inf
-    for idx in _probes(field.mask, 512):
-        window, d2 = _window(grid, idx, R0)
-        local = mag[window]
+    for idx in _probes(boundary, 512):
+        box, d2 = _window(grid, idx, radii[0])
+        local = mag[box]
         for r in radii:
-            sup = float(local[d2 <= r * r].max(initial=0.0))
-            worst = min(worst, sup / r)
+            worst = min(worst, float(local[d2 <= r * r].max(initial=0.0)) / r)
     return worst
 
 
 def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
     """Fraction of the lattice ball B_R around the boundary node x0 that the
     mask occupies (member count over node count, both in the open ball)."""
-    grid = mask.grid
-    h = grid.spacing
+    h = mask.grid.spacing
     if R < 2.0 * h:
         raise ValueError(f"R must be at least 2h = {2.0 * h}, got {R}")
-    window, d2 = _window(grid, np.asarray(x0), R)
-    local = mask.inside[window]
+    box, d2 = _window(mask.grid, x0, R)
+    local = mask.inside[box]
     # the probe and its face neighbours are the window nodes within h; members
     # lie strictly inside B, so the box never clips a member's neighbour
     if not mask.inside[tuple(x0)] or local[d2 <= h * h].all():
         raise ValueError(f"probe {x0} is not a boundary node")
+    return _density(local, d2, R)
+
+
+def _density(local: np.ndarray, d2: np.ndarray, R: float) -> float:
     ball = d2 < R * R
-    total = int(np.count_nonzero(ball))
-    inside = int(np.count_nonzero(local & ball))
-    return inside / total
+    return int(np.count_nonzero(local & ball)) / int(np.count_nonzero(ball))
 
 
 def classify_boundary(field: ScalarField, tol_grad: float | None = None
@@ -175,13 +179,13 @@ def classify_boundary(field: ScalarField, tol_grad: float | None = None
     like h at the free boundary, so stability of the split under refinement
     is the meaningful check.
     """
-    mag = _gradient_norm(field)
+    return _classify(boundary_nodes(field.mask), _gradient_norm(field), field.grid, tol_grad)
+
+
+def _classify(boundary: np.ndarray, mag: np.ndarray, grid: Grid, tol_grad=None) -> tuple:
     if tol_grad is None:
-        tol_grad = 10.0 * field.grid.spacing * float(mag.max())
-    boundary = boundary_nodes(field.mask)
-    sigma0 = np.logical_and(boundary, mag <= tol_grad)
-    sigma1 = np.logical_and(boundary, mag > tol_grad)
-    return sigma0, sigma1
+        tol_grad = 10.0 * grid.spacing * float(mag.max())
+    return boundary & (mag <= tol_grad), boundary & (mag > tol_grad)
 
 
 def default_vol_tol(grid: Grid, omega0: float) -> float:
@@ -227,11 +231,8 @@ def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
     if np.any(hi < lo):
         return Dichotomy.SCALED_DOES_NOT_FIT
     axes = [np.arange(a, b + h, h) for a, b in zip(lo, hi)]
-    best = math.inf
     for shift in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim):
-        r = float(np.linalg.norm(pts - shift, axis=1).max())
-        best = min(best, r)
-        if best < grid.radius_B:
+        if np.linalg.norm(pts - shift, axis=1).max() < grid.radius_B:
             return Dichotomy.SCALED_FITS_CONTRADICTION
     return Dichotomy.SCALED_DOES_NOT_FIT
 
@@ -246,27 +247,25 @@ def default_probe_radius(grid: Grid, omega0: float) -> float:
 
 def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
     """Evaluate the full diagnostic bundle on a computed field and its mask,
-    probing at the dyadic radii from ``default_probe_radius`` down to 4h."""
+    probing at the dyadic radii from ``default_probe_radius`` down to 4h.
+    The mask's boundary and |grad u| are computed once for every statistic."""
     mask, grid = field.mask, field.grid
     if mask.is_empty:
         raise ValueError("diagnostics on an empty mask")
     R0 = default_probe_radius(grid, omega0)
-    connected, count = check_connected(mask)
-    sigma = estimate_doubling_sigma(mask, R0)
-    c1 = estimate_nondegeneracy_c1(field, R0)
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
-    probes = _probes(mask, 128)
-    profile = []
-    for r in radii:
-        quotients = [density_quotient(mask, tuple(p), r) for p in probes]
-        profile.append((r, min(quotients)))
-    s0, s1 = classify_boundary(field)
+    boundary = boundary_nodes(mask)
+    mag = _gradient_norm(field)
+    connected, count = check_connected(mask)
+    windows = [_window(grid, idx, R0) for idx in _probes(boundary, 128)]
+    quotients = [[_density(mask.inside[box], d2, r) for r in radii] for box, d2 in windows]
+    s0, s1 = _classify(boundary, mag, grid)
     return DiagnosticsReport(
         connected=connected,
         component_count=count,
-        doubling_sigma=sigma,
-        nondegeneracy_c1=c1,
-        density_c2_profile=tuple(profile),
+        doubling_sigma=_doubling_sigma(mask, boundary, R0, radii),
+        nondegeneracy_c1=_nondegeneracy_c1(boundary, mag, grid, radii),
+        density_c2_profile=tuple(zip(radii, map(min, zip(*quotients)))),
         sigma0_count=int(np.count_nonzero(s0)),
         sigma1_count=int(np.count_nonzero(s1)),
         dichotomy=dichotomy_check(mask, omega0),

@@ -350,6 +350,23 @@ class TestConstantsCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {field} must be positive and finite, got ")
 
+    # eps1 underflows to zero (2D, omega0 1e-300) or overflows (3D, 1e308);
+    # these ended in a ZeroDivisionError or OverflowError traceback
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--dim", "2", "--omega0", "1e-300", "--eps", "1e-4"],
+        ["constants", "--dim", "3", "--omega0", "1e308", "--eps", "1e-4"],
+        ["run", "--config", "{cfg}", "--out", "{out}"],
+    ], ids=["constants-2d-1e-300", "constants-3d-1e308", "run-2d-1e-300"])
+    def test_extreme_omega0_is_one_error_line(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path, "omega0 = 1e-300\n")
+        out = tmp_path / "out"
+        code = main([arg.format(cfg=cfg, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "eps1" in captured.err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("case", ["penalty", "alpha0", "oracle", "scaling",
