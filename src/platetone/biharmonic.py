@@ -41,6 +41,7 @@ from platetone.field_grid import (
     _pack_header,
     _unpack_header,
     _HEADER_SIZE,
+    face_neighbours,
     make_field,
     mask_from_array,
 )
@@ -78,11 +79,7 @@ class EmptyMaskError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The eigensolver did not converge; carries the best pair it found."""
-
-    def __init__(self, message: str, last_result: "ToneResult"):
-        super().__init__(message)
-        self.last_result = last_result
+    """The eigensolver did not converge, or its pair failed the residual gate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +234,9 @@ def rayleigh_quotient(grid: Grid, mask: Mask, field: ScalarField) -> float:
 
 def gradient_field(field: ScalarField) -> np.ndarray:
     """Central differences of the zero-extended field, shape (dim, *grid)."""
-    grads = np.gradient(np.pad(field.values, 1), field.grid.spacing)
-    return np.stack([g[(slice(1, -1),) * field.grid.dim] for g in grads])
+    views = list(face_neighbours(field.values))
+    two_h = 2.0 * field.grid.spacing
+    return np.stack([(up - down) / two_h for up, down in zip(views[::2], views[1::2])])
 
 
 def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> float:
@@ -273,8 +271,8 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
 
     Raises ValueError unless tol is positive and finite, or when ``initial``
     lies on another lattice, EmptyMaskError on an empty mask and
-    ConvergenceFailure (carrying the best pair found) if ARPACK exhausts its
-    restarts or the residual exceeds sqrt(tol) * gamma.
+    ConvergenceFailure if ARPACK exhausts its restarts (chained from
+    ``ArpackNoConvergence``) or the residual exceeds sqrt(tol) * gamma.
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
@@ -286,7 +284,6 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
     grid = mask.grid
     A, flat = _masked_bilap(mask)
     solves = 0
-    failure = None
     if flat.size <= NCV:
         # ARPACK needs more unknowns than Lanczos vectors
         u = np.linalg.eigh(A.toarray())[1][:, 0]
@@ -307,13 +304,11 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
             v0 = np.ones(flat.size)
         op = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
         try:
-            _, vecs = spla.eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op,
-                                 v0=v0, tol=tol, ncv=NCV, maxiter=MAX_RESTARTS)
+            u = spla.eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op, v0=v0,
+                           tol=tol, ncv=NCV, maxiter=MAX_RESTARTS)[1][:, 0]
         except spla.ArpackNoConvergence as exc:
-            vecs = exc.eigenvectors
-            failure = f"ARPACK did not converge in {MAX_RESTARTS} restarts"
-        # with no converged pair, one inverse-iteration step is the best guess
-        u = vecs[:, 0] if vecs.size else solve(v0)
+            raise ConvergenceFailure(
+                f"ARPACK did not converge in {MAX_RESTARTS} restarts") from exc
 
     u = u / np.linalg.norm(u)
     if u.sum() < 0.0:
@@ -321,17 +316,13 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
     Au = A @ u
     gamma = float(u @ Au)
     residual = float(np.linalg.norm(Au - gamma * u))
+    if residual > tol ** 0.5 * gamma:
+        raise ConvergenceFailure(f"residual above {tol ** 0.5!r} * gamma "
+                                 f"(gamma {gamma!r}, residual {residual!r})")
     full = np.zeros(grid.node_count)
     full[flat] = u / np.sqrt(grid.spacing ** grid.dim)
-    result = ToneResult(gamma=gamma,
-                        eigenfield=make_field(mask, full.reshape(grid.shape)),
-                        iterations=solves, residual=residual)
-    if failure is None and residual > tol ** 0.5 * gamma:
-        failure = f"residual above {tol ** 0.5!r} * gamma"
-    if failure is not None:
-        raise ConvergenceFailure(
-            f"{failure} (last gamma {gamma!r}, residual {residual!r})", result)
-    return result
+    return ToneResult(gamma=gamma, eigenfield=make_field(mask, full.reshape(grid.shape)),
+                      iterations=solves, residual=residual)
 
 
 # ---------------------------------------------------------------------------

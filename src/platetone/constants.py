@@ -250,13 +250,20 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     e1 = eps1(n, omega0)
     if n >= 4:
         return e1
-    vol_B = unit_ball_volume(n) * radius_B ** n
+    try:
+        vol_B = unit_ball_volume(n) * radius_B ** n
+        growth = (vol_B / omega0) ** (4.0 / n)
+    except OverflowError:
+        growth = math.inf
+    if growth == math.inf:          # |B| itself may overflow to inf
+        raise ValueError(f"radius_B={radius_B!r} is too large: (|B|/omega0)^(4/n) "
+                         f"overflows at omega0={omega0!r}")
     a_max = vol_B / omega0
     if a_max <= 1.0:
         raise ValueError(
             f"omega0={omega0} does not fit in the reference ball (|B|={vol_B})"
         )
-    return e1 * (a_max - 1.0) / (a_max ** (4.0 / n) - 1.0)
+    return e1 * (a_max - 1.0) / (growth - 1.0)
 
 
 def eps0(n: int, omega0: float, d_n: float = 0.5) -> float:

@@ -138,15 +138,16 @@ def mask_volume(mask: Mask) -> float:
     return mask.grid.spacing ** mask.grid.dim * mask.member_count
 
 
-def _face_neighbours(values: np.ndarray, fill):
-    """The 2n face-neighbour views of a node array, ``fill`` beyond its
-    border: view k holds, at each node, its k-th neighbour's value."""
+def face_neighbours(values: np.ndarray, fill=0):
+    """The 2n face-neighbour views of a node array, ``fill`` (zero unless
+    given) beyond its border: view k holds, at each node, its k-th
+    neighbour's value; along each axis the upper neighbour comes first."""
     padded = np.pad(values, 1, constant_values=fill)
     core = [slice(1, -1)] * values.ndim
     for ax in range(values.ndim):
-        for lo in (0, 2):
+        for start in (2, 0):
             shift = list(core)
-            shift[ax] = slice(lo, lo + values.shape[ax])
+            shift[ax] = slice(start, start + values.shape[ax])
             yield padded[tuple(shift)]
 
 
@@ -158,7 +159,7 @@ def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
     ids = np.full(inside.shape, -1)
     ids[inside] = np.arange(members)
     # the graph is undirected: the upper neighbour along each axis suffices
-    upper = list(_face_neighbours(ids, -1))[1::2]
+    upper = list(face_neighbours(ids, -1))[::2]
     rows = np.tile(ids[inside], inside.ndim)
     cols = np.concatenate([view[inside] for view in upper])
     linked = cols >= 0
@@ -176,7 +177,7 @@ def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
 def dilate(mask: Mask) -> Mask:
     """Add one ring of face neighbors, clipped to the reference ball."""
     grown = mask.inside.copy()
-    for neighbour in _face_neighbours(mask.inside, False):
+    for neighbour in face_neighbours(mask.inside):
         grown |= neighbour
     return _freeze_mask(mask.grid, grown)
 
@@ -185,7 +186,7 @@ def erode(mask: Mask) -> Mask:
     """Remove members that have any non-member face neighbor (nodes beyond
     the lattice count as non-members)."""
     kept = mask.inside.copy()
-    for neighbour in _face_neighbours(mask.inside, False):
+    for neighbour in face_neighbours(mask.inside):
         kept &= neighbour
     return _freeze_mask(mask.grid, kept)
 

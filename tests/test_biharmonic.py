@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from platetone import biharmonic
 from platetone.biharmonic import (
     CLAMP_WEIGHT,
     ConvergenceFailure,
     EmptyMaskError,
-    ToneResult,
     VanishingFieldError,
     apply_clamped_bilap,
     eigen_residual,
@@ -246,29 +247,45 @@ class TestFundamentalTone:
         with pytest.raises(ValueError, match="tol"):
             fundamental_tone(m, tol=tol)
 
-    def test_max_iter_exhaustion_carries_iterate(self, monkeypatch):
+    def test_accuracy_exhaustion_chains_arpack_error(self, monkeypatch):
         # no Ritz value meets a relative accuracy of 1e-30 in two restarts
         monkeypatch.setattr(biharmonic, "MAX_RESTARTS", 2)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.8)
-        with pytest.raises(ConvergenceFailure, match="ARPACK") as info:
+        with pytest.raises(ConvergenceFailure, match="ARPACK did not converge in 2 restarts") as info:
             fundamental_tone(m, tol=1e-30)
-        assert isinstance(info.value.last_result, ToneResult)
-        assert info.value.last_result.gamma > 0
+        assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
 
-    def test_restart_exhaustion_carries_rayleigh_pair(self, monkeypatch):
+    def test_degenerate_pair_exhaustion_chains_arpack_error(self, monkeypatch):
         # an exactly degenerate pair of mirrored disks needs more than one
         # Lanczos restart at this tolerance
         monkeypatch.setattr(biharmonic, "MAX_RESTARTS", 1)
         g = make_grid(2, 33, 1.0)
         left = ball_mask(g, (-0.5, 0.0), 0.35).inside
         m = mask_from_array(g, left | left[::-1, :])
-        with pytest.raises(ConvergenceFailure, match="ARPACK") as info:
+        with pytest.raises(ConvergenceFailure, match="ARPACK did not converge in 1 restarts") as info:
             fundamental_tone(m, tol=1e-14)
-        last = info.value.last_result
-        assert last.iterations > 0
-        assert last.gamma == pytest.approx(
-            rayleigh_quotient(g, m, last.eigenfield), rel=1e-9)
+        assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+        assert info.value.args == (str(info.value),)
+
+    def test_residual_gate_names_gamma_and_residual(self, monkeypatch):
+        # Lanczos stood in for by a solver that returns the constant vector on
+        # the mask, which is far from an eigenvector: the residual gate fires
+        def constant_pair(A, **kwargs):
+            return np.ones(1), np.ones((A.shape[0], 1))
+
+        monkeypatch.setattr(biharmonic.spla, "eigsh", constant_pair)
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        with pytest.raises(ConvergenceFailure, match=r"residual above 0\.0001 \* gamma") as info:
+            fundamental_tone(m, tol=1e-8)
+        ones = make_field(m, np.ones(g.shape))
+        gamma = rayleigh_quotient(g, m, ones)
+        residual = eigen_residual(g, m, ones, gamma)
+        pair = re.search(r"\(gamma (\S+), residual (\S+)\)$", str(info.value))
+        assert float(pair[1]) == pytest.approx(gamma, rel=1e-12)
+        assert float(pair[2]) == pytest.approx(residual, rel=1e-9)
+        assert info.value.__cause__ is None
 
     def test_domain_monotonicity_nested(self):
         g = make_grid(2, 49, 1.0)
@@ -426,6 +443,18 @@ class TestGradientField:
         interior = erode(erode(m)).inside
         assert np.allclose(grad[0][interior], a, atol=1e-12)
         assert np.allclose(grad[1][interior], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(2, 65), (3, 17)])
+    def test_central_differences_of_the_zero_extension(self, dim, n):
+        # bit for bit the interior central differences of the field padded
+        # by one layer of zeros
+        rng = np.random.default_rng(dim)
+        g = make_grid(dim, n, 1.0)
+        m = mask_from_array(g, rng.random(g.shape) < 0.7)
+        f = make_field(m, rng.standard_normal(g.shape))
+        padded = np.gradient(np.pad(f.values, 1), g.spacing)
+        expected = np.stack([d[(slice(1, -1),) * dim] for d in padded])
+        assert np.array_equal(gradient_field(f), expected)
 
     def test_eigenfield_gradient_decays_at_boundary(self):
         # |grad u| on the free-boundary ring shrinks roughly like h under

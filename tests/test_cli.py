@@ -12,6 +12,7 @@ from platetone.cli import (
     main,
 )
 from platetone.constants import compute_constants
+from platetone.field_grid import ball_mask, make_grid, mask_from_array
 from platetone.search import RunConfig
 
 
@@ -265,19 +266,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
 
     def test_solver_failure_is_clean_error(self, tmp_path, monkeypatch, capsys):
-        from platetone import cli
-        from platetone.biharmonic import ConvergenceFailure
+        # a real restart exhaustion: the mirrored disks of the biharmonic
+        # tests, solved with a budget of one Lanczos restart
+        from platetone import biharmonic, cli
 
         def fail(config, on_accept=None):
-            raise ConvergenceFailure("eigensolver did not converge", None)
+            g = make_grid(2, 33, 1.0)
+            left = ball_mask(g, (-0.5, 0.0), 0.35).inside
+            biharmonic.fundamental_tone(mask_from_array(g, left | left[::-1, :]), tol=1e-14)
 
+        monkeypatch.setattr(biharmonic, "MAX_RESTARTS", 1)
         monkeypatch.setattr(cli, "optimize", fail)
         cfg = write(tmp_path, QUICK)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: eigensolver did not converge")
-        assert "Traceback" not in err
+        assert err == "error: ARPACK did not converge in 1 restarts\n"
 
     def test_summary_contains_constants_and_diagnostics(self, tmp_path):
         cfg = write(tmp_path, QUICK)
@@ -365,6 +369,27 @@ class TestConstantsCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "eps1" in captured.err
+        assert not out.exists()
+
+    # |B| or (|B|/omega0)^(4/n) overflows; these ended in "error: (34,
+    # 'Numerical result out of range')", naming no field
+    @pytest.mark.parametrize("argv, radius_B", [
+        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e100"], None),
+        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e154"], None),
+        (["constants", "--dim", "3", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e200"], None),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "1e200"),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "1e154"),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "1e100"),
+    ], ids=["constants-2d-1e100", "constants-2d-1e154", "constants-3d-1e200",
+            "run-2d-1e200", "run-2d-1e154", "run-2d-1e100"])
+    def test_huge_radius_B_is_one_error_line(self, tmp_path, capsys, argv, radius_B):
+        cfg = write(tmp_path, f"radius_B = {radius_B}\n")
+        out = tmp_path / "out"
+        code = main([arg.format(cfg=cfg, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "radius_B" in captured.err
         assert not out.exists()
 
 

@@ -181,6 +181,19 @@ class TestEps1Effective:
         with pytest.raises(ValueError):
             eps1_effective(2, 10.0, 1.0)
 
+    @pytest.mark.parametrize("n, radius_B", [(2, 1e100), (2, 1e154), (3, 1e200)])
+    def test_overflow_names_radius_B(self, n, radius_B):
+        # (|B|/omega0)^(4/n) or |B| itself overflows (1e154: |B| is inf and
+        # the ratio inf / inf); this was an OverflowError or a nan
+        with pytest.raises(ValueError, match="radius_B=.* is too large"):
+            eps1_effective(n, 1.0, radius_B)
+
+    @pytest.mark.parametrize("n, radius_B", [(2, 1.5), (2, 1e50), (3, 1.5), (3, 1e30)])
+    def test_in_range_formula(self, n, radius_B):
+        a_max = unit_ball_volume(n) * radius_B ** n / 1.0
+        expected = eps1(n, 1.0) * (a_max - 1.0) / (a_max ** (4.0 / n) - 1.0)
+        assert eps1_effective(n, 1.0, radius_B) == expected
+
 
 class TestEps0:
     def test_min_branches(self, monkeypatch):

@@ -23,6 +23,7 @@ from platetone.field_grid import (
 from platetone.penalty import penalty_value
 from platetone.search import (
     RunConfig,
+    _lap,
     SearchState,
     candidate_masks,
     coarse_nodes_per_side,
@@ -93,6 +94,12 @@ class TestValidateConfig:
     def test_omega0_must_fit_reference_ball(self):
         bad = RunConfig(omega0=100.0)
         assert any("fit" in e for e in validate_config(bad))
+
+    @pytest.mark.parametrize("radius_B", [1e154, 1e200])
+    def test_reference_ball_volume_must_be_finite(self, radius_B):
+        # radius_B ** 2 overflows (1e200) or pi * radius_B ** 2 does (1e154)
+        errors = validate_config(RunConfig(radius_B=radius_B))
+        assert errors == [f"radius_B: the reference ball's volume overflows, got {radius_B}"]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, search.DELTA_REL, 1e-3, math.inf, math.nan])
     def test_tone_tol_must_lie_below_the_acceptance_margin(self, tol):
@@ -181,6 +188,32 @@ class TestInitialMask:
         g = make_grid(2, 65, 1.0)
         with pytest.raises(ValueError):
             initial_mask(g, "pentagon", 0.5)
+
+
+class TestLaplacian:
+    @staticmethod
+    def explicit(values, h):
+        # the (2n+1)-point formula node by node, zero beyond the array; each
+        # axis adds its upper then its lower neighbour
+        out = np.empty_like(values)
+        for idx in np.ndindex(values.shape):
+            acc = -2.0 * values.ndim * values[idx]
+            for ax in range(values.ndim):
+                for step in (1, -1):
+                    nbr = list(idx)
+                    nbr[ax] += step
+                    inside = 0 <= nbr[ax] < values.shape[ax]
+                    acc += values[tuple(nbr)] if inside else 0.0
+            out[idx] = acc / (h * h)
+        return out
+
+    @pytest.mark.parametrize("shape", [(13, 13), (9, 17), (7, 7, 7), (5, 8, 6)])
+    def test_equals_the_explicit_formula(self, shape):
+        # random values everywhere, box faces included, so every border
+        # node reads the zero beyond the lattice
+        values = np.random.default_rng(len(shape)).standard_normal(shape)
+        assert np.all(values[0] != 0.0) and np.all(values[..., -1] != 0.0)
+        assert np.array_equal(_lap(values, 0.37), self.explicit(values, 0.37))
 
 
 class TestCandidateMasks:
@@ -361,7 +394,7 @@ class TestDescentStep:
 
         def failing(grid, mask, *args, **kwargs):
             if mask == winner:
-                raise ConvergenceFailure("eigensolver did not converge", None)
+                raise ConvergenceFailure("eigensolver did not converge")
             return real(grid, mask, *args, **kwargs)
 
         monkeypatch.setattr(search, "objective", failing)
@@ -421,7 +454,7 @@ class TestDescentStep:
         def recording(grid, mask, *args, **kwargs):
             attempts.append(mask)
             if fail_x and mask == x:
-                raise ConvergenceFailure("eigensolver did not converge", None)
+                raise ConvergenceFailure("eigensolver did not converge")
             return real(grid, mask, *args, **kwargs)
 
         monkeypatch.setattr(search, "candidate_masks", lambda *args: next(rounds))
@@ -515,7 +548,7 @@ class TestDescentStep:
             def recording(grid, mask, *args, **kwargs):
                 attempts.append(mask)
                 if fail_s and mask == s:
-                    raise ConvergenceFailure("eigensolver did not converge", None)
+                    raise ConvergenceFailure("eigensolver did not converge")
                 return real(grid, mask, *args, **kwargs)
 
             monkeypatch.setattr(search, "candidate_masks", lambda *args: [s, inner])
