@@ -23,6 +23,7 @@ from platetone.field_grid import (
     connected_components,
     dilate,
     erode,
+    gradient_field,
     make_field,
     make_grid,
     mask_from_array,
@@ -30,10 +31,8 @@ from platetone.field_grid import (
 )
 from platetone.biharmonic import (
     ToneResult,
-    apply_clamped_bilap,
     eigen_residual,
     fundamental_tone,
-    gradient_field,
     rayleigh_quotient,
 )
 from platetone.penalty import PenaltyKind, objective, penalty_value

@@ -34,17 +34,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from platetone.field_grid import (
-    Grid,
-    Mask,
-    ScalarField,
-    _pack_header,
-    _unpack_header,
-    _HEADER_SIZE,
-    face_neighbours,
-    make_field,
-    mask_from_array,
-)
+from platetone.field_grid import Grid, Mask, ScalarField, make_field
+# re-exported only because perfbench/worker.py imports the field codecs from here
+from platetone.field_grid import save_field_csv, save_field_fld
 
 
 # Lanczos basis size of the eigensolve.  Triangular solves per optimize run
@@ -213,14 +205,6 @@ def _clamped_energy(grid: Grid, mask: Mask, field: ScalarField):
     return K, field.values.ravel()[flat]
 
 
-def apply_clamped_bilap(field: ScalarField) -> ScalarField:
-    """A u = K^T K u on the field's mask, the matrix ``fundamental_tone`` solves."""
-    K, flat = _clamped_rows(field.mask)
-    out = np.zeros(field.grid.node_count)
-    out[flat] = K.T @ (K @ field.values.ravel()[flat])
-    return make_field(field.mask, out.reshape(field.grid.shape))
-
-
 def rayleigh_quotient(grid: Grid, mask: Mask, field: ScalarField) -> float:
     """|K u|^2 / |u|^2, the clamped energy of the field over its squared norm
     (h^n cancels between the two, so neither carries it)."""
@@ -230,13 +214,6 @@ def rayleigh_quotient(grid: Grid, mask: Mask, field: ScalarField) -> float:
         raise VanishingFieldError("Rayleigh quotient of a vanishing field")
     Ku = K @ u
     return float(Ku @ Ku) / den
-
-
-def gradient_field(field: ScalarField) -> np.ndarray:
-    """Central differences of the zero-extended field, shape (dim, *grid)."""
-    views = list(face_neighbours(field.values))
-    two_h = 2.0 * field.grid.spacing
-    return np.stack([(up - down) / two_h for up, down in zip(views[::2], views[1::2])])
 
 
 def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> float:
@@ -323,39 +300,3 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
     full[flat] = u / np.sqrt(grid.spacing ** grid.dim)
     return ToneResult(gamma=gamma, eigenfield=make_field(mask, full.reshape(grid.shape)),
                       iterations=solves, residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# field serialization
-# ---------------------------------------------------------------------------
-
-def save_field_fld(field: ScalarField, path) -> None:
-    """Flat binary dump: 32-byte FLD1 header, float64 node values in C order."""
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"FLD1", field.grid))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def load_field_fld(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    grid = _unpack_header(blob, b"FLD1")
-    body = np.frombuffer(blob[_HEADER_SIZE:], dtype="<f8")
-    if body.size != grid.node_count:
-        raise ValueError("payload size does not match the header geometry")
-    values = body.reshape(grid.shape)
-    mask = mask_from_array(grid, values != 0.0)
-    return make_field(mask, values)
-
-
-def save_field_csv(field: ScalarField, path) -> None:
-    """Readable dump for small grids: node index, coordinates, value."""
-    grid = field.grid
-    coords = grid.axis_coords()
-    header = "index," + ",".join("xyz"[: grid.dim]) + ",value"
-    lines = [header]
-    for flat, idx in enumerate(np.ndindex(grid.shape)):
-        pos = ",".join(format(coords[i], ".17g") for i in idx)
-        lines.append(f"{flat},{pos},{format(field.values[idx], '.17g')}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

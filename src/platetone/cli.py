@@ -27,11 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from platetone import constants as tc
-from platetone.biharmonic import fundamental_tone, save_field_csv, save_field_fld
+from platetone.biharmonic import fundamental_tone
 from platetone.field_grid import (
     ball_mask,
     erode,
     make_grid,
+    save_field_csv,
+    save_field_fld,
     save_mask_msk,
     save_mask_pgm,
 )
@@ -108,11 +110,11 @@ def load_config(path) -> RunConfig:
     if errors:
         raise ConfigError(f"{path}: " + "; ".join(errors))
     # the eps threshold check needs the oracle constants; resolve_eps raises
-    # with a message citing the threshold when eps is too large
+    # with a message naming the input at fault, which need not be eps
     try:
         resolve_eps(config)
     except ValueError as exc:
-        raise ConfigError(f"{path}: eps: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     return config
 
 

@@ -37,6 +37,17 @@ class OracleError(RuntimeError):
 RADIAL_TOL = 1e-8       # relative extrapolation error the radial oracle must reach
 ORACLE_RTOL = 1e-6      # relative agreement the two oracles must reach
 
+# Largest dimension the oracles serve: the radial extrapolation gap grows with
+# n, 9.8e-9 at n = 14 and 1.1e-8 (above RADIAL_TOL) at 15; the Bessel series
+# underflows into a spurious root from n = 80, the radial cells from n = 100.
+MAX_DIM = 14
+
+
+def _check_dim(n: int) -> None:
+    if not 2 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must lie in 2..{MAX_DIM}, the range of the "
+                         f"ball-tone oracles, got {n}")
+
 
 # ---------------------------------------------------------------------------
 # unit ball volume
@@ -131,8 +142,7 @@ def gamma_ball_radial(n: int) -> float:
     raises OracleError if the two extrapolations differ by more than
     ``RADIAL_TOL`` (relative), reporting the gap actually achieved.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dim(n)
     v0, v1, v2 = (_radial_tone_level(n, K) for K in (1024, 2048, 4096))
     # the scheme is second order, so halving h divides the error by 4
     ext_fine = v2 + (v2 - v1) / 3.0
@@ -175,8 +185,7 @@ def _cross_product(n: int, k: float) -> float:
 def gamma_ball_bessel(n: int) -> float:
     """Fundamental tone of the unit n-ball as k^4, where k is the first root
     of J_nu(k) I_{nu+1}(k) + I_nu(k) J_{nu+1}(k) with nu = n/2 - 1."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dim(n)
     step = 0.05
     k_lo = 0.2
     f_lo = _cross_product(n, k_lo)
@@ -263,7 +272,10 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
         raise ValueError(
             f"omega0={omega0} does not fit in the reference ball (|B|={vol_B})"
         )
-    return e1 * (a_max - 1.0) / (growth - 1.0)
+    e1_eff = e1 * (a_max - 1.0) / (growth - 1.0)
+    if not math.isfinite(e1_eff):   # e1 * (a_max - 1) overflows silently
+        raise ValueError(f"eps1_effective overflows at omega0={omega0!r}, radius_B={radius_B!r}")
+    return e1_eff
 
 
 def eps0(n: int, omega0: float, d_n: float = 0.5) -> float:
@@ -287,7 +299,13 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = eps * eps1(n, omega0)
-    disc = (1.0 + x) ** 2 - 4.0 * d_n * x
+    try:
+        disc = (1.0 + x) ** 2 - 4.0 * d_n * x
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):     # eps * eps1 near or past sqrt(max float)
+        raise ValueError(f"alpha0 is out of the float range at eps={eps!r}, "
+                         f"omega0={omega0!r} (eps * eps1 = {x!r})")
     if disc < 0.0:
         raise ValueError(
             f"invalid combination d_n={d_n}, eps*eps1={x}: negative discriminant"
@@ -348,8 +366,7 @@ class TheoryConstants:
 def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
                       radius_B: float | None = None) -> TheoryConstants:
     """Evaluate the full constant bundle, running the dual-oracle protocol."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dim(n)
     if not 0 < omega0 < math.inf:
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     if not 0 < eps < math.inf:

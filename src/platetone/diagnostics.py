@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from platetone.biharmonic import gradient_field
 from platetone.constants import unit_ball_volume
 from platetone.field_grid import (
     Grid,
@@ -25,6 +24,7 @@ from platetone.field_grid import (
     ScalarField,
     boundary_nodes,
     connected_components,
+    gradient_field,
     mask_volume,
     member_positions,
 )

@@ -9,6 +9,8 @@ lattice node, zero outside the mask (extension by zero to the whole of B).
 
 All operations are pure: they return fresh immutable objects and never touch
 their inputs, so grids, masks and fields can be shared freely across threads.
+The module also owns the lattice gradient and every file format of masks and
+fields.
 """
 
 from __future__ import annotations
@@ -151,6 +153,13 @@ def face_neighbours(values: np.ndarray, fill=0):
             yield padded[tuple(shift)]
 
 
+def gradient_field(field: ScalarField) -> np.ndarray:
+    """Central differences of the zero-extended field, shape (dim, *grid)."""
+    views = list(face_neighbours(field.values))
+    two_h = 2.0 * field.grid.spacing
+    return np.stack([(up - down) / two_h for up, down in zip(views[::2], views[1::2])])
+
+
 def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
     """Face-adjacency components.  Returns (count, labels); labels are 0 for
     non-members and 1..count for members, numbered in the C order of each
@@ -236,7 +245,8 @@ def make_field(mask: Mask, values: np.ndarray) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# serialization: PGM (2D masks) and MSK1 (flat binary, any supported dim)
+# serialization: PGM (2D masks), MSK1 masks and FLD1 fields (flat binary,
+# any supported dim), CSV fields (readable, small grids)
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sII d")     # magic, dim, N, radius_B; padded to 32
@@ -303,3 +313,35 @@ def load_mask_msk(path) -> Mask:
     if body.size != grid.node_count:
         raise ValueError("payload size does not match the header geometry")
     return mask_from_array(grid, body.reshape(grid.shape) != 0)
+
+
+def save_field_fld(field: ScalarField, path) -> None:
+    """Flat binary dump: 32-byte FLD1 header, float64 node values in C order."""
+    with open(path, "wb") as fh:
+        fh.write(_pack_header(b"FLD1", field.grid))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+
+
+def load_field_fld(path) -> ScalarField:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    grid = _unpack_header(blob, b"FLD1")
+    body = np.frombuffer(blob[_HEADER_SIZE:], dtype="<f8")
+    if body.size != grid.node_count:
+        raise ValueError("payload size does not match the header geometry")
+    values = body.reshape(grid.shape)
+    mask = mask_from_array(grid, values != 0.0)
+    return make_field(mask, values)
+
+
+def save_field_csv(field: ScalarField, path) -> None:
+    """Readable dump for small grids: node index, coordinates, value."""
+    grid = field.grid
+    coords = grid.axis_coords()
+    header = "index," + ",".join("xyz"[: grid.dim]) + ",value"
+    lines = [header]
+    for flat, idx in enumerate(np.ndindex(grid.shape)):
+        pos = ",".join(format(coords[i], ".17g") for i in idx)
+        lines.append(f"{flat},{pos},{format(field.values[idx], '.17g')}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -47,11 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from platetone.biharmonic import (
-    ConvergenceFailure,
-    EmptyMaskError,
-    ToneResult,
-)
+from platetone.biharmonic import ConvergenceFailure, ToneResult
 from platetone.constants import (
     TheoryConstants,
     compute_constants,
@@ -391,7 +387,7 @@ def _grow_to_budget(mask: Mask, ring: np.ndarray, score: np.ndarray,
     return mask_from_array(mask.grid, grown)
 
 
-def candidate_masks(state: SearchState, config: RunConfig) -> list[Mask]:
+def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
     Order: the superlevel set at quantile 0.02 * aggressiveness, dilate,
@@ -402,8 +398,8 @@ def candidate_masks(state: SearchState, config: RunConfig) -> list[Mask]:
     budgeted ring.  The grown restriction matters: dropping a dead component
     alone improves the objective only through the penalty slope (an O(eps)
     sliver that cannot clear the acceptance margin), while restriction plus
-    regrowth buys an O(gamma h) tone drop at once.  Empty candidates are
-    dropped.
+    regrowth buys an O(gamma h) tone drop at once.  Both budgeted growths
+    fill toward the target volume ``omega0``.  Empty candidates are dropped.
 
     The incumbent's dilation, erosion, exterior ring, boundary, score and
     quantile thresholds are each computed once and shared by the moves.
@@ -424,7 +420,7 @@ def candidate_masks(state: SearchState, config: RunConfig) -> list[Mask]:
         grown,
         shrunk,
         dilate(top),
-        _grow_to_budget(mask, ring, score, config.omega0),
+        _grow_to_budget(mask, ring, score, omega0),
         _exchange(mask, ring, boundary, score, 0.25 * state.aggressiveness),
         _exchange(mask, ring, boundary, score, 0.05 * state.aggressiveness),
     ]
@@ -435,7 +431,7 @@ def candidate_masks(state: SearchState, config: RunConfig) -> list[Mask]:
             cands.append(part)
             part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
             part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
-            cands.append(_grow_to_budget(part, part_ring, part_score, config.omega0))
+            cands.append(_grow_to_budget(part, part_ring, part_score, omega0))
     return [m for m in cands if m is not None and not m.is_empty]
 
 
@@ -477,8 +473,7 @@ def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
     return tone + penalty_value(kind, mask_volume(cand))
 
 
-def descent_step(state: SearchState, config: RunConfig,
-                 kind: PenaltyKind) -> SearchState:
+def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     """Evaluate the candidates, accept the best strict improvement.
 
     Acceptance requires J_new <= bar = J_old - DELTA_REL * |J_old|; otherwise
@@ -486,7 +481,8 @@ def descent_step(state: SearchState, config: RunConfig,
     above the bar cannot pass, so it is not solved and adds no history row
     (logged at DEBUG).  Candidate eigensolves are warm started from the
     incumbent eigenfield; a candidate whose solve fails is skipped and
-    logged, never fatal.  Every evaluation lands in the history.
+    logged, never fatal.  Every evaluation lands in the history.  The
+    candidates grow toward ``kind.omega0``, the volume the penalty charges.
 
     A mask is solved at most once per lattice: it joins ``state.solved``
     just before its solve, and gets its tone there once the solve succeeds,
@@ -500,7 +496,7 @@ def descent_step(state: SearchState, config: RunConfig,
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
     evals: list[tuple[float, int, Mask, ToneResult, float]] = []
-    for idx, cand in enumerate(candidate_masks(state, config)):
+    for idx, cand in enumerate(candidate_masks(state, kind.omega0)):
         key = np.packbits(cand.inside).tobytes()
         if key in state.solved:
             continue
@@ -511,9 +507,9 @@ def descent_step(state: SearchState, config: RunConfig,
             continue
         state.solved[key] = 0.0
         try:
-            J, tone, vol = objective(cand.grid, cand, kind, tone_tol=config.tone_tol,
+            J, tone, vol = objective(cand.grid, cand, kind, tone_tol=RunConfig.tone_tol,
                                      initial=state.tone.eigenfield)
-        except (ConvergenceFailure, EmptyMaskError) as exc:
+        except ConvergenceFailure as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
             continue
         state.solved[key] = tone.gamma
@@ -561,7 +557,7 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
 
     while state.terminated is None and state.step < config.max_steps:
         j_before = state.J
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         if on_accept is not None and state.J < j_before:
             on_accept(state)
     if state.terminated is None:

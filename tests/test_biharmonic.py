@@ -11,14 +11,10 @@ from platetone.biharmonic import (
     ConvergenceFailure,
     EmptyMaskError,
     VanishingFieldError,
-    apply_clamped_bilap,
     eigen_residual,
     fundamental_tone,
-    gradient_field,
-    load_field_fld,
     rayleigh_quotient,
-    save_field_csv,
-    save_field_fld,
+    _clamped_rows,
     _masked_bilap,
 )
 from platetone.constants import gamma_ball
@@ -26,9 +22,13 @@ from platetone.field_grid import (
     ball_mask,
     dilate,
     erode,
+    gradient_field,
+    load_field_fld,
     make_field,
     make_grid,
     mask_from_array,
+    save_field_csv,
+    save_field_fld,
 )
 from platetone.penalty import PenaltyKind, objective
 
@@ -50,24 +50,26 @@ def random_field(mask, rng):
 
 
 class TestApplyClampedBilap:
+    """The masked operator A = K^T K that ``fundamental_tone`` solves."""
+
     def test_zero_field_maps_to_zero(self):
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         f = make_field(m, np.zeros(g.shape))
-        out = apply_clamped_bilap(f)
-        assert np.all(out.values == 0.0)
+        A, flat = _masked_bilap(m)
+        assert np.all(A @ f.values.ravel()[flat] == 0.0)
 
     def test_single_node_2d(self):
         # composing the 5-point stencil with itself on a delta gives
         # (4^2 + 4)/h^4 at the center
         g, m, f, center = single_node_setup()
-        out = apply_clamped_bilap(f)
-        assert out.values[center] == pytest.approx(20.0 / g.spacing ** 4, rel=1e-13)
+        A, flat = _masked_bilap(m)
+        assert (A @ f.values.ravel()[flat])[0] == pytest.approx(20.0 / g.spacing ** 4, rel=1e-13)
 
     def test_single_node_3d(self):
         g, m, f, center = single_node_setup(n=17, dim=3)
-        out = apply_clamped_bilap(f)
-        assert out.values[center] == pytest.approx(42.0 / g.spacing ** 4, rel=1e-13)
+        A, flat = _masked_bilap(m)
+        assert (A @ f.values.ravel()[flat])[0] == pytest.approx(42.0 / g.spacing ** 4, rel=1e-13)
 
     def test_symmetry_random_pairs(self):
         # relative symmetry: the raw bilinear forms carry the 1/h^4 operator
@@ -75,23 +77,26 @@ class TestApplyClampedBilap:
         rng = np.random.default_rng(0)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.7)
+        A, flat = _masked_bilap(m)
         for _ in range(100):
-            u = random_field(m, rng)
-            w = random_field(m, rng)
-            au_w = float(np.sum(apply_clamped_bilap(u).values * w.values))
-            u_aw = float(np.sum(u.values * apply_clamped_bilap(w).values))
+            u = random_field(m, rng).values.ravel()[flat]
+            w = random_field(m, rng).values.ravel()[flat]
+            au_w = float((A @ u) @ w)
+            u_aw = float(u @ (A @ w))
             scale = abs(au_w) + abs(u_aw)
             assert abs(au_w - u_aw) <= 1e-12 * scale
 
     def test_matches_sparse_operator(self):
+        # the assembled A against the energy rows K that rayleigh_quotient and
+        # eigen_residual apply as K^T (K u)
         rng = np.random.default_rng(5)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.1, 0.0), 0.6)
         A, flat = _masked_bilap(m)
-        u = random_field(m, rng)
-        via_sparse = A @ u.values.ravel()[flat]
-        via_stencil = apply_clamped_bilap(u).values.ravel()[flat]
-        assert np.allclose(via_sparse, via_stencil, rtol=1e-12, atol=1e-9)
+        K, rows_flat = _clamped_rows(m)
+        assert np.array_equal(rows_flat, flat)
+        u = random_field(m, rng).values.ravel()[flat]
+        assert np.allclose(A @ u, K.T @ (K @ u), rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("dim, n, seed", [(2, 13, 0), (2, 13, 1), (3, 9, 2)])
     def test_matches_loop_reference(self, dim, n, seed):
@@ -150,8 +155,9 @@ class TestRayleighQuotient:
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
         f = random_field(m, rng)
-        au = apply_clamped_bilap(f)
-        quad = float(np.sum(au.values * f.values)) / float(np.sum(f.values ** 2))
+        A, flat = _masked_bilap(m)
+        u = f.values.ravel()[flat]
+        quad = float(u @ (A @ u)) / float(np.sum(f.values ** 2))
         assert rayleigh_quotient(g, m, f) == pytest.approx(quad, rel=1e-12)
 
     def test_vanishing_field_rejected(self):
@@ -418,10 +424,10 @@ class TestSPD:
         rng = np.random.default_rng(4)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.7)
+        A, flat = _masked_bilap(m)
         for _ in range(50):
-            f = random_field(m, rng)
-            au = apply_clamped_bilap(f)
-            assert float(np.sum(au.values * f.values)) > 0.0
+            u = random_field(m, rng).values.ravel()[flat]
+            assert float(u @ (A @ u)) > 0.0
 
 
 class TestGradientField:

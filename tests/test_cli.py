@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from platetone.cli import (
     load_config,
     main,
 )
-from platetone.constants import compute_constants
+from platetone.constants import MAX_DIM, compute_constants
 from platetone.field_grid import ball_mask, make_grid, mask_from_array
 from platetone.search import RunConfig
 
@@ -355,42 +356,79 @@ class TestConstantsCommand:
         assert captured.err.startswith(f"error: {field} must be positive and finite, got ")
 
     # eps1 underflows to zero (2D, omega0 1e-300) or overflows (3D, 1e308);
-    # these ended in a ZeroDivisionError or OverflowError traceback
-    @pytest.mark.parametrize("argv", [
-        ["constants", "--dim", "2", "--omega0", "1e-300", "--eps", "1e-4"],
-        ["constants", "--dim", "3", "--omega0", "1e308", "--eps", "1e-4"],
-        ["run", "--config", "{cfg}", "--out", "{out}"],
-    ], ids=["constants-2d-1e-300", "constants-3d-1e308", "run-2d-1e-300"])
-    def test_extreme_omega0_is_one_error_line(self, tmp_path, capsys, argv):
-        cfg = write(tmp_path, "omega0 = 1e-300\n")
+    # these ended in a ZeroDivisionError or OverflowError traceback.  Past
+    # eps * eps1 = 1e154, alpha0's (1 + x)^2 overflowed and printed "error:
+    # (34, 'Numerical result out of range')", naming no input
+    @pytest.mark.parametrize("argv, config, names", [
+        (["constants", "--dim", "2", "--omega0", "1e-300", "--eps", "1e-4"],
+         "", ["eps1"]),
+        (["constants", "--dim", "3", "--omega0", "1e308", "--eps", "1e-4"],
+         "", ["eps1"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"],
+         "omega0 = 1e-300\n", ["eps1"]),
+        (["constants", "--dim", "2", "--omega0", "1e100", "--eps", "1e-4"],
+         "", ["eps=0.0001", "omega0=1e+100"]),
+        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e300"],
+         "", ["eps=1e+300", "omega0=1.0"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"],
+         "eps = 1e300\neps_override = true\n", ["eps=1e+300", "omega0="]),
+    ], ids=["constants-2d-1e-300", "constants-3d-1e308", "run-2d-1e-300",
+            "constants-2d-1e100", "constants-2d-eps-1e300", "run-2d-eps-1e300"])
+    def test_extreme_omega0_is_one_error_line(self, tmp_path, capsys, argv, config, names):
+        cfg = write(tmp_path, config)
         out = tmp_path / "out"
         code = main([arg.format(cfg=cfg, out=out) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "eps1" in captured.err
+        assert all(name in captured.err for name in names)
+        assert ": eps: " not in captured.err    # the config file may not set eps
         assert not out.exists()
 
     # |B| or (|B|/omega0)^(4/n) overflows; these ended in "error: (34,
-    # 'Numerical result out of range')", naming no field
-    @pytest.mark.parametrize("argv, radius_B", [
-        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e100"], None),
-        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e154"], None),
-        (["constants", "--dim", "3", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e200"], None),
-        (["run", "--config", "{cfg}", "--out", "{out}"], "1e200"),
-        (["run", "--config", "{cfg}", "--out", "{out}"], "1e154"),
-        (["run", "--config", "{cfg}", "--out", "{out}"], "1e100"),
+    # 'Numerical result out of range')", naming no field.  At omega0 1e100
+    # and radius_B 1e60, eps1 * (a_max - 1) overflowed silently: constants
+    # printed eps1_effective = inf, and run blamed an eps the config never set
+    @pytest.mark.parametrize("argv, config, names", [
+        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e100"],
+         "", ["radius_B"]),
+        (["constants", "--dim", "2", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e154"],
+         "", ["radius_B"]),
+        (["constants", "--dim", "3", "--omega0", "1", "--eps", "1e-4", "--radius-b", "1e200"],
+         "", ["radius_B"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "radius_B = 1e200\n", ["radius_B"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "radius_B = 1e154\n", ["radius_B"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "radius_B = 1e100\n", ["radius_B"]),
+        (["constants", "--dim", "2", "--omega0", "1e100", "--eps", "1e-200", "--radius-b", "1e60"],
+         "", ["omega0=1e+100", "radius_B=1e+60"]),
+        (["run", "--config", "{cfg}", "--out", "{out}"], "omega0 = 1e100\nradius_B = 1e60\n",
+         ["omega0=1e+100", "radius_B=1e+60"]),
     ], ids=["constants-2d-1e100", "constants-2d-1e154", "constants-3d-1e200",
-            "run-2d-1e200", "run-2d-1e154", "run-2d-1e100"])
-    def test_huge_radius_B_is_one_error_line(self, tmp_path, capsys, argv, radius_B):
-        cfg = write(tmp_path, f"radius_B = {radius_B}\n")
+            "run-2d-1e200", "run-2d-1e154", "run-2d-1e100",
+            "constants-2d-omega0-1e100-1e60", "run-2d-omega0-1e100-1e60"])
+    def test_huge_radius_B_is_one_error_line(self, tmp_path, capsys, argv, config, names):
+        cfg = write(tmp_path, config)
         out = tmp_path / "out"
         code = main([arg.format(cfg=cfg, out=out) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "radius_B" in captured.err
+        assert all(name in captured.err for name in names)
+        assert ": eps: " not in captured.err    # the config file may not set eps
         assert not out.exists()
+
+    # above MAX_DIM the oracles fail: from n = 15 with an OracleError, at
+    # n = 150 after numpy RuntimeWarnings with "error: 1-th leading minor
+    # not positive definite", naming no input
+    @pytest.mark.parametrize("dim", [15, 150])
+    def test_dimension_above_the_oracles_is_one_error_line(self, capsys, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["constants", "--dim", str(dim), "--omega0", "1", "--eps", "1e-6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: dimension must lie in 2..{MAX_DIM}, the range of "
+                                f"the ball-tone oracles, got {dim}\n")
 
 
 class TestVerifyCommand:

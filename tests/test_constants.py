@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from platetone import constants
 from platetone.constants import (
+    MAX_DIM,
     OracleError,
     TheoryConstants,
     alpha0,
@@ -68,6 +70,18 @@ class TestToneOracles:
             gamma_ball_radial(1)
         with pytest.raises(ValueError):
             gamma_ball_bessel(1)
+
+    def test_oracles_agree_up_to_max_dim(self):
+        assert abs(gamma_ball_radial(MAX_DIM) / gamma_ball_bessel(MAX_DIM) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 80, 150])
+    def test_rejects_dimension_above_max_dim(self, n):
+        # above MAX_DIM the radial oracle misses RADIAL_TOL, the Bessel series
+        # returns a spurious root from n = 80, and at n = 150 the radial cells
+        # underflow (numpy warnings, then a LinAlgError naming no input)
+        for oracle in (gamma_ball_radial, gamma_ball_bessel):
+            with pytest.raises(ValueError, match=f"dimension must lie in 2..{MAX_DIM}, .*got {n}"):
+                oracle(n)
 
 
 @pytest.fixture
@@ -188,6 +202,12 @@ class TestEps1Effective:
         with pytest.raises(ValueError, match="radius_B=.* is too large"):
             eps1_effective(n, 1.0, radius_B)
 
+    def test_overflow_names_omega0_and_radius_B(self):
+        # eps1 ~ 1e297 times a_max - 1 ~ 3e20 overflows by multiplication,
+        # which raises nothing: this returned inf
+        with pytest.raises(ValueError, match=r"overflows at omega0=1e\+100, radius_B=1e\+60"):
+            eps1_effective(2, 1e100, 1e60)
+
     @pytest.mark.parametrize("n, radius_B", [(2, 1.5), (2, 1e50), (3, 1.5), (3, 1e30)])
     def test_in_range_formula(self, n, radius_B):
         a_max = unit_ball_volume(n) * radius_B ** n / 1.0
@@ -258,6 +278,13 @@ class TestAlpha0:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             alpha0(2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("eps, omega0", [(1e-4, 1e100), (1e300, 1.0), (1e300, 1e100)])
+    def test_overflow_names_eps_and_omega0(self, eps, omega0):
+        # (1 + x)^2 raised OverflowError for x = eps * eps1 past 1e154, and
+        # x itself is inf at (1e300, 1e100)
+        with pytest.raises(ValueError, match=re.escape(f"eps={eps!r}, omega0={omega0!r}")):
+            alpha0(2, eps, omega0)
 
     def test_rejects_negative_discriminant(self):
         # d_n > 1 can push the discriminant negative; the guard must fire

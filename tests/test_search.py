@@ -223,7 +223,7 @@ class TestCandidateMasks:
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(m, config)
         state.aggressiveness = 1e-12
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         # with the threshold at the minimum positive magnitude the superlevel
         # set is the support of the eigenfield, i.e. the current mask
         assert any(c == m for c in cands)
@@ -233,7 +233,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(m, config)
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         assert any(c == erode(m) for c in cands)
 
     def test_all_candidates_nonempty(self):
@@ -241,7 +241,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(m, config)
-        for c in candidate_masks(state, config):
+        for c in candidate_masks(state, config.omega0):
             assert not c.is_empty
 
     def test_layout_on_two_disks(self):
@@ -249,7 +249,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(m, config)
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         a = state.aggressiveness
         # above the volume target, so the budgeted growth is empty and dropped
         assert mask_volume(m) > OMEGA0
@@ -278,7 +278,7 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(m, config)
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         comp_counts = [connected_components(c)[0] for c in cands]
         assert 1 in comp_counts
 
@@ -296,7 +296,7 @@ class TestDescentStep:
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         before = state.aggressiveness
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         assert state.aggressiveness == 0.5 * before
         assert state.mask == m
         assert all(not row.accepted for row in state.history)
@@ -308,9 +308,27 @@ class TestDescentStep:
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         j0 = state.J
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         assert state.J < j0
         assert any(row.accepted for row in state.history)
+
+    def test_candidates_grow_toward_the_penalty_target(self, monkeypatch):
+        # the step has one omega0, the penalty's: the budgeted growths fill
+        # toward the volume the penalty charges against
+        config = small_config(init_shape="square")
+        g = make_grid(2, 49, 1.5)
+        state = make_state(initial_mask(g, "square", OMEGA0), config)
+        kind = replace(penalty_kind(resolve_eps(config)[0]), omega0=1.1 * OMEGA0)
+        targets = []
+        real = search.candidate_masks
+
+        def recording(state, omega0):
+            targets.append(omega0)
+            return real(state, omega0)
+
+        monkeypatch.setattr(search, "candidate_masks", recording)
+        descent_step(state, kind)
+        assert targets == [kind.omega0]
 
     def test_rejected_candidates_not_solved_again(self, monkeypatch):
         # a rejected step leaves the incumbent and its warm start as they
@@ -325,13 +343,13 @@ class TestDescentStep:
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
 
-        first = predicted_solves(state, candidate_masks(state, config), kind)
-        state = descent_step(state, config, kind)
+        first = predicted_solves(state, candidate_masks(state, config.omega0), kind)
+        state = descent_step(state, kind)
         assert state.mask == m
         assert [r.volume for r in state.history] == [mask_volume(c) for c in first]
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         second = predicted_solves(state, cands, kind)
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         assert any(c == f for c in cands for f in first)
         assert second and not any(c == f for c in second for f in first)
         assert [r.volume for r in state.history[len(first):]] == \
@@ -344,10 +362,10 @@ class TestDescentStep:
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
-        cands = candidate_masks(state, config)
+        cands = candidate_masks(state, config.omega0)
         distinct = [c for c in cands if c != state.mask
                     and objective_floor(state, c, kind) <= bar]
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         assert len(state.history) == len(distinct)
 
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
@@ -362,7 +380,7 @@ class TestDescentStep:
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
-        cands = [c for c in candidate_masks(state, config) if c != m]
+        cands = [c for c in candidate_masks(state, config.omega0) if c != m]
         out = [c for c in cands if objective_floor(state, c, kind) > bar]
         assert any(c == erode(m) for c in out)
         assert any((c.inside & ~m.inside).any() for c in out)
@@ -377,7 +395,7 @@ class TestDescentStep:
             return real(grid, mask, *args, **kwargs)
 
         monkeypatch.setattr(search, "objective", recording)
-        descent_step(state, config, kind)
+        descent_step(state, kind)
         assert len(solved) == len(expected)
         assert all(a == b for a, b in zip(solved, expected))
 
@@ -388,7 +406,7 @@ class TestDescentStep:
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "square", OMEGA0)
         kind = penalty_kind(resolve_eps(config)[0])
-        clean = descent_step(make_state(m, config), config, kind)
+        clean = descent_step(make_state(m, config), kind)
         winner = clean.mask
         real = search.objective
 
@@ -399,7 +417,7 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "objective", failing)
         caplog.set_level(logging.WARNING, logger="platetone.search")
-        state = descent_step(make_state(m, config), config, kind)
+        state = descent_step(make_state(m, config), kind)
         skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
         assert len(skipped) == 1 and skipped[0].levelno == logging.WARNING
         won = next(row for row in clean.history if row.accepted)
@@ -429,7 +447,7 @@ class TestDescentStep:
 
         monkeypatch.setattr(search, "candidate_masks", lambda *args: cands)
         monkeypatch.setattr(search, "objective", tied)
-        state = descent_step(state, config, kind)
+        state = descent_step(state, kind)
         assert [row.J for row in state.history] == [tie, tie]
         assert [row.accepted for row in state.history] == [True, False]
         assert state.mask == cands[0] and state.J == tie
@@ -466,7 +484,7 @@ class TestDescentStep:
             assert objective_floor(others, x, kind) == 0.0
             if fail_x:
                 assert objective_floor(state, x, kind) == 0.0
-            state = descent_step(state, config, kind)
+            state = descent_step(state, kind)
             assert state.mask != incumbent
         return x, attempts
 
@@ -495,7 +513,7 @@ class TestDescentStep:
                 kind = penalty_kind(resolve_eps(config)[0])
                 state = make_state(initial_mask(g, shape, OMEGA0), config)
                 assert objective_floor(state, state.mask, kind) == state.J
-                state = descent_step(state, config, kind)
+                state = descent_step(state, kind)
                 floor = objective_floor(state, state.mask, kind)
                 bar = state.J - search.DELTA_REL * abs(state.J)
                 assert state.J <= floor <= state.J + 1e-13 * abs(state.J)
@@ -553,7 +571,7 @@ class TestDescentStep:
 
             monkeypatch.setattr(search, "candidate_masks", lambda *args: [s, inner])
             monkeypatch.setattr(search, "objective", recording)
-            state = descent_step(state, config, kind)
+            state = descent_step(state, kind)
             assert state.solved[packed(s)] == (0.0 if fail_s else fundamental_tone(s).gamma)
             assert [m == inner for m in attempts] == ([False, True] if fail_s else [False])
 
