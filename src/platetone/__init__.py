@@ -11,7 +11,6 @@ from platetone.constants import (
     gamma_ball,
     gamma_ball_bessel,
     gamma_ball_radial,
-    predicted_tone,
     unit_ball_volume,
 )
 from platetone.field_grid import (
@@ -39,12 +38,9 @@ from platetone.penalty import PenaltyKind, objective, penalty_value
 from platetone.diagnostics import (
     DiagnosticsReport,
     Dichotomy,
-    check_connected,
-    classify_boundary,
     density_quotient,
     dichotomy_check,
     estimate_doubling_sigma,
-    estimate_nondegeneracy_c1,
     run_diagnostics,
 )
 from platetone.search import (

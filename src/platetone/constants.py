@@ -4,8 +4,7 @@ clamped-plate problem.
 Everything that has a closed form lives here: unit-ball volumes, the
 fundamental tone of the unit ball (computed by two independent oracles that
 must agree before any downstream constant is trusted), the penalty thresholds
-``eps1``/``eps0``, the rewarding-penalty volume floor ``alpha0``, and the
-t^-4 rescaling rule for tones.
+``eps1``/``eps0``, and the rewarding-penalty volume floor ``alpha0``.
 
 The two unit-ball oracles:
 
@@ -313,17 +312,6 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
     a0 = 2.0 * d_n / (1.0 + x + math.sqrt(disc))
     residual = abs((d_n / a0 - 1.0) / (1.0 - a0) - x)
     return a0, residual
-
-
-def predicted_tone(gamma: float, t: float) -> float:
-    """Tone of a domain rescaled by the spatial factor t: gamma * t^-4.
-
-    The rule holds in every dimension n; a volume factor ``a`` corresponds to
-    the spatial factor t = a^(1/n).
-    """
-    if t <= 0:
-        raise ValueError("scale factor must be positive")
-    return gamma * t ** -4.0
 
 
 def ball_tone_for_volume(omega: float, n: int) -> float:

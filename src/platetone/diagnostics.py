@@ -5,7 +5,10 @@ theory reasons about: connectedness, the boundary doubling ratio, the
 nondegeneracy rate of the gradient near the free boundary, local density
 quotients, the split of the boundary into degenerate and nodal parts, and
 the scaling/translation dichotomy for the final volume.  Nothing here is
-assumed; everything is counted on the lattice.
+assumed; everything is counted on the lattice.  ``run_diagnostics`` is the
+one entry point for connectedness, the nondegeneracy constant and the
+flat/nodal split; the doubling ratio, density quotients and dichotomy also
+have standalone probes.
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ class DiagnosticsReport:
     probe_radii: tuple[float, ...]
 
 
-def check_connected(mask: Mask) -> tuple[bool, int]:
-    """(is connected, component count); an empty mask is not connected."""
-    count, _ = connected_components(mask)
-    return count == 1, count
-
-
 def _probes(boundary: np.ndarray, cap: int) -> list:
     """Indices of the boundary nodes, deterministically thinned to at most cap."""
     idx = np.argwhere(boundary)
@@ -78,11 +75,6 @@ def _window(grid: Grid, idx, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
     box = tuple(slice(max(c - span, 0), min(c + span + 1, grid.nodes_per_side)) for c in idx)
     cut = tuple(slice(b.start - c + span, b.stop - c + span) for b, c in zip(box, idx))
     return box, _distance_table(grid, span)[cut]
-
-
-def _gradient_norm(field: ScalarField) -> np.ndarray:
-    """|grad u| at every node."""
-    return np.linalg.norm(gradient_field(field), axis=0)
 
 
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
@@ -128,18 +120,9 @@ def _doubling_sigma(mask: Mask, boundary: np.ndarray, R0: float, radii: tuple) -
     return worst
 
 
-def estimate_nondegeneracy_c1(field: ScalarField, R0: float) -> float:
-    """Smallest value of sup_{B_R(x0)} |grad u| / R over probes x0 on the
-    boundary of the field's mask and dyadic radii R0, R0/2, ... >= 4h; zero
-    signals a degenerate (flat) eigenfield."""
-    h = field.grid.spacing
-    if R0 < 4.0 * h:
-        raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    return _nondegeneracy_c1(boundary_nodes(field.mask), _gradient_norm(field),
-                             field.grid, dyadic_radii(R0, 4.0 * h))
-
-
 def _nondegeneracy_c1(boundary: np.ndarray, mag: np.ndarray, grid: Grid, radii: tuple) -> float:
+    """Smallest sup_{B_r(x0)} |grad u| / r over boundary probes x0 and radii r;
+    zero signals a degenerate (flat) eigenfield."""
     worst = math.inf
     for idx in _probes(boundary, 512):
         box, d2 = _window(grid, idx, radii[0])
@@ -167,25 +150,6 @@ def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
 def _density(local: np.ndarray, d2: np.ndarray, R: float) -> float:
     ball = d2 < R * R
     return int(np.count_nonzero(local & ball)) / int(np.count_nonzero(ball))
-
-
-def classify_boundary(field: ScalarField, tol_grad: float | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the boundary nodes of the field's mask into the flat part
-    (|grad u| <= tol_grad) and the nodal part (|grad u| > tol_grad).
-
-    tol_grad defaults to 10 h max|grad u|: a sharp zero test is meaningless
-    in floating point, and the gradient of a genuinely clamped field decays
-    like h at the free boundary, so stability of the split under refinement
-    is the meaningful check.
-    """
-    return _classify(boundary_nodes(field.mask), _gradient_norm(field), field.grid, tol_grad)
-
-
-def _classify(boundary: np.ndarray, mag: np.ndarray, grid: Grid, tol_grad=None) -> tuple:
-    if tol_grad is None:
-        tol_grad = 10.0 * grid.spacing * float(mag.max())
-    return boundary & (mag <= tol_grad), boundary & (mag > tol_grad)
 
 
 def default_vol_tol(grid: Grid, omega0: float) -> float:
@@ -255,19 +219,23 @@ def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
     R0 = default_probe_radius(grid, omega0)
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
     boundary = boundary_nodes(mask)
-    mag = _gradient_norm(field)
-    connected, count = check_connected(mask)
+    mag = np.linalg.norm(gradient_field(field), axis=0)
+    count, _ = connected_components(mask)
     windows = [_window(grid, idx, R0) for idx in _probes(boundary, 128)]
     quotients = [[_density(mask.inside[box], d2, r) for r in radii] for box, d2 in windows]
-    s0, s1 = _classify(boundary, mag, grid)
+    # flat where |grad u| <= 10 h max|grad u|: a sharp zero test is
+    # meaningless in floating point, and the gradient of a genuinely clamped
+    # field decays like h at the free boundary, so stability of the split
+    # under refinement is the meaningful check
+    flat = mag <= 10.0 * grid.spacing * float(mag.max())
     return DiagnosticsReport(
-        connected=connected,
+        connected=count == 1,
         component_count=count,
         doubling_sigma=_doubling_sigma(mask, boundary, R0, radii),
         nondegeneracy_c1=_nondegeneracy_c1(boundary, mag, grid, radii),
         density_c2_profile=tuple(zip(radii, map(min, zip(*quotients)))),
-        sigma0_count=int(np.count_nonzero(s0)),
-        sigma1_count=int(np.count_nonzero(s1)),
+        sigma0_count=int(np.count_nonzero(boundary & flat)),
+        sigma1_count=int(np.count_nonzero(boundary & ~flat)),
         dichotomy=dichotomy_check(mask, omega0),
         probe_radii=radii,
     )

@@ -49,16 +49,22 @@ class Grid:
         return _axis_coords(self)
 
 
+# The lattices the field solvers handle (nodes_per_side must also be odd);
+# higher dimensions are served only by the constants module.
+FIELD_DIMS = (2, 3)
+MIN_NODES_PER_SIDE = 9
+
+
 def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
     """Build a grid, rejecting shapes the field solvers cannot handle.
 
-    dim must be 2 or 3 (higher dimensions are supported only by the constants
-    module); nodes_per_side must be odd and at least 9; radius_B positive.
+    dim must lie in ``FIELD_DIMS``; nodes_per_side must be odd and at least
+    ``MIN_NODES_PER_SIDE``; radius_B positive and finite.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"field grids support dim 2 or 3, got {dim}")
-    if nodes_per_side < 9:
-        raise ValueError(f"nodes_per_side must be >= 9, got {nodes_per_side}")
+    if dim not in FIELD_DIMS:
+        raise ValueError(f"field grids support dim in {FIELD_DIMS}, got {dim}")
+    if nodes_per_side < MIN_NODES_PER_SIDE:
+        raise ValueError(f"nodes_per_side must be >= {MIN_NODES_PER_SIDE}, got {nodes_per_side}")
     if nodes_per_side % 2 == 0:
         raise ValueError(
             f"nodes_per_side must be odd so the center is a node, got {nodes_per_side}"
@@ -323,6 +329,12 @@ def save_field_fld(field: ScalarField, path) -> None:
 
 
 def load_field_fld(path) -> ScalarField:
+    """Read a field written by ``save_field_fld``.
+
+    FLD1 stores no membership, so the loaded mask is the support of the
+    values: a member whose value is exactly 0.0 loads as a non-member.  Load
+    the mask's own MSK1 or PGM file to recover the exact mask.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     grid = _unpack_header(blob, b"FLD1")

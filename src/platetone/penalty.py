@@ -50,8 +50,7 @@ def penalty_value(kind: PenaltyKind, s: float) -> float:
     return 0.0
 
 
-def objective(grid: Grid, mask: Mask, kind: PenaltyKind,
-              tone_tol: float = 1e-8,
+def objective(grid: Grid, mask: Mask, kind: PenaltyKind, tone_tol: float,
               initial: ScalarField | None = None
               ) -> tuple[float, ToneResult, float]:
     """Penalized objective J = gamma + penalty(volume) on a masked domain.

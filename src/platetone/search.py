@@ -57,6 +57,8 @@ from platetone.constants import (
 )
 from platetone.diagnostics import DiagnosticsReport, run_diagnostics
 from platetone.field_grid import (
+    FIELD_DIMS,
+    MIN_NODES_PER_SIDE,
     Grid,
     Mask,
     ScalarField,
@@ -173,10 +175,11 @@ def validate_config(config: RunConfig) -> list[str]:
     """Field-by-field validation; returns a list of error strings."""
     errors = []
     c = config
-    if c.dim not in (2, 3):
-        errors.append(f"dim: must be 2 or 3, got {c.dim}")
-    if c.nodes_per_side < 9 or c.nodes_per_side % 2 == 0:
-        errors.append(f"nodes_per_side: must be odd and >= 9, got {c.nodes_per_side}")
+    if c.dim not in FIELD_DIMS:
+        errors.append(f"dim: must be one of {FIELD_DIMS}, got {c.dim}")
+    if c.nodes_per_side < MIN_NODES_PER_SIDE or c.nodes_per_side % 2 == 0:
+        errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
+                      f"got {c.nodes_per_side}")
     if not 0 < c.radius_B < math.inf:
         errors.append(f"radius_B: must be positive and finite, got {c.radius_B}")
     if not c.omega0 > 0:
@@ -195,7 +198,7 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"seed: must be >= 0, got {c.seed}")
     if c.snapshot_every < 1:
         errors.append(f"snapshot_every: must be >= 1, got {c.snapshot_every}")
-    if c.dim in (2, 3) and c.omega0 > 0 and 0 < c.radius_B < math.inf:
+    if c.dim in FIELD_DIMS and c.omega0 > 0 and 0 < c.radius_B < math.inf:
         try:
             vol_B = unit_ball_volume(c.dim) * c.radius_B ** c.dim
         except OverflowError:
@@ -547,7 +550,7 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     step number of the last coarse step.  ``on_accept(state)`` is invoked
     after every accepted step; the start is not a step.
     """
-    J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=config.tone_tol)
+    J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=RunConfig.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
                         aggressiveness=1.0,
                         solved={np.packbits(mask.inside).tobytes(): tone0.gamma})

@@ -183,7 +183,7 @@ class TestGridArgument:
     # radius_B 1.5 scored 9890.93 on the radius_B 1.0 lattice, 5.11 times
     # its tone 1935.46 on its own)
     @pytest.mark.parametrize("call", [
-        lambda g, f: objective(g, f.mask, PenaltyKind("plain", 0.1, 0.5)),
+        lambda g, f: objective(g, f.mask, PenaltyKind("plain", 0.1, 0.5), 1e-8),
         lambda g, f: rayleigh_quotient(g, f.mask, f),
         lambda g, f: eigen_residual(g, f.mask, f, 1.0),
     ], ids=["objective", "rayleigh_quotient", "eigen_residual"])
@@ -489,6 +489,21 @@ class TestFieldSerialization:
         again = load_field_fld(path)
         assert again.grid == g
         assert np.array_equal(again.values, tone.eigenfield.values)
+
+    def test_fld_loads_the_support_of_the_values(self, tmp_path):
+        # FLD1 has no membership bytes: a member holding exactly 0.0 loads
+        # as a non-member
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.6)
+        values = np.where(m.inside, 1.0, 0.0)
+        values[16, 16] = 0.0
+        path = tmp_path / "f.fld"
+        save_field_fld(make_field(m, values), path)
+        again = load_field_fld(path)
+        assert np.count_nonzero(m.inside) == 293
+        assert np.count_nonzero(again.mask.inside) == 292
+        assert np.array_equal(again.mask.inside, values != 0.0)
+        assert np.array_equal(again.values, values)
 
     def test_fld_header(self, tmp_path):
         g = make_grid(2, 33, 2.0)

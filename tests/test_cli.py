@@ -13,7 +13,15 @@ from platetone.cli import (
     main,
 )
 from platetone.constants import MAX_DIM, compute_constants
-from platetone.field_grid import ball_mask, make_grid, mask_from_array
+from platetone.diagnostics import run_diagnostics
+from platetone.field_grid import (
+    ball_mask,
+    load_field_fld,
+    load_mask_pgm,
+    make_field,
+    make_grid,
+    mask_from_array,
+)
 from platetone.search import RunConfig
 
 
@@ -293,6 +301,25 @@ class TestRunCommand:
                       "diagnostics.dichotomy", "diagnostics.doubling_sigma",
                       "result.gamma", "result.termination"):
             assert token in text, token
+
+    def test_summary_diagnostics_equal_run_diagnostics(self, tmp_path):
+        # the run's final mask and eigenfield, read back from its artifacts
+        # (the mask from its PGM: FLD1 keeps only the support of the values)
+        cfg = write(tmp_path, QUICK)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        config = load_config(cfg)
+        grid = make_grid(config.dim, config.nodes_per_side, config.radius_B)
+        mask = load_mask_pgm(out / "mask_final.pgm", grid)
+        field = make_field(mask, load_field_fld(out / "field_final.fld").values)
+        rep = run_diagnostics(field, config.omega0)
+        lines = (out / "summary.txt").read_text().splitlines()
+        summary = dict(line.split(" = ", 1) for line in lines)
+        assert summary["diagnostics.nondegeneracy_c1"] == format(rep.nondegeneracy_c1, ".17g")
+        assert summary["diagnostics.sigma0_count"] == str(rep.sigma0_count)
+        assert summary["diagnostics.sigma1_count"] == str(rep.sigma1_count)
+        assert summary["diagnostics.connected"] == ("true" if rep.connected else "false")
+        assert summary["diagnostics.component_count"] == str(rep.component_count)
 
 
 class TestInvalidRunConfig:

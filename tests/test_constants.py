@@ -19,7 +19,6 @@ from platetone.constants import (
     gamma_ball,
     gamma_ball_bessel,
     gamma_ball_radial,
-    predicted_tone,
     unit_ball_volume,
 )
 
@@ -295,14 +294,6 @@ class TestAlpha0:
 
 
 class TestScaling:
-    def test_predicted_tone_identity_and_halving(self):
-        assert predicted_tone(10.0, 1.0) == 10.0
-        assert predicted_tone(10.0, 0.5) == pytest.approx(160.0)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            predicted_tone(1.0, 0.0)
-
     def test_ball_tone_for_volume(self):
         for n in (2, 3):
             wn = unit_ball_volume(n)

@@ -6,14 +6,11 @@ import pytest
 from platetone.biharmonic import fundamental_tone
 from platetone.diagnostics import (
     Dichotomy,
-    check_connected,
-    classify_boundary,
     default_probe_radius,
     density_quotient,
     dichotomy_check,
     dyadic_radii,
     estimate_doubling_sigma,
-    estimate_nondegeneracy_c1,
     run_diagnostics,
 )
 from platetone.field_grid import (
@@ -96,17 +93,25 @@ def brute_force_statistics(field, omega0):
 
 
 class TestCheckConnected:
+    # run_diagnostics counts the face-adjacency components of the mask
     def test_disk(self):
         g = make_grid(2, 49, 1.0)
-        assert check_connected(ball_mask(g, (0.0, 0.0), 0.5)) == (True, 1)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        rep = run_diagnostics(make_field(m, np.ones(g.shape)), mask_volume(m))
+        assert (rep.connected, rep.component_count) == (True, 1)
 
     def test_two_disks(self):
         g = make_grid(2, 65, 1.0)
-        assert check_connected(two_disks_mask(g)) == (False, 2)
+        m = two_disks_mask(g)
+        rep = run_diagnostics(make_field(m, np.ones(g.shape)), mask_volume(m))
+        assert rep.connected is False
+        assert rep.component_count == 2
 
     def test_empty(self):
         g = make_grid(2, 49, 1.0)
-        assert check_connected(ball_mask(g, (0.0, 0.0), 0.0)) == (False, 0)
+        m = ball_mask(g, (0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="empty mask"):
+            run_diagnostics(make_field(m, np.zeros(g.shape)), 1.0)
 
 
 class TestDoublingSigma:
@@ -154,39 +159,43 @@ class TestDoublingSigma:
 
 
 class TestNondegeneracy:
+    # run_diagnostics' c1: the smallest sup |grad u| / R over boundary probes
+    # and the dyadic radii from default_probe_radius down to 4h
     def test_linear_ramp_returns_slope(self):
         g = make_grid(2, 65, 1.0)
         m = half_plane_mask(g)
         x = g.axis_coords()[:, None] * np.ones(g.shape)
         slope = 2.5
-        f = make_field(m, slope * x)
         h = g.spacing
-        c1 = estimate_nondegeneracy_c1(f, R0=8.0 * h)
+        rep = run_diagnostics(make_field(m, slope * x), math.pi)
+        assert rep.probe_radii[0] == 8.0 * h
         # a ball around a probe on the straight cut, away from the rim of B,
         # sees |grad u| = slope on the members and slope / 2 one node beyond
         # the cut, so the smallest sup / R is the slope over R0 = 8h
-        assert c1 == pytest.approx(slope / (8.0 * h), rel=1e-12)
+        assert rep.nondegeneracy_c1 == pytest.approx(slope / (8.0 * h), rel=1e-12)
 
     def test_zero_field_detected_degenerate(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        f = make_field(m, np.zeros(g.shape))
-        assert estimate_nondegeneracy_c1(f, R0=4.0 * g.spacing) == 0.0
+        rep = run_diagnostics(make_field(m, np.zeros(g.shape)), math.pi / 4.0)
+        assert rep.nondegeneracy_c1 == 0.0
 
     def test_eigenfield_strictly_positive(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.7)
         tone = fundamental_tone(m, tol=1e-9)
-        c1 = estimate_nondegeneracy_c1(tone.eigenfield, R0=8.0 * g.spacing)
-        assert c1 > 0.0
+        assert run_diagnostics(tone.eigenfield, math.pi).nondegeneracy_c1 > 0.0
 
     def test_refinement_stability_within_factor_two(self):
+        # omega0 pi/4 puts the largest probe radius at 0.125 on both lattices
         values = []
         for n in (65, 129):
             g = make_grid(2, n, 1.0)
             m = ball_mask(g, (0.0, 0.0), 0.7)
             tone = fundamental_tone(m, tol=1e-9)
-            values.append(estimate_nondegeneracy_c1(tone.eigenfield, R0=0.125))
+            rep = run_diagnostics(tone.eigenfield, math.pi / 4.0)
+            assert rep.probe_radii[0] == 0.125
+            values.append(rep.nondegeneracy_c1)
         lo, hi = sorted(values)
         assert hi / lo <= 2.0
 
@@ -253,29 +262,21 @@ class TestDensityQuotient:
 
 
 class TestClassifyBoundary:
+    # run_diagnostics splits the boundary into flat nodes (sigma0,
+    # |grad u| <= 10 h max|grad u|) and nodal ones (sigma1)
     def test_zero_field_all_flat(self):
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        f = make_field(m, np.zeros(g.shape))
-        s0, s1 = classify_boundary(f)
-        assert np.array_equal(s0, boundary_nodes(m))
-        assert not s1.any()
-
-    def test_infinite_tolerance_empties_nodal_part(self):
-        g = make_grid(2, 49, 1.0)
-        m = ball_mask(g, (0.0, 0.0), 0.5)
-        tone = fundamental_tone(m, tol=1e-8)
-        s0, s1 = classify_boundary(tone.eigenfield, tol_grad=math.inf)
-        assert not s1.any()
+        rep = run_diagnostics(make_field(m, np.zeros(g.shape)), math.pi / 4.0)
+        assert rep.sigma0_count == int(np.count_nonzero(boundary_nodes(m)))
+        assert rep.sigma1_count == 0
 
     def test_partition_property(self):
         g = make_grid(2, 65, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.6)
         tone = fundamental_tone(m, tol=1e-8)
-        s0, s1 = classify_boundary(tone.eigenfield)
-        b = boundary_nodes(m)
-        assert np.array_equal(s0 | s1, b)
-        assert not (s0 & s1).any()
+        rep = run_diagnostics(tone.eigenfield, math.pi)
+        assert rep.sigma0_count + rep.sigma1_count == int(np.count_nonzero(boundary_nodes(m)))
 
     def test_sharp_cut_lands_in_nodal_part(self):
         # a field cut off at a line where it is still large has a visible
@@ -284,11 +285,8 @@ class TestClassifyBoundary:
         m = half_plane_mask(g)
         axes = np.meshgrid(*[g.axis_coords()] * 2, indexing="ij", sparse=True)
         bump = np.exp(-4.0 * (axes[0] ** 2 + axes[1] ** 2))
-        f = make_field(m, bump)
-        s0, s1 = classify_boundary(f)
-        iy = g.nodes_per_side // 2
-        ix = int(np.argwhere(np.isclose(g.axis_coords(), -g.spacing))[0][0])
-        assert s1[ix, iy]
+        rep = run_diagnostics(make_field(m, bump), math.pi)
+        assert rep.sigma1_count > 0
 
 
 class TestDichotomy:

@@ -91,6 +91,20 @@ class TestValidateConfig:
         for token in ("dim", "nodes_per_side", "omega0", "penalty_variant"):
             assert token in joined
 
+    @pytest.mark.parametrize("dim, n, field", [
+        (1, 33, "dim"), (4, 33, "dim"), (2, 7, "nodes_per_side"),
+        (2, 8, "nodes_per_side"), (3, 10, "nodes_per_side"), (2, 9, None), (3, 9, None),
+    ])
+    def test_lattice_rule_matches_make_grid(self, dim, n, field):
+        errors = validate_config(RunConfig(dim=dim, nodes_per_side=n, omega0=0.1))
+        if field is None:
+            assert errors == []
+            make_grid(dim, n, 1.5)
+        else:
+            assert [e.split(":")[0] for e in errors] == [field]
+            with pytest.raises(ValueError, match=field):
+                make_grid(dim, n, 1.5)
+
     def test_omega0_must_fit_reference_ball(self):
         bad = RunConfig(omega0=100.0)
         assert any("fit" in e for e in validate_config(bad))
