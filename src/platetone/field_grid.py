@@ -166,27 +166,64 @@ def gradient_field(field: ScalarField) -> np.ndarray:
     return np.stack([(up - down) / two_h for up, down in zip(views[::2], views[1::2])])
 
 
-def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
-    """Face-adjacency components.  Returns (count, labels); labels are 0 for
-    non-members and 1..count for members, numbered in the C order of each
-    component's first member."""
-    inside, members = mask.inside, mask.member_count
-    ids = np.full(inside.shape, -1)
-    ids[inside] = np.arange(members)
+def _label(members: np.ndarray) -> tuple[int, np.ndarray]:
+    """Face-adjacency components of a boolean array.  Returns (count,
+    labels); labels are 0 off the members and 1..count on them, numbered in
+    the C order of each component's first member."""
+    size = int(np.count_nonzero(members))
+    ids = np.full(members.shape, -1)
+    ids[members] = np.arange(size)
     # the graph is undirected: the upper neighbour along each axis suffices
     upper = list(face_neighbours(ids, -1))[::2]
-    rows = np.tile(ids[inside], inside.ndim)
-    cols = np.concatenate([view[inside] for view in upper])
+    rows = np.tile(ids[members], members.ndim)
+    cols = np.concatenate([view[members] for view in upper])
     linked = cols >= 0
     adjacency = coo_array((np.ones(np.count_nonzero(linked)), (rows[linked], cols[linked])),
-                          shape=(members, members))
+                          shape=(size, size))
     count, comp = graph_components(adjacency, directed=False)
     _, first = np.unique(comp, return_index=True)
     rank = np.empty(count, dtype=np.int32)
     rank[np.argsort(first)] = np.arange(1, count + 1, dtype=np.int32)
-    labels = np.zeros(inside.shape, dtype=np.int32)
-    labels[inside] = rank[comp]
+    labels = np.zeros(members.shape, dtype=np.int32)
+    labels[members] = rank[comp]
     return int(count), labels
+
+
+def connected_components(mask: Mask) -> tuple[int, np.ndarray]:
+    """Face-adjacency components.  Returns (count, labels); labels are 0 for
+    non-members and 1..count for members, numbered in the C order of each
+    component's first member."""
+    return _label(mask.inside)
+
+
+def fill_holes(mask: Mask) -> Mask | None:
+    """The mask with its holes made members, or None when it has no hole.
+
+    A hole is a face-connected set of non-members that cannot reach the
+    outside of the mask's bounding box.  Each hole node has members on both
+    sides of it along every axis, so it lies inside the reference ball, and a
+    box with no such non-member has no hole.  Otherwise the box is labelled,
+    padded by one layer of non-members: the padding is one component, first
+    in C order, and every non-member that reaches it lies outside the mask.
+    """
+    inside = mask.inside
+    if not inside.any():
+        return None
+    box = tuple(slice(ax.min(), ax.max() + 1) for ax in np.nonzero(inside))
+    members = inside[box]
+    enclosed = ~members
+    for ax in range(members.ndim):
+        enclosed &= np.logical_or.accumulate(members, axis=ax)
+        enclosed &= np.flip(np.logical_or.accumulate(np.flip(members, ax), axis=ax), ax)
+    if not enclosed.any():
+        return None
+    _, labels = _label(np.pad(~members, 1, constant_values=True))
+    holes = labels[(slice(1, -1),) * members.ndim] > 1
+    if not holes.any():
+        return None
+    filled = inside.copy()
+    filled[box] |= holes
+    return _freeze_mask(mask.grid, filled)
 
 
 def dilate(mask: Mask) -> Mask:

@@ -5,11 +5,13 @@ masks here: each step proposes a deterministic list of candidate masks built
 from the current eigenfield (two superlevel sets, each at a fixed quantile
 scaled by an aggressiveness knob, one bare and one dilated), from one-ring
 morphology, from a volume-targeted partial dilation, from volume-neutral
-boundary exchanges, and from connected-component restrictions (bare and
-regrown).  The candidate with the lowest objective wins, ties broken by list
-position; a step that fails to improve the objective by the fixed relative
-margin ``DELTA_REL`` (1e-6) halves the aggressiveness, and the run stops when
-the aggressiveness underflows 1e-3 or the step budget is exhausted.
+boundary exchanges, from connected-component restrictions (bare and
+regrown), and last from the incumbent with its holes filled and then shrunk
+to the volume budget, least |u| first.  The candidate with the lowest
+objective wins, ties broken by list position; a step that fails to improve
+the objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
+aggressiveness, and the run stops when the aggressiveness underflows 1e-3
+or the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -67,6 +69,7 @@ from platetone.field_grid import (
     dilate,
     erode,
     face_neighbours,
+    fill_holes,
     inside_ball,
     make_grid,
     mask_from_array,
@@ -390,6 +393,30 @@ def _grow_to_budget(mask: Mask, ring: np.ndarray, score: np.ndarray,
     return mask_from_array(mask.grid, grown)
 
 
+def _shrink_to_budget(mask: Mask, magnitude: np.ndarray, omega0: float) -> Mask | None:
+    """Peel boundary members, one layer at a time, until the volume is at
+    most omega0; None when it already is.
+
+    Each layer is the boundary of what is left (members with a non-member
+    face neighbour).  Its members go in increasing order of ``magnitude``
+    (|u| per flat index), ties broken by flat index, never more than the
+    excess over the budget; the next layer is peeled only when the whole of
+    this one went.
+    """
+    hn = mask.grid.spacing ** mask.grid.dim
+    excess = mask.member_count - int(math.floor(omega0 / hn))
+    if excess <= 0:
+        return None
+    while excess > 0:
+        layer = np.flatnonzero(mask.inside & ~erode(mask).inside)
+        taken = _best(layer, -magnitude[layer], excess)
+        peeled = mask.inside.copy()
+        peeled.ravel()[taken] = False
+        mask = mask_from_array(mask.grid, peeled)
+        excess -= taken.size
+    return mask
+
+
 def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
@@ -398,11 +425,18 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     the volume-targeted partial dilation, two volume-neutral boundary
     exchanges (coarse and fine), then, when the mask is disconnected, one
     restriction per connected component plus that restriction grown by one
-    budgeted ring.  The grown restriction matters: dropping a dead component
-    alone improves the objective only through the penalty slope (an O(eps)
-    sliver that cannot clear the acceptance margin), while restriction plus
-    regrowth buys an O(gamma h) tone drop at once.  Both budgeted growths
-    fill toward the target volume ``omega0``.  Empty candidates are dropped.
+    budgeted ring, and last, when the mask has a hole, the mask with its
+    holes filled and then shrunk to the volume budget (``fill_holes``,
+    ``_shrink_to_budget``).  The grown restriction matters: dropping a dead
+    component alone improves the objective only through the penalty slope
+    (an O(eps) sliver that cannot clear the acceptance margin), while
+    restriction plus regrowth buys an O(gamma h) tone drop at once; so does
+    the filled move, where a ring start otherwise fills its hole by
+    whole-mask dilations far above the budget.  The peel works inward from
+    the outer boundary, so the filled nodes (u = 0 there) go only after
+    every layer outside them.  Both budgeted growths fill, and the peel
+    shrinks, toward the target volume ``omega0``.  Empty candidates are
+    dropped.
 
     The incumbent's dilation, erosion, exterior ring, boundary, score and
     quantile thresholds are each computed once and shared by the moves.
@@ -435,6 +469,10 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
             part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
             part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
             cands.append(_grow_to_budget(part, part_ring, part_score, omega0))
+    filled = fill_holes(mask)
+    if filled is not None:
+        budgeted = _shrink_to_budget(filled, np.abs(values).ravel(), omega0)
+        cands.append(filled if budgeted is None else budgeted)
     return [m for m in cands if m is not None and not m.is_empty]
 
 

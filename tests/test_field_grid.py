@@ -15,6 +15,7 @@ from platetone.field_grid import (
     connected_components,
     dilate,
     erode,
+    fill_holes,
     inside_ball,
     load_mask_msk,
     load_mask_pgm,
@@ -185,6 +186,56 @@ class TestMorphology:
             pts = member_positions(candidate)
             if pts.size:
                 assert np.all(np.linalg.norm(pts, axis=1) < g.radius_B)
+
+
+class TestFillHoles:
+    @pytest.mark.parametrize("dim, n", [(2, 65), (3, 25)])
+    def test_annulus_fills_to_its_outer_ball(self, dim, n):
+        g = make_grid(dim, n, 1.0)
+        outer = ball_mask(g, (0.0,) * dim, 0.8)
+        inner = ball_mask(g, (0.0,) * dim, 0.4)
+        ring = mask_from_array(g, outer.inside & ~inner.inside)
+        assert fill_holes(ring) == outer
+
+    def test_disk_and_open_c_shape_have_no_hole(self):
+        g = make_grid(2, 65, 1.0)
+        disk = ball_mask(g, (0.0, 0.0), 0.8)
+        assert fill_holes(disk) is None
+        x, y = np.meshgrid(g.axis_coords(), g.axis_coords(), indexing="ij")
+        gap = (x > 0.0) & (np.abs(y) < 0.1)
+        inner = ball_mask(g, (0.0, 0.0), 0.4)
+        c_shape = mask_from_array(g, disk.inside & ~inner.inside & ~gap)
+        assert fill_holes(c_shape) is None
+        assert fill_holes(ball_mask(g, (0.0, 0.0), 0.0)) is None
+
+    def test_ring_inside_the_hole_of_a_ring(self):
+        g = make_grid(2, 65, 1.0)
+        disks = [ball_mask(g, (0.0, 0.0), r).inside for r in (0.9, 0.6, 0.4, 0.2)]
+        rings = mask_from_array(g, (disks[0] & ~disks[1]) | (disks[2] & ~disks[3]))
+        assert connected_components(rings)[0] == 2
+        assert fill_holes(rings) == ball_mask(g, (0.0, 0.0), 0.9)
+
+    @pytest.mark.parametrize("dim, n", [(2, 17), (3, 11)])
+    def test_matches_the_reference_ball_definition(self, dim, n):
+        # a hole is a component of (B minus the mask) that does not meet the
+        # reference ball's outermost ring of nodes
+        g = make_grid(dim, n, 1.0)
+        ball = inside_ball(g)
+        rim = boundary_nodes(mask_from_array(g, ball))
+        rng = np.random.default_rng(n)
+        outcomes = set()
+        for _ in range(200):
+            m = mask_from_array(g, rng.random(g.shape) < rng.uniform(0.3, 0.95))
+            _, labels = connected_components(mask_from_array(g, ball & ~m.inside))
+            outside = np.unique(labels[rim & ~m.inside])
+            holes = (labels > 0) & ~np.isin(labels, outside)
+            got = fill_holes(m)
+            if holes.any():
+                assert got == mask_from_array(g, m.inside | holes)
+            else:
+                assert got is None
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestMatchesNdimage:

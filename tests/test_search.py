@@ -11,9 +11,11 @@ from platetone.biharmonic import ConvergenceFailure, fundamental_tone
 from platetone.constants import unit_ball_volume
 from platetone.field_grid import (
     ball_mask,
+    boundary_nodes,
     connected_components,
     dilate,
     erode,
+    fill_holes,
     inside_ball,
     make_field,
     make_grid,
@@ -24,6 +26,7 @@ from platetone.penalty import penalty_value
 from platetone.search import (
     RunConfig,
     _lap,
+    _shrink_to_budget,
     SearchState,
     candidate_masks,
     coarse_nodes_per_side,
@@ -286,6 +289,54 @@ class TestCandidateMasks:
             part, regrown = cands[4 + 2 * comp:6 + 2 * comp]
             assert part == mask_from_array(g, labels == comp)
             assert not np.any(part.inside & ~regrown.inside)
+
+    def test_last_candidate_fills_the_hole_within_budget(self):
+        config = small_config(init_shape="annulus")
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "annulus", OMEGA0)
+        state = make_state(m, config)
+        cands = candidate_masks(state, config.omega0)
+        filled = fill_holes(m)
+        last = cands[-1]
+        magnitude = np.abs(state.tone.eigenfield.values).ravel()
+        assert last == _shrink_to_budget(filled, magnitude, OMEGA0)
+        assert fill_holes(last) is None
+        assert mask_volume(last) <= OMEGA0 < mask_volume(filled)
+        # the peel took members of the incumbent only, from its outer
+        # boundary inward: the hole stays filled, and every member deeper
+        # than the layers the peel needed is kept
+        taken = filled.inside & ~last.inside
+        assert not np.any(taken & ~m.inside)
+        depth, core = 0, filled
+        while np.count_nonzero(filled.inside & ~core.inside) < np.count_nonzero(taken):
+            depth, core = depth + 1, erode(core)
+        assert depth >= 1
+        assert not np.any(taken & core.inside)
+        # and it took no more of the outer layers than the budget required
+        excess = filled.member_count - math.floor(OMEGA0 / g.spacing ** 2)
+        assert np.count_nonzero(taken) == excess
+
+    def test_shrink_to_budget(self):
+        g = make_grid(2, 49, 1.5)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        hn = g.spacing ** 2
+        magnitude = np.random.default_rng(5).random(g.node_count)
+        # at or under the budget there is nothing to peel
+        assert _shrink_to_budget(m, magnitude, mask_volume(m)) is None
+        assert _shrink_to_budget(m, magnitude, 2.0 * mask_volume(m)) is None
+        ring = np.flatnonzero(boundary_nodes(m))
+        second = np.flatnonzero(boundary_nodes(erode(m)))
+        # part of the outer layer: its k least-magnitude members
+        k = ring.size // 3
+        peeled = _shrink_to_budget(m, magnitude, (m.member_count - k + 0.5) * hn)
+        gone = np.flatnonzero(m.inside.ravel() & ~peeled.inside.ravel())
+        assert set(gone) == set(ring[np.argsort(magnitude[ring])[:k]])
+        # more than the outer layer: all of it, then the least of the next
+        budget = (m.member_count - ring.size - k + 0.5) * hn
+        peeled = _shrink_to_budget(m, magnitude, budget)
+        gone = np.flatnonzero(m.inside.ravel() & ~peeled.inside.ravel())
+        assert set(gone) == set(ring) | set(second[np.argsort(magnitude[second])[:k]])
+        assert mask_volume(peeled) <= budget
 
     def test_component_candidates_for_disconnected_mask(self):
         config = small_config(init_shape="two_disks")
@@ -607,7 +658,7 @@ class TestDescentStep:
             return floor
 
         monkeypatch.setattr(search, "objective_floor", auditing)
-        for shape in ("annulus", "two_disks"):
+        for shape in ("square", "annulus", "two_disks"):
             optimize(small_config(init_shape=shape, penalty_variant=variant))
         assert audited
         assert all(J > bar for J, bar in audited)
