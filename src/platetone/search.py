@@ -2,11 +2,11 @@
 
 The minimization over fields in the continuum problem becomes a search over
 masks here: each step proposes a deterministic list of candidate masks built
-from the current eigenfield (two superlevel sets, each at a fixed quantile
-scaled by an aggressiveness knob, one bare and one dilated), from one-ring
-morphology, from a volume-targeted partial dilation, from volume-neutral
-boundary exchanges, from connected-component restrictions (bare and
-regrown), and last from the incumbent with its holes filled and then shrunk
+from the current eigenfield (one superlevel set, at a fixed quantile scaled
+by an aggressiveness knob), from a one-ring dilation, from a volume-targeted
+partial dilation, from volume-neutral boundary exchanges, from
+connected-component restrictions (each regrown toward the budget when there
+is room), and last from the incumbent with its holes filled and then shrunk
 to the volume budget, least |u| first.  The candidate with the lowest
 objective wins, ties broken by list position; a step that fails to improve
 the objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
@@ -65,9 +65,9 @@ from platetone.field_grid import (
     Mask,
     ScalarField,
     ball_mask,
+    boundary_nodes,
     connected_components,
     dilate,
-    erode,
     face_neighbours,
     fill_holes,
     inside_ball,
@@ -339,14 +339,12 @@ def _best(idx: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, -score))[:k]]
 
 
-def _superlevels(grid: Grid, values: np.ndarray, low: float,
-                 high: float) -> tuple[Mask, Mask]:
-    """Superlevel sets {|u| >= t_q}, t_q the q-quantile of the positive
-    magnitudes of u, for q = low and q = high.  The incumbent eigenfield is
-    normalized and finite, so it never vanishes."""
+def _superlevel(grid: Grid, values: np.ndarray, q: float) -> Mask:
+    """Superlevel set {|u| >= t_q}, t_q the q-quantile of the positive
+    magnitudes of u.  The incumbent eigenfield is normalized and finite, so
+    it never vanishes."""
     mag = np.abs(values)
-    t_low, t_high = np.quantile(mag[mag > 0.0], [low, high])
-    return mask_from_array(grid, mag >= t_low), mask_from_array(grid, mag >= t_high)
+    return mask_from_array(grid, mag >= np.quantile(mag[mag > 0.0], q))
 
 
 def _exchange(mask: Mask, ring: np.ndarray, boundary: np.ndarray,
@@ -408,7 +406,7 @@ def _shrink_to_budget(mask: Mask, magnitude: np.ndarray, omega0: float) -> Mask 
     if excess <= 0:
         return None
     while excess > 0:
-        layer = np.flatnonzero(mask.inside & ~erode(mask).inside)
+        layer = np.flatnonzero(boundary_nodes(mask))
         taken = _best(layer, -magnitude[layer], excess)
         peeled = mask.inside.copy()
         peeled.ravel()[taken] = False
@@ -420,43 +418,43 @@ def _shrink_to_budget(mask: Mask, magnitude: np.ndarray, omega0: float) -> Mask 
 def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
-    Order: the superlevel set at quantile 0.02 * aggressiveness, dilate,
-    erode, dilate of the superlevel set at quantile 0.25 * aggressiveness,
-    the volume-targeted partial dilation, two volume-neutral boundary
-    exchanges (coarse and fine), then, when the mask is disconnected, one
-    restriction per connected component plus that restriction grown by one
-    budgeted ring, and last, when the mask has a hole, the mask with its
-    holes filled and then shrunk to the volume budget (``fill_holes``,
-    ``_shrink_to_budget``).  The grown restriction matters: dropping a dead
-    component alone improves the objective only through the penalty slope
-    (an O(eps) sliver that cannot clear the acceptance margin), while
-    restriction plus regrowth buys an O(gamma h) tone drop at once; so does
-    the filled move, where a ring start otherwise fills its hole by
-    whole-mask dilations far above the budget.  The peel works inward from
-    the outer boundary, so the filled nodes (u = 0 there) go only after
-    every layer outside them.  Both budgeted growths fill, and the peel
-    shrinks, toward the target volume ``omega0``.  Empty candidates are
-    dropped.
+    Order: the superlevel set at quantile 0.02 * aggressiveness, dilate, the
+    volume-targeted partial dilation, two volume-neutral boundary exchanges
+    (coarse and fine), then, when the mask is disconnected, one candidate
+    per connected component, and last, when the mask has a hole, the mask
+    with its holes filled and then shrunk to the volume budget
+    (``fill_holes``, ``_shrink_to_budget``).  A component's candidate is its
+    restriction grown by one budgeted ring, or the bare restriction when
+    the component alone leaves no budget to grow into.  Below the budget,
+    dropping a dead component alone moves the objective only through the
+    penalty, by nothing (plain) or an O(eps) sliver (rewarding), while the
+    regrown restriction contains the bare one, stays within the budget and
+    buys an O(gamma h) tone drop at once; so does the filled move, where a
+    ring start otherwise fills its hole by whole-mask dilations far above
+    the budget.  The peel works inward from the outer boundary, so the
+    filled nodes (u = 0 there) go only after every layer outside them.  Both
+    budgeted growths fill, and the peel shrinks, toward the target volume
+    ``omega0``; only whole-mask dilation grows past it.  Empty candidates
+    are dropped.
 
-    The incumbent's dilation, erosion, exterior ring, boundary, score and
-    quantile thresholds are each computed once and shared by the moves.
+    The incumbent's dilation, exterior ring, boundary and score are each
+    computed once and shared by the moves.
     """
     mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
-    grown, shrunk = dilate(mask), erode(mask)
+    grown = dilate(mask)
     ring = np.flatnonzero(grown.inside & ~mask.inside)
-    boundary = np.flatnonzero(mask.inside & ~shrunk.inside)
+    boundary = np.flatnonzero(boundary_nodes(mask))
     score = _lap(values, grid.spacing).ravel() ** 2
-    # One bare cut: on seeds 0-10 of both benchmark workloads it is solved
-    # 116 times and wins 5 of 310 accepted steps (erode: 48 and 1).  The cut
-    # and erode are the only shrink moves, and an overfull start needs one.
-    cut, top = _superlevels(grid, values, 0.02 * state.aggressiveness,
-                            0.25 * state.aggressiveness)
+    # The one shrink move of a connected mask without holes, and an overfull
+    # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
+    # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 974
+    # times, solved 29 times and wins 4 steps, each from an incumbent above
+    # omega0 (under the plain penalty the floor rules out every subset of an
+    # incumbent at or under omega0).
     cands = [
-        cut,
+        _superlevel(grid, values, 0.02 * state.aggressiveness),
         grown,
-        shrunk,
-        dilate(top),
         _grow_to_budget(mask, ring, score, omega0),
         _exchange(mask, ring, boundary, score, 0.25 * state.aggressiveness),
         _exchange(mask, ring, boundary, score, 0.05 * state.aggressiveness),
@@ -465,10 +463,10 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     if count > 1:
         for comp in range(1, count + 1):
             part = mask_from_array(grid, labels == comp)
-            cands.append(part)
             part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
             part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
-            cands.append(_grow_to_budget(part, part_ring, part_score, omega0))
+            regrown = _grow_to_budget(part, part_ring, part_score, omega0)
+            cands.append(part if regrown is None else regrown)
     filled = fill_holes(mask)
     if filled is not None:
         budgeted = _shrink_to_budget(filled, np.abs(values).ravel(), omega0)

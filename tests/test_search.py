@@ -8,7 +8,7 @@ import pytest
 
 from platetone import search
 from platetone.biharmonic import ConvergenceFailure, fundamental_tone
-from platetone.constants import unit_ball_volume
+from platetone.constants import eps1, unit_ball_volume
 from platetone.field_grid import (
     ball_mask,
     boundary_nodes,
@@ -245,14 +245,6 @@ class TestCandidateMasks:
         # set is the support of the eigenfield, i.e. the current mask
         assert any(c == m for c in cands)
 
-    def test_erode_candidate_present(self):
-        config = small_config()
-        g = make_grid(2, 49, 1.5)
-        m = ball_mask(g, (0.0, 0.0), 0.5)
-        state = make_state(m, config)
-        cands = candidate_masks(state, config.omega0)
-        assert any(c == erode(m) for c in cands)
-
     def test_all_candidates_nonempty(self):
         config = small_config(init_shape="two_disks")
         g = make_grid(2, 49, 1.5)
@@ -272,23 +264,42 @@ class TestCandidateMasks:
         assert mask_volume(m) > OMEGA0
         count, labels = connected_components(m)
         assert count == 2
-        assert len(cands) == 1 + 3 + 2 + 2 * count
-        # one superlevel cut first, at the 0.02 quantile; the third
-        # morphology move dilates the cut at the 0.25 quantile
+        assert len(cands) == 1 + 1 + 2 + count
+        # one superlevel cut first, at the 0.02 quantile, then the dilation
         mag = np.abs(state.tone.eigenfield.values)
         positive = mag[mag > 0.0]
         assert cands[0] == mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
-        top = mask_from_array(g, mag >= np.quantile(positive, 0.25 * a))
-        assert cands[1:4] == [dilate(m), erode(m), dilate(top)]
+        assert cands[1] == dilate(m)
         # two volume-neutral exchanges
-        for swapped in cands[4:6]:
+        for swapped in cands[2:4]:
             assert swapped != m
             assert swapped.member_count == m.member_count
-        # each component, then that component grown by a budgeted ring
+        # one candidate per component: each disk alone lies under the
+        # budget, so it is offered grown by a budgeted ring, not bare
         for comp in range(1, count + 1):
-            part, regrown = cands[4 + 2 * comp:6 + 2 * comp]
-            assert part == mask_from_array(g, labels == comp)
+            part = mask_from_array(g, labels == comp)
+            regrown = cands[3 + comp]
+            assert regrown != part
             assert not np.any(part.inside & ~regrown.inside)
+            assert mask_volume(regrown) <= OMEGA0
+
+    def test_component_without_budget_is_offered_bare(self):
+        # a disk larger than the budget next to a small one: the large
+        # component leaves no budget to regrow into, so it is offered bare,
+        # and the small one is offered regrown
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        big = ball_mask(g, (-0.5, 0.0), 0.52)
+        small = ball_mask(g, (0.8, 0.0), 0.15)
+        assert mask_volume(big) > OMEGA0
+        m = mask_from_array(g, big.inside | small.inside)
+        cands = candidate_masks(make_state(m, config), config.omega0)
+        assert connected_components(m)[0] == 2
+        assert len(cands) == 1 + 1 + 2 + 2
+        offered = cands[4:]
+        assert big in offered
+        assert small not in offered
+        assert any(c != small and not np.any(small.inside & ~c.inside) for c in offered)
 
     def test_last_candidate_fills_the_hole_within_budget(self):
         config = small_config(init_shape="annulus")
@@ -399,12 +410,13 @@ class TestDescentStep:
         # a rejected step leaves the incumbent and its warm start as they
         # were, so the next step solves only candidates new to the lattice;
         # each step solves exactly the candidates that pass the floor against
-        # the masks solved before them.  At DELTA_REL = 0.1 the disk's first
-        # step is rejected, and its second still has a new mask to solve
-        monkeypatch.setattr(search, "DELTA_REL", 0.1)
-        config = small_config()
+        # the masks solved before them.  At DELTA_REL = 0.5 the two disks'
+        # first step is rejected, and its second, at half the aggressiveness,
+        # still has new masks to solve
+        monkeypatch.setattr(search, "DELTA_REL", 0.5)
+        config = small_config(init_shape="two_disks")
         g = make_grid(2, 49, 1.5)
-        m = initial_mask(g, "disk", OMEGA0)
+        m = initial_mask(g, "two_disks", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
 
@@ -435,19 +447,22 @@ class TestDescentStep:
 
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
         # at the lattice disk both branches of the incumbent's floor rule
-        # candidates out before the step: erode is a subset (floor = the
-        # incumbent's tone) and dilate's excess volume alone costs more than
-        # J; the step solves exactly the candidates that pass the floor
-        # against the masks solved before them
+        # candidates out before the step: the cut, the first candidate, is a
+        # strict subset (floor = the incumbent's tone) and dilate's excess
+        # volume alone costs more than J; the step solves exactly the
+        # candidates that pass the floor against the masks solved before them
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
-        cands = [c for c in candidate_masks(state, config.omega0) if c != m]
+        cands = candidate_masks(state, config.omega0)
+        cut = cands[0]
+        assert cut != m and not np.any(cut.inside & ~m.inside)
+        cands = [c for c in cands if c != m]
         out = [c for c in cands if objective_floor(state, c, kind) > bar]
-        assert any(c == erode(m) for c in out)
+        assert any(c == cut for c in out)
         assert any((c.inside & ~m.inside).any() for c in out)
         expected = predicted_solves(state, cands, kind)
         assert 0 < len(expected) <= len(cands) - len(out)
@@ -727,6 +742,23 @@ class TestOptimize:
         r_eq = (OMEGA0 / unit_ball_volume(2)) ** 0.5
         tol_h = 5.0 * g.spacing * r_eq
         assert res.constants.alpha0 * OMEGA0 - tol_h <= res.volume <= OMEGA0 + tol_h
+
+    # Disks on three small lattices: at the default eps each ends within the
+    # budget, and at twice the eps / eps1 at which its run was measured to
+    # first end above omega0 (0.4, 0.6 and 0.9) it ends above.  Only
+    # whole-mask dilation grows past the budget, so the second test shows
+    # that the moves offered still do when the penalty pays for it.
+    @pytest.mark.parametrize("dim, n", [(2, 33), (2, 65), (3, 17)])
+    def test_default_eps_ends_within_budget(self, dim, n):
+        res = optimize(RunConfig(dim=dim, nodes_per_side=n))
+        assert res.volume <= res.config.omega0
+
+    @pytest.mark.parametrize("dim, n, factor", [(2, 33, 0.8), (2, 65, 1.2), (3, 17, 1.8)])
+    def test_eps_past_the_threshold_ends_overfull(self, dim, n, factor):
+        config = RunConfig(dim=dim, nodes_per_side=n)
+        eps = factor * eps1(dim, config.omega0)
+        res = optimize(replace(config, eps=eps, eps_override=True))
+        assert res.volume > res.config.omega0
 
     def test_final_tone_above_half_ball_tone(self):
         # every optimized 2D domain must beat half the equal-volume ball tone
