@@ -151,6 +151,7 @@ def summary_lines(result: RunResult) -> list[str]:
         f"result.gamma = {_fmt(result.gamma)}",
         f"result.volume = {_fmt(result.volume)}",
         f"result.penalty = {_fmt(result.penalty)}",
+        f"result.volume_exact = {_fmt(result.volume <= result.config.omega0)}",
         f"result.J = {_fmt(result.J)}",
         f"result.steps = {result.steps}",
         f"result.levels = {_fmt(result.levels)}",

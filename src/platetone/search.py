@@ -7,11 +7,14 @@ by an aggressiveness knob), from a one-ring dilation, from a volume-targeted
 partial dilation, from volume-neutral boundary exchanges, from
 connected-component restrictions (each regrown toward the budget when there
 is room), and last from the incumbent with its holes filled and then shrunk
-to the volume budget, least |u| first.  The candidate with the lowest
-objective wins, ties broken by list position; a step that fails to improve
-the objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
-aggressiveness, and the run stops when the aggressiveness underflows 1e-3
-or the step budget is exhausted.
+to the volume budget, least |u| first.  Every node choice, the
+prolongation below included, follows one rule (``_ranked``): descending
+score, ties by ascending flat index; the partial dilation and the exchanges
+take prefixes of one ranking of the incumbent's ring.  The candidate with
+the lowest objective wins, ties broken by list position; a step that fails
+to improve the objective by the fixed relative margin ``DELTA_REL`` (1e-6)
+halves the aggressiveness, and the run stops when the aggressiveness
+underflows 1e-3 or the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -249,7 +252,10 @@ def penalty_kind(config: RunConfig) -> PenaltyKind:
 
 def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     """Centered starting mask of the requested topology whose volume matches
-    omega0 up to one boundary layer of nodes."""
+    omega0 up to one boundary layer of nodes.
+
+    Raises ValueError, naming the shape, omega0 and the lattice, when the
+    shape falls between the lattice nodes and the mask is empty."""
     if shape not in INIT_SHAPES:
         raise ValueError(f"unknown init shape {shape!r}")
     n = grid.dim
@@ -262,9 +268,9 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     center = (0.0,) * n
 
     if shape == "disk":
-        return ball_mask(grid, center, (omega0 / wn) ** (1.0 / n))
+        mask = ball_mask(grid, center, (omega0 / wn) ** (1.0 / n))
 
-    if shape == "square":
+    elif shape == "square":
         half = 0.5 * omega0 ** (1.0 / n)
         if half * math.sqrt(n) >= grid.radius_B:
             raise ValueError("square of the requested volume does not fit in B")
@@ -272,18 +278,18 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
         inside = np.ones(grid.shape, dtype=bool)
         for a in axes:
             inside &= np.abs(a) < half
-        return mask_from_array(grid, inside)
+        mask = mask_from_array(grid, inside)
 
-    if shape == "annulus":
+    elif shape == "annulus":
         outer = (omega0 / (wn * (1.0 - 0.5 ** n))) ** (1.0 / n)
         inner = 0.5 * outer
         if outer >= grid.radius_B:
             raise ValueError("annulus of the requested volume does not fit in B")
         shell = np.logical_and(ball_mask(grid, center, outer).inside,
                                np.logical_not(ball_mask(grid, center, inner).inside))
-        return mask_from_array(grid, shell)
+        mask = mask_from_array(grid, shell)
 
-    if shape == "two_disks":
+    elif shape == "two_disks":
         r = (omega0 / (2.0 * wn)) ** (1.0 / n)
         offset = 1.5 * r
         if offset + r >= grid.radius_B:
@@ -292,31 +298,37 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
         c1[0] = offset
         both = np.logical_or(ball_mask(grid, c1, r).inside,
                              ball_mask(grid, -c1, r).inside)
-        return mask_from_array(grid, both)
+        mask = mask_from_array(grid, both)
 
-    # random_blob: low-order angular wobble of the volume-matched ball,
-    # renormalized to the target volume by a few fixed-point steps
-    rng = np.random.default_rng(seed)
-    modes = np.arange(2, 6)
-    amp = 0.25 * rng.standard_normal(modes.size) / modes
-    phase = rng.uniform(0.0, 2.0 * math.pi, modes.size)
-    axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
-    rho = np.sqrt(sum(a * a for a in axes))
-    theta = np.arctan2(axes[1], axes[0])
-    wobble = np.zeros(grid.shape)
-    for k, a, p in zip(modes, amp, phase):
-        wobble += a * np.cos(k * theta + p)
-    base = (omega0 / wn) ** (1.0 / n)
-    for _ in range(4):
+    else:
+        # random_blob: low-order angular wobble of the volume-matched ball,
+        # renormalized to the target volume by a few fixed-point steps
+        rng = np.random.default_rng(seed)
+        modes = np.arange(2, 6)
+        amp = 0.25 * rng.standard_normal(modes.size) / modes
+        phase = rng.uniform(0.0, 2.0 * math.pi, modes.size)
+        axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
+        rho = np.sqrt(sum(a * a for a in axes))
+        theta = np.arctan2(axes[1], axes[0])
+        wobble = np.zeros(grid.shape)
+        for k, a, p in zip(modes, amp, phase):
+            wobble += a * np.cos(k * theta + p)
+        base = (omega0 / wn) ** (1.0 / n)
+        for _ in range(4):
+            mask = mask_from_array(grid, rho < base * (1.0 + wobble))
+            vol = mask_volume(mask)
+            if vol <= 0:
+                base *= 1.25
+                continue
+            base *= (omega0 / vol) ** (1.0 / n)
         mask = mask_from_array(grid, rho < base * (1.0 + wobble))
-        vol = mask_volume(mask)
-        if vol <= 0:
-            base *= 1.25
-            continue
-        base *= (omega0 / vol) ** (1.0 / n)
-    mask = mask_from_array(grid, rho < base * (1.0 + wobble))
+
     if mask.is_empty:
-        raise ValueError("random blob initialization collapsed to an empty mask")
+        raise ValueError(
+            f"init_shape {shape}: the start of volume omega0={omega0} covers no "
+            f"node of the lattice with nodes_per_side={grid.nodes_per_side}; "
+            "raise omega0 or nodes_per_side"
+        )
     return mask
 
 
@@ -333,10 +345,34 @@ def _lap(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _best(idx: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
-    """The (at most) k entries of idx with the largest score, ties broken by
-    ascending idx; pass -score to take the smallest."""
-    return idx[np.lexsort((idx, -score))[:k]]
+def _ranked(idx: np.ndarray, *scores: np.ndarray) -> np.ndarray:
+    """The flat indices idx in descending order of scores (arrays aligned
+    with idx, the first the most significant), ties broken by ascending idx;
+    negate a score to rank it ascending.
+
+    Every node choice takes a prefix of such a ranking: the budgeted growth,
+    the exchanges and each component's regrowth (``candidate_masks``), the
+    peel (``_shrink_to_budget``) and the prolongation (``prolong_mask``).
+    """
+    return idx[np.lexsort((idx, *[-s for s in reversed(scores)]))]
+
+
+def _room(mask: Mask, omega0: float) -> int:
+    """Members the volume budget omega0 admits beyond the mask's own,
+    floor(omega0 / h^n) - member count; negative above the budget."""
+    return math.floor(omega0 / mask.grid.spacing ** mask.grid.dim) - mask.member_count
+
+
+_NO_NODES = np.empty(0, dtype=np.intp)
+
+
+def _moved(mask: Mask, add: np.ndarray = _NO_NODES, drop: np.ndarray = _NO_NODES) -> Mask:
+    """The mask with the flat indices ``add`` made members and ``drop``
+    made non-members."""
+    inside = mask.inside.copy()
+    inside.ravel()[add] = True
+    inside.ravel()[drop] = False
+    return mask_from_array(mask.grid, inside)
 
 
 def _superlevel(grid: Grid, values: np.ndarray, q: float) -> Mask:
@@ -347,71 +383,20 @@ def _superlevel(grid: Grid, values: np.ndarray, q: float) -> Mask:
     return mask_from_array(grid, mag >= np.quantile(mag[mag > 0.0], q))
 
 
-def _exchange(mask: Mask, ring: np.ndarray, boundary: np.ndarray,
-              score: np.ndarray, fraction: float) -> Mask | None:
-    """Volume-neutral boundary exchange: swap the k weakest boundary members
-    for the k strongest exterior ring nodes (flat indices, ranked by score).
-
-    Strength is the squared Laplacian of the zero-extended eigenfield, a
-    heuristic stand-in for the boundary energy density that drives the shape
-    derivative of the tone (it is not the clamped operator's energy): growth
-    where it is large buys the most tone reduction, shrink where it is small
-    costs the least.  Pure shrink or growth moves cannot trade mass at
-    constant volume, and at the volume target the penalty blocks both, so
-    without this move the search stalls on the first shape that hits the
-    target volume.
-    """
-    if ring.size == 0 or boundary.size == 0:
-        return None
-    k = max(1, int(round(fraction * min(ring.size, boundary.size))))
-    k = min(k, ring.size, boundary.size)
-    swapped = mask.inside.copy()
-    swapped.ravel()[_best(ring, score[ring], k)] = True
-    swapped.ravel()[_best(boundary, -score[boundary], k)] = False
-    return mask_from_array(mask.grid, swapped)
-
-
-def _grow_to_budget(mask: Mask, ring: np.ndarray, score: np.ndarray,
-                    omega0: float) -> Mask | None:
-    """One partial dilation ring toward volume omega0, best nodes first.
-
-    Ring nodes (flat indices) are taken in decreasing order of score, the
-    squared Laplacian of the zero-extended eigenfield, never more than the
-    remaining volume budget allows.  The score is a heuristic kept from a
-    zero-extension energy, in which it was the energy charged at exterior
-    neighbors of the mask; the clamped operator charges it only beyond
-    features too thin to clamp, so here it just ranks the nodes.
-    """
-    hn = mask.grid.spacing ** mask.grid.dim
-    budget = int(math.floor((omega0 - mask_volume(mask)) / hn))
-    if budget <= 0 or ring.size == 0:
-        return None
-    grown = mask.inside.copy()
-    grown.ravel()[_best(ring, score[ring], budget)] = True
-    return mask_from_array(mask.grid, grown)
-
-
 def _shrink_to_budget(mask: Mask, magnitude: np.ndarray, omega0: float) -> Mask | None:
     """Peel boundary members, one layer at a time, until the volume is at
     most omega0; None when it already is.
 
     Each layer is the boundary of what is left (members with a non-member
-    face neighbour).  Its members go in increasing order of ``magnitude``
-    (|u| per flat index), ties broken by flat index, never more than the
-    excess over the budget; the next layer is peeled only when the whole of
-    this one went.
+    face neighbour).  Its members go weakest first, ranked by ``magnitude``
+    (|u| per flat index), never more than the excess over the budget; the
+    next layer is peeled only when the whole of this one went.
     """
-    hn = mask.grid.spacing ** mask.grid.dim
-    excess = mask.member_count - int(math.floor(omega0 / hn))
-    if excess <= 0:
+    if _room(mask, omega0) >= 0:
         return None
-    while excess > 0:
+    while (excess := -_room(mask, omega0)) > 0:
         layer = np.flatnonzero(boundary_nodes(mask))
-        taken = _best(layer, -magnitude[layer], excess)
-        peeled = mask.inside.copy()
-        peeled.ravel()[taken] = False
-        mask = mask_from_array(mask.grid, peeled)
-        excess -= taken.size
+        mask = _moved(mask, drop=_ranked(layer, -magnitude[layer])[:excess])
     return mask
 
 
@@ -437,15 +422,28 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     ``omega0``; only whole-mask dilation grows past it.  Empty candidates
     are dropped.
 
-    The incumbent's dilation, exterior ring, boundary and score are each
-    computed once and shared by the moves.
+    Each step ranks the incumbent's exterior ring strongest first and its
+    boundary weakest first, once (``_ranked``: ties by ascending flat
+    index).  The score is the squared Laplacian of the zero-extended
+    eigenfield, a heuristic stand-in for the boundary energy density that
+    drives the shape derivative of the tone (not the clamped operator's
+    energy): growth where it is large buys the most tone reduction, shrink
+    where it is small costs the least.  The budgeted growth adds the first
+    ``_room`` ring nodes, and an exchange swaps the first k boundary members
+    for the first k ring nodes.  The exchange keeps the volume, which pure
+    growth or shrink cannot; without it the search stalls on the first
+    shape that hits the target volume.  A component's regrowth is the same
+    prefix of its own ring, ranked by the score of its own field.
     """
     mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
     grown = dilate(mask)
-    ring = np.flatnonzero(grown.inside & ~mask.inside)
-    boundary = np.flatnonzero(boundary_nodes(mask))
     score = _lap(values, grid.spacing).ravel() ** 2
+    ring = np.flatnonzero(grown.inside & ~mask.inside)
+    ring = _ranked(ring, score[ring])
+    boundary = np.flatnonzero(boundary_nodes(mask))
+    boundary = _ranked(boundary, -score[boundary])
+    room = _room(mask, omega0)
     # The one shrink move of a connected mask without holes, and an overfull
     # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
     # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 974
@@ -455,18 +453,20 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     cands = [
         _superlevel(grid, values, 0.02 * state.aggressiveness),
         grown,
-        _grow_to_budget(mask, ring, score, omega0),
-        _exchange(mask, ring, boundary, score, 0.25 * state.aggressiveness),
-        _exchange(mask, ring, boundary, score, 0.05 * state.aggressiveness),
+        _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
+    if ring.size and boundary.size:
+        for fraction in (0.25, 0.05):
+            k = max(1, round(fraction * state.aggressiveness * min(ring.size, boundary.size)))
+            cands.append(_moved(mask, add=ring[:k], drop=boundary[:k]))
     count, labels = connected_components(mask)
     if count > 1:
         for comp in range(1, count + 1):
             part = mask_from_array(grid, labels == comp)
             part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
             part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
-            regrown = _grow_to_budget(part, part_ring, part_score, omega0)
-            cands.append(part if regrown is None else regrown)
+            part_room = max(_room(part, omega0), 0)
+            cands.append(_moved(part, add=_ranked(part_ring, part_score[part_ring])[:part_room]))
     filled = fill_holes(mask)
     if filled is not None:
         budgeted = _shrink_to_budget(filled, np.abs(values).ravel(), omega0)
@@ -654,10 +654,8 @@ def prolong_mask(field: ScalarField) -> Mask:
     membership = _prolong(mask.inside.astype(float)).ravel()
     magnitude = _prolong(np.abs(field.values)).ravel()
     idx = np.flatnonzero(inside_ball(grid))
-    order = np.lexsort((idx, -magnitude[idx], -membership[idx]))
-    keep = np.zeros(grid.node_count, dtype=bool)
-    keep[idx[order[:2 ** grid.dim * mask.member_count]]] = True
-    return mask_from_array(grid, keep.reshape(grid.shape))
+    top = _ranked(idx, membership[idx], magnitude[idx])[:2 ** grid.dim * mask.member_count]
+    return _moved(mask_from_array(grid, np.zeros(grid.shape, dtype=bool)), add=top)
 
 
 def optimize(config: RunConfig, on_accept=None) -> RunResult:

@@ -12,7 +12,7 @@ from platetone.cli import (
     load_config,
     main,
 )
-from platetone.constants import MAX_DIM, compute_constants
+from platetone.constants import MAX_DIM, compute_constants, eps1
 from platetone.diagnostics import run_diagnostics
 from platetone.field_grid import (
     ball_mask,
@@ -26,6 +26,7 @@ from platetone.search import RunConfig
 
 
 MINIMAL = "# minimal run\n"
+OMEGA0 = math.pi / 4
 
 QUICK = """
 # quick profile for tests
@@ -320,6 +321,31 @@ class TestRunCommand:
         assert summary["diagnostics.sigma1_count"] == str(rep.sigma1_count)
         assert summary["diagnostics.connected"] == ("true" if rep.connected else "false")
         assert summary["diagnostics.component_count"] == str(rep.component_count)
+
+    # the final volume against omega0: at or under it at the default eps,
+    # above it at 0.8 eps1 (TestOptimize measures both on this disk)
+    @pytest.mark.parametrize("eps_line, exact", [
+        ("", "true"),
+        (f"eps = {0.8 * eps1(2, OMEGA0)!r}\neps_override = true\n", "false"),
+    ], ids=["default-eps", "eps-0.8-eps1"])
+    def test_summary_states_whether_the_volume_is_exact(self, tmp_path, eps_line, exact):
+        cfg = write(tmp_path, f"nodes_per_side = 33\nomega0 = {OMEGA0!r}\n" + eps_line)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = dict(line.split(" = ", 1)
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert summary["result.volume_exact"] == exact
+        assert (float(summary["result.volume"]) <= OMEGA0) == (exact == "true")
+
+    # an annulus between the lattice nodes: one error line naming the start
+    def test_empty_start_is_one_error_line(self, tmp_path, capsys):
+        cfg = write(tmp_path, "nodes_per_side = 17\ninit_shape = annulus\nomega0 = 0.02\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: init_shape annulus: the start of volume omega0=0.02 "
+                                "covers no node of the lattice with nodes_per_side=17; "
+                                "raise omega0 or nodes_per_side\n")
 
 
 class TestInvalidRunConfig:

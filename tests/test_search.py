@@ -26,6 +26,7 @@ from platetone.penalty import penalty_value
 from platetone.search import (
     RunConfig,
     _lap,
+    _ranked,
     _shrink_to_budget,
     SearchState,
     candidate_masks,
@@ -206,6 +207,21 @@ class TestInitialMask:
         with pytest.raises(ValueError):
             initial_mask(g, "pentagon", 0.5)
 
+    # the shape falls between the lattice nodes; before, the run failed
+    # later with "fundamental tone of an empty mask is undefined"
+    @pytest.mark.parametrize("dim, n, shape, omega0", [
+        (2, 17, "annulus", 0.02), (2, 17, "two_disks", 0.02),
+        (2, 129, "annulus", 1e-4), (2, 129, "two_disks", 1e-4),
+        (3, 17, "annulus", 0.01),
+    ])
+    def test_empty_start_names_shape_omega0_and_lattice(self, dim, n, shape, omega0):
+        g = make_grid(dim, n, 1.5)
+        with pytest.raises(ValueError, match=f"init_shape {shape}: .*omega0={omega0} .*"
+                                             f"nodes_per_side={n};"):
+            initial_mask(g, shape, omega0)
+        with pytest.raises(ValueError, match=f"init_shape {shape}: "):
+            optimize(RunConfig(dim=dim, nodes_per_side=n, init_shape=shape, omega0=omega0))
+
 
 class TestLaplacian:
     @staticmethod
@@ -357,6 +373,120 @@ class TestCandidateMasks:
         cands = candidate_masks(state, config.omega0)
         comp_counts = [connected_components(c)[0] for c in cands]
         assert 1 in comp_counts
+
+
+def ranked_by_hand(idx, score):
+    """idx by descending score, ties by ascending index, without lexsort."""
+    return [int(i) for i in sorted(idx, key=lambda i: (-score[i], i))]
+
+
+def added(cand, mask):
+    return set(np.flatnonzero(cand.inside.ravel() & ~mask.inside.ravel()).tolist())
+
+
+def dropped(cand, mask):
+    return set(np.flatnonzero(mask.inside.ravel() & ~cand.inside.ravel()).tolist())
+
+
+class TestMoves:
+    """The budgeted growth (``cands[2]``) and the two exchanges
+    (``cands[3:5]``) of a connected mask without holes below the budget,
+    checked against rankings computed here node by node."""
+
+    @staticmethod
+    def under_budget_disk(aggressiveness=1.0):
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        m = ball_mask(g, (0.0, 0.0), 0.45)
+        state = make_state(m, config)
+        state.aggressiveness = aggressiveness
+        return state, candidate_masks(state, config.omega0)
+
+    @staticmethod
+    def rankings(state):
+        m, g = state.mask, state.mask.grid
+        score = _lap(state.tone.eigenfield.values, g.spacing).ravel() ** 2
+        ring = np.flatnonzero(dilate(m).inside & ~m.inside)
+        boundary = np.flatnonzero(boundary_nodes(m))
+        return ranked_by_hand(ring, score), ranked_by_hand(boundary, -score)
+
+    def test_growth_adds_the_room_strongest_ring_nodes(self):
+        state, cands = self.under_budget_disk()
+        m, g = state.mask, state.mask.grid
+        ring, _ = self.rankings(state)
+        room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
+        assert 0 < room < len(ring)
+        assert len(cands) == 5
+        assert added(cands[2], m) == set(ring[:room])
+        assert dropped(cands[2], m) == set()
+        assert mask_volume(cands[2]) <= OMEGA0 < mask_volume(dilate(m))
+
+    @pytest.mark.parametrize("aggressiveness", [1.0, 0.5, 0.01])
+    def test_exchanges_swap_the_weakest_boundary_for_the_strongest_ring(self, aggressiveness):
+        state, cands = self.under_budget_disk(aggressiveness)
+        m = state.mask
+        ring, boundary = self.rankings(state)
+        for fraction, swapped in zip((0.25, 0.05), cands[3:5]):
+            k = max(1, round(fraction * aggressiveness * min(len(ring), len(boundary))))
+            assert swapped.member_count == m.member_count
+            assert added(swapped, m) == set(ring[:k])
+            assert dropped(swapped, m) == set(boundary[:k])
+
+    def test_growth_and_exchanges_add_prefixes_of_one_ring_order(self):
+        state, cands = self.under_budget_disk()
+        ring, _ = self.rankings(state)
+        sizes = []
+        for cand in cands[2:5]:
+            gained = added(cand, state.mask)
+            sizes.append(len(gained))
+            assert gained == set(ring[:len(gained)])
+        assert sizes[0] > sizes[1] > sizes[2] >= 1
+
+    def test_equal_scores_go_by_ascending_flat_index(self):
+        # a square with a constant field: every exterior ring node has one
+        # member neighbour and every non-corner boundary member one
+        # non-member neighbour, so their scores tie exactly and the moves
+        # take the lowest flat indices; the corners score 4x and go last
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        ax = np.abs(g.axis_coords())
+        m = mask_from_array(g, (ax[:, None] < 0.4) & (ax[None, :] < 0.4))
+        state = make_state(m, config)
+        state.tone = replace(state.tone, eigenfield=make_field(m, np.ones(g.shape)))
+        cands = candidate_masks(state, config.omega0)
+        ring = np.flatnonzero(dilate(m).inside & ~m.inside)
+        edge = np.flatnonzero(boundary_nodes(m))
+        rows, cols = np.unravel_index(edge, g.shape)
+        corner = np.isin(rows, [rows.min(), rows.max()]) & np.isin(cols, [cols.min(), cols.max()])
+        sides = edge[~corner].tolist()
+        assert (ring.size, len(sides), np.count_nonzero(corner)) == (52, 44, 4)
+        room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
+        assert room == 32
+        assert added(cands[2], m) == set(ring[:room].tolist())
+        for k, swapped in zip((12, 2), cands[3:5]):
+            assert added(swapped, m) == set(ring[:k].tolist())
+            assert dropped(swapped, m) == set(sides[:k])
+
+
+class TestRanked:
+    def test_descending_scores_ties_by_ascending_index(self):
+        idx = np.array([7, 3, 5, 1, 9, 4])
+        score = np.array([1.0, 2.0, 1.0, 2.0, 0.0, 1.0])
+        assert _ranked(idx, score).tolist() == [1, 3, 4, 5, 7, 9]
+        assert _ranked(idx, -score).tolist() == [9, 4, 5, 7, 1, 3]
+
+    def test_later_scores_break_ties_of_earlier_ones(self):
+        idx = np.array([7, 3, 5, 1, 9, 4])
+        first = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        second = np.array([0.5, 0.5, 2.0, 9.0, 0.5, 0.5])
+        assert _ranked(idx, first, second).tolist() == [5, 3, 4, 7, 9, 1]
+
+    def test_equals_a_sort_by_hand_on_random_ties(self):
+        rng = np.random.default_rng(11)
+        idx = rng.permutation(400)
+        score = rng.integers(0, 7, idx.size).astype(float)
+        by_node = dict(zip(idx.tolist(), score))
+        assert _ranked(idx, score).tolist() == ranked_by_hand(idx, by_node)
 
 
 class TestDescentStep:
@@ -860,6 +990,17 @@ class TestContinuation:
         kept = {tuple(int(k) for k in i) for i in np.argwhere(out.inside)}
         assert kept == {(16, 16), (16, 17), (16, 18),
                         (16, 19), (15, 18), (17, 18), (15, 17), (17, 17)}
+
+    def test_prolongation_breaks_remaining_ties_by_flat_index(self):
+        # one coarse member keeps 4 fine nodes: the one that interpolates to
+        # 1, then 3 of its 4 face neighbours, which tie on membership (1/2)
+        # and on |u| (1/2): the three of lowest flat index
+        coarse = make_grid(2, 17, 1.5)
+        inside = np.zeros(coarse.shape, dtype=bool)
+        inside[8, 8] = True
+        out = prolong_mask(make_field(mask_from_array(coarse, inside), np.ones(coarse.shape)))
+        kept = {tuple(int(k) for k in i) for i in np.argwhere(out.inside)}
+        assert kept == {(16, 16), (15, 16), (16, 15), (16, 17)}
 
     def test_prolongation_builds_the_half_spacing_lattice(self):
         for dim, n, radius_B in [(2, 17, 1.5), (3, 9, 1.2)]:
