@@ -6,7 +6,8 @@ Subcommands:
   writing trace.csv, mask snapshots, the final field dump and a flat summary
   into the output directory.  Exit code 0 on convergence, 2 when the step
   budget ran out, 1 on any error (bad config, I/O, an oracle or eigensolver
-  failure), reported as one ``error: ...`` line.
+  failure), reported as one ``error: ...`` line.  A run that fails removes
+  the output directory it created, so the same command can be rerun as is.
 * ``constants --dim N --omega0 V --eps V [--dn V] [--radius-b V]``: print the
   full constant record including both tone oracles and their residual.
 * ``verify --case {scaling|monotonicity|penalty|alpha0|oracle}``: built-in
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
 from pathlib import Path
 
@@ -176,7 +178,8 @@ def summary_lines(result: RunResult) -> list[str]:
 def cmd_run(args) -> int:
     config = load_config(args.config)
     out = Path(args.out) if args.out else Path(args.config).with_suffix(".out")
-    if out.exists():
+    created = not out.exists()
+    if not created:
         if not args.force:
             print(f"error: output directory {out} exists (use --force)", file=sys.stderr)
             return 1
@@ -196,7 +199,14 @@ def cmd_run(args) -> int:
         if accepted % config.snapshot_every == 0:
             _write_mask(state.mask, out / f"mask_step{state.step:06d}")
 
-    result = optimize(config, on_accept=snapshot)
+    try:
+        result = optimize(config, on_accept=snapshot)
+    except BaseException:
+        # a failed run leaves no directory behind, so a rerun needs no
+        # --force; a directory that was there before is left in place
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
 
     (out / "config_echo.txt").write_text(
         "\n".join(config_echo_lines(result.config)) + "\n"

@@ -248,19 +248,19 @@ class TestRunCommand:
         assert (out / "mask_final.pgm").read_bytes().startswith(b"P5\n129 129\n")
 
     def test_two_level_snapshots_count_across_lattices(self, tmp_path):
-        # every third accepted step, counted on both lattices together: the
-        # coarse lattice's count is not a multiple of 3, so a count restarted
-        # on the fine lattice would pick other steps
+        # every seventh accepted step, counted on both lattices together: the
+        # coarse lattice's count (12 of 14) is not a multiple of 7, so a count
+        # restarted on the fine lattice would pick other steps
         cfg = write(tmp_path, QUICK.replace("nodes_per_side = 49", "nodes_per_side = 129")
-                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 3\n")
+                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 7\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         steps = accepted_steps(out)
         rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
         fine_start = int(next(parts[0] for parts in rows if parts[6] == "129"))
-        assert sum(s <= fine_start for s in steps) % 3 != 0
+        assert sum(s <= fine_start for s in steps) % 7 != 0
         names = sorted(p.name for p in out.glob("mask_step*.pgm"))
-        assert names == [f"mask_step{s:06d}.pgm" for s in steps[2::3]]
+        assert names == [f"mask_step{s:06d}.pgm" for s in steps[6::7]]
         sizes = {(out / name).read_bytes().split(b"\n")[1] for name in names}
         assert sizes == {b"65 65", b"129 129"}
 
@@ -346,6 +346,27 @@ class TestRunCommand:
         assert captured.err == ("error: init_shape annulus: the start of volume omega0=0.02 "
                                 "covers no node of the lattice with nodes_per_side=17; "
                                 "raise omega0 or nodes_per_side\n")
+
+    # the failed run removes the directory it created, so a rerun of the
+    # same command fails the same way instead of on the existing directory
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        cfg = write(tmp_path, "nodes_per_side = 17\ninit_shape = annulus\nomega0 = 0.02\n")
+        out = tmp_path / "out"
+        errors = []
+        for _ in range(2):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: init_shape annulus: ")
+
+    def test_failed_forced_run_keeps_the_existing_directory(self, tmp_path):
+        cfg = write(tmp_path, "nodes_per_side = 17\ninit_shape = annulus\nomega0 = 0.02\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--force"]) == 1
+        assert (out / "notes.txt").read_text() == "kept\n"
 
 
 class TestInvalidRunConfig:

@@ -280,21 +280,23 @@ class TestCandidateMasks:
         assert mask_volume(m) > OMEGA0
         count, labels = connected_components(m)
         assert count == 2
-        assert len(cands) == 1 + 1 + 2 + count
+        assert len(cands) == 1 + 1 + 1 + count
         # one superlevel cut first, at the 0.02 quantile, then the dilation
         mag = np.abs(state.tone.eigenfield.values)
         positive = mag[mag > 0.0]
         assert cands[0] == mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
         assert cands[1] == dilate(m)
-        # two volume-neutral exchanges
-        for swapped in cands[2:4]:
-            assert swapped != m
-            assert swapped.member_count == m.member_count
+        # one volume-neutral exchange: the fine one moves more than two
+        # nodes here, so the coarse one is not offered
+        swapped = cands[2]
+        assert swapped != m
+        assert swapped.member_count == m.member_count
+        assert len(added(swapped, m)) >= 3
         # one candidate per component: each disk alone lies under the
         # budget, so it is offered grown by a budgeted ring, not bare
         for comp in range(1, count + 1):
             part = mask_from_array(g, labels == comp)
-            regrown = cands[3 + comp]
+            regrown = cands[2 + comp]
             assert regrown != part
             assert not np.any(part.inside & ~regrown.inside)
             assert mask_volume(regrown) <= OMEGA0
@@ -311,8 +313,8 @@ class TestCandidateMasks:
         m = mask_from_array(g, big.inside | small.inside)
         cands = candidate_masks(make_state(m, config), config.omega0)
         assert connected_components(m)[0] == 2
-        assert len(cands) == 1 + 1 + 2 + 2
-        offered = cands[4:]
+        assert len(cands) == 1 + 1 + 1 + 2
+        offered = cands[3:]
         assert big in offered
         assert small not in offered
         assert any(c != small and not np.any(small.inside & ~c.inside) for c in offered)
@@ -389,14 +391,14 @@ def dropped(cand, mask):
 
 
 class TestMoves:
-    """The budgeted growth (``cands[2]``) and the two exchanges
-    (``cands[3:5]``) of a connected mask without holes below the budget,
-    checked against rankings computed here node by node."""
+    """The budgeted growth (``cands[2]``) and the exchanges (``cands[3:]``)
+    of a connected mask without holes below the budget, checked against
+    rankings computed here node by node."""
 
     @staticmethod
-    def under_budget_disk(aggressiveness=1.0):
-        config = small_config()
-        g = make_grid(2, 49, 1.5)
+    def under_budget_disk(aggressiveness=1.0, nodes_per_side=49):
+        config = small_config(nodes_per_side=nodes_per_side)
+        g = make_grid(2, nodes_per_side, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.45)
         state = make_state(m, config)
         state.aggressiveness = aggressiveness
@@ -428,6 +430,25 @@ class TestMoves:
         ring, boundary = self.rankings(state)
         for fraction, swapped in zip((0.25, 0.05), cands[3:5]):
             k = max(1, round(fraction * aggressiveness * min(len(ring), len(boundary))))
+            assert swapped.member_count == m.member_count
+            assert added(swapped, m) == set(ring[:k])
+            assert dropped(swapped, m) == set(boundary[:k])
+
+    # the fine exchange moves k = round(0.05 * a * 52) nodes of this N=65
+    # disk; the coarse one, round(0.25 * a * 52) nodes, comes first and only
+    # while k <= 2
+    @pytest.mark.parametrize("aggressiveness, sizes", [
+        (1.0, [3]), (0.8, [10, 2]), (0.5, [6, 1]),
+    ])
+    def test_coarse_exchange_only_while_the_fine_one_moves_two_nodes(
+            self, aggressiveness, sizes):
+        state, cands = self.under_budget_disk(aggressiveness, nodes_per_side=65)
+        m = state.mask
+        ring, boundary = self.rankings(state)
+        assert min(len(ring), len(boundary)) == 52
+        exchanges = cands[3:]
+        assert len(exchanges) == len(sizes)
+        for k, swapped in zip(sizes, exchanges):
             assert swapped.member_count == m.member_count
             assert added(swapped, m) == set(ring[:k])
             assert dropped(swapped, m) == set(boundary[:k])
@@ -824,6 +845,13 @@ class TestOptimize:
         disk_tone = fundamental_tone(initial_mask(g, "disk", OMEGA0), tol=1e-9).gamma
         assert abs(res.gamma - disk_tone) <= 0.01 * disk_tone
         assert abs(res.volume - OMEGA0) <= 0.02 * OMEGA0
+
+    def test_default_disk_on_33_steps_past_its_start(self):
+        # the fine exchange moves one or two nodes here, and the run
+        # stalls at its start row (J 1935.46) without the coarse one
+        res = optimize(RunConfig(nodes_per_side=33))
+        assert res.history[0].J == pytest.approx(1935.46, rel=1e-5)
+        assert res.J <= 0.97 * res.history[0].J
 
     def test_square_init_reaches_disk_tone(self):
         config = small_config(init_shape="square", max_steps=80)
