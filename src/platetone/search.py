@@ -24,12 +24,12 @@ lattices, so a 2D N=257 run descends on N=65, then 129, then 257.  One
 history spans the levels; a step works on its incumbent mask's lattice.
 
 No candidate is solved whose objective is bounded away from acceptance
-before any solve: the tone is positive, and a subset of a solved mask has a
-tone at least that mask's (H^2_0 of the subset lies in H^2_0 of the mask), so
-the largest tone among the masks solved on the lattice (the incumbent among
-them) that contain the candidate, plus the candidate's exact penalty, bounds
-its J from below (``objective_floor``).  A candidate whose floor lies above
-the acceptance bar is ruled out and adds no history row.
+before any solve: the tone is positive, and a subset of the incumbent has a
+tone at least the incumbent's (H^2_0 of the subset lies in H^2_0 of the
+incumbent), so that tone for a subset and 0 otherwise, plus the candidate's
+exact penalty, bounds its J from below (``objective_floor``).  A candidate
+whose floor lies above the acceptance bar is ruled out and adds no history
+row.
 
 A mask is solved at most once per lattice.  Accepted J falls by at least
 ``DELTA_REL * |J|`` per step, so after a mask's solve either the incumbent is
@@ -48,7 +48,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import ClassVar
 
 import numpy as np
@@ -151,9 +150,9 @@ class SearchState:
     aggressiveness: float
     history: list[HistoryRow] = field(default_factory=list)
     terminated: str | None = None
-    # packed mask -> tone, for every mask solved on this lattice (its start
-    # mask included); a mask whose solve failed maps to 0.0 and bounds nothing
-    solved: dict[bytes, float] = field(default_factory=dict)
+    # packed masks attempted on this lattice (its start mask included), so
+    # that none is solved twice there, whether its solve succeeded or not
+    solved: set[bytes] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -505,22 +504,15 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
 def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
     """Lower bound on the candidate's J, without a solve.
 
-    The tone part is the largest tone among the masks in ``state.solved``
-    that contain the candidate (tone monotonicity under inclusion), and 0
-    when none does (A = K^T K is positive definite).  The incumbent is among
-    them with its exact tone (``descend`` seeds it, ``descent_step`` stores
-    it on acceptance) and the penalty part is exact, so the incumbent's own
-    floor is at least its J, above any acceptance bar.  Containment is one
-    AND of the candidate's packed bits against every packed mask solved on
-    the lattice.  On the lattice, monotonicity is the continuum theorem: a
-    ragged subset can undercut a superset's tone, but only by a
-    discretization artifact.
+    The tone part is the incumbent's tone when the candidate is a subset of
+    the incumbent (tone monotonicity under inclusion), and 0 otherwise
+    (A = K^T K is positive definite); the penalty part is exact, so the
+    incumbent's own floor is its J, above any acceptance bar.  On the
+    lattice, monotonicity is the continuum theorem: a ragged subset can
+    undercut the incumbent's tone, but only by a discretization artifact.
     """
-    bits = np.packbits(cand.inside)
-    packed = np.frombuffer(b"".join(state.solved), dtype=np.uint8)
-    contains = np.all((packed.reshape(len(state.solved), bits.size) & bits) == bits, axis=1)
-    tone = max(compress(state.solved.values(), contains), default=0.0)
-    return tone + penalty_value(kind, mask_volume(cand))
+    subset = not np.any(cand.inside & ~state.mask.inside)
+    return (state.tone.gamma if subset else 0.0) + penalty_value(kind, mask_volume(cand))
 
 
 def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
@@ -534,14 +526,13 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     logged, never fatal.  Every evaluation lands in the history.  The
     candidates grow toward ``kind.omega0``, the volume the penalty charges.
 
-    A mask is solved at most once per lattice: it joins ``state.solved``
-    just before its solve, and gets its tone there once the solve succeeds,
-    so it bounds the candidates after it, in this step and later ones.
-    Against the same incumbent a second solve would repeat exactly; after an
-    acceptance the bar lies ``DELTA_REL * |J|`` or more below the mask's J,
-    far beyond the ~``RunConfig.tone_tol`` (a constant below ``DELTA_REL``)
-    that another warm start moves it.  A mask whose solve fails is not
-    retried on the lattice and bounds nothing.
+    A mask is solved at most once per lattice: its key joins
+    ``state.solved`` just before its solve.  Against the same incumbent a
+    second solve would repeat exactly; after an acceptance the bar lies
+    ``DELTA_REL * |J|`` or more below the mask's J, far beyond the
+    ~``RunConfig.tone_tol`` (a constant below ``DELTA_REL``) that another
+    warm start moves it.  A mask whose solve fails is not retried on the
+    lattice either.
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
@@ -555,14 +546,13 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
             log.debug("step %d: candidate %d ruled out: floor %.17g > bar %.17g",
                       state.step, idx, floor, bar)
             continue
-        state.solved[key] = 0.0
+        state.solved.add(key)
         try:
             J, tone, vol = objective(cand.grid, cand, kind, tone_tol=RunConfig.tone_tol,
                                      initial=state.tone.eigenfield)
         except ConvergenceFailure as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
             continue
-        state.solved[key] = tone.gamma
         evals.append((J, idx, cand, tone, vol))
 
     accepted_entry = None
@@ -600,7 +590,7 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=RunConfig.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
                         aggressiveness=1.0,
-                        solved={np.packbits(mask.inside).tobytes(): tone0.gamma})
+                        solved={np.packbits(mask.inside).tobytes()})
     if prior is not None:
         state.step, state.history = prior.step, prior.history
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)

@@ -57,7 +57,7 @@ def packed(mask):
 
 
 def make_state(mask, config):
-    """The state ``descend`` starts from: the mask solved, and its tone the
+    """The state ``descend`` starts from: the mask solved, and its key the
     one entry of ``solved``."""
     kind = penalty_kind(resolve_eps(config)[0])
     tone = fundamental_tone(mask, tol=config.tone_tol)
@@ -65,20 +65,20 @@ def make_state(mask, config):
     return SearchState(mask=mask, tone=tone,
                        J=tone.gamma + penalty_value(kind, vol),
                        volume=vol, step=0, aggressiveness=1.0,
-                       solved={packed(mask): tone.gamma})
+                       solved={packed(mask)})
 
 
 def predicted_solves(state, cands, kind):
     """The candidates a step solves, in list order: each one not solved on
-    the lattice yet whose floor, against the masks solved before it, lies at
-    or below the bar."""
+    the lattice yet (nor earlier in the list) whose floor lies at or below
+    the bar."""
     bar = state.J - search.DELTA_REL * abs(state.J)
-    sim = replace(state, solved=dict(state.solved))
+    seen = set(state.solved)
     out = []
     for c in cands:
-        if packed(c) in sim.solved or objective_floor(sim, c, kind) > bar:
+        if packed(c) in seen or objective_floor(state, c, kind) > bar:
             continue
-        sim.solved[packed(c)] = fundamental_tone(c).gamma
+        seen.add(packed(c))
         out.append(c)
     return out
 
@@ -686,10 +686,9 @@ class TestDescentStep:
 
     def _two_ball_steps(self, monkeypatch, fail_x):
         # two steps from a small ball, each offering a shifted ball x first
-        # and then a larger ball that wins; x lies in no incumbent and in no
-        # other solved mask and stays below omega0, so only x itself can
-        # bound it: its floor is 0 before its solve, and stays 0 after a
-        # failed one
+        # and then a larger ball that wins; x lies in no incumbent and stays
+        # below omega0, so its floor is 0 in both steps and only its key in
+        # ``solved`` keeps it from a second attempt
         config = small_config()
         g = make_grid(2, 49, 1.5)
         state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
@@ -710,11 +709,7 @@ class TestDescentStep:
         monkeypatch.setattr(search, "objective", recording)
         for _ in range(2):
             incumbent = state.mask
-            others = replace(state, solved={k: t for k, t in state.solved.items()
-                                            if k != packed(x)})
-            assert objective_floor(others, x, kind) == 0.0
-            if fail_x:
-                assert objective_floor(state, x, kind) == 0.0
+            assert objective_floor(state, x, kind) == 0.0
             state = descent_step(state, kind)
             assert state.mask != incumbent
         return x, attempts
@@ -732,11 +727,10 @@ class TestDescentStep:
         assert sum(m == x for m in attempts) == 1
 
     def test_incumbent_floor_is_its_J(self):
-        # the incumbent is a subset of itself, so its floor is at least its
-        # J, above every acceptance bar: it is never solved again.  Only a
-        # solved superset can lift the floor, and a lattice superset's tone
-        # is at most the incumbent's up to round-off (after a two_disks step,
-        # a two-disk candidate ties the one-disk incumbent to 1.5e-14)
+        # the incumbent is a subset of itself, so its floor is its own tone
+        # plus its exact penalty, its J, above every acceptance bar: it is
+        # never solved again.  Only the incumbent bounds a candidate, so no
+        # solved superset can lift the floor above J after a step either
         g = make_grid(2, 49, 1.5)
         for shape in ("disk", "square", "annulus", "two_disks"):
             for variant in ("plain", "rewarding"):
@@ -747,43 +741,36 @@ class TestDescentStep:
                 state = descent_step(state, kind)
                 floor = objective_floor(state, state.mask, kind)
                 bar = state.J - search.DELTA_REL * abs(state.J)
-                assert state.J <= floor <= state.J + 1e-13 * abs(state.J)
+                assert floor == state.J
                 assert floor > bar
 
-    def test_candidate_inside_a_solved_mask_gets_its_tone(self):
-        # the floor's tone part is the largest tone among the solved masks
-        # that contain the candidate, the incumbent among them (``make_state``
-        # seeds it as ``descend`` does); a mask whose solve failed is stored
-        # with 0.0 and bounds nothing
+    def test_only_the_incumbent_bounds_a_candidate(self):
+        # the floor's tone part is the incumbent's tone for a subset of the
+        # incumbent and 0 for any other candidate, however many solved masks
+        # contain it
         config = small_config()
         kind = penalty_kind(resolve_eps(config)[0])
         g = make_grid(2, 49, 1.5)
         state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
         big = ball_mask(g, (0.7, 0.0), 0.4)
-        mid = ball_mask(g, (0.7, 0.0), 0.3)
         cand = ball_mask(g, (0.7, 0.0), 0.2)
-        apart = ball_mask(g, (-0.7, 0.0), 0.2)
         free = penalty_value(kind, mask_volume(cand))
         assert objective_floor(state, cand, kind) == free
-        state.solved[packed(big)] = 1e4
-        state.solved[packed(mid)] = 2e4
-        state.solved[packed(apart)] = 3e4
-        assert objective_floor(state, cand, kind) == 2e4 + free
-        assert objective_floor(state, big, kind) == 1e4 + penalty_value(kind, mask_volume(big))
-        state.solved[packed(mid)] = 0.0
-        assert objective_floor(state, cand, kind) == 1e4 + free
-        # a subset of the incumbent takes the larger of its tone and theirs
+        state.solved.add(packed(big))
+        assert objective_floor(state, cand, kind) == free
+        # a subset of the incumbent takes the incumbent's tone, and a solved
+        # mask between the two does not raise it
         inner = ball_mask(g, (0.0, 0.0), 0.2)
         inner_free = penalty_value(kind, mask_volume(inner))
-        state.solved[packed(ball_mask(g, (0.0, 0.0), 0.5))] = 1.0
         assert objective_floor(state, inner, kind) == state.tone.gamma + inner_free
-        state.solved[packed(ball_mask(g, (0.0, 0.0), 0.25))] = 4e4
-        assert objective_floor(state, inner, kind) == 4e4 + inner_free
+        state.solved.add(packed(ball_mask(g, (0.0, 0.0), 0.25)))
+        assert objective_floor(state, inner, kind) == state.tone.gamma + inner_free
 
     def test_failed_solve_bounds_nothing(self, monkeypatch):
         # a step offers a ball s beside the incumbent and then a ball inside
-        # s; solved, s's tone rules the inner ball out, while a failed solve
-        # of s leaves the inner ball's floor at 0 and it is solved
+        # s; neither is a subset of the incumbent, so both floors are 0 and
+        # the inner ball is solved whether or not the solve of s fails, and
+        # s is attempted once either way
         config = small_config()
         kind = penalty_kind(resolve_eps(config)[0])
         g = make_grid(2, 49, 1.5)
@@ -803,31 +790,8 @@ class TestDescentStep:
             monkeypatch.setattr(search, "candidate_masks", lambda *args: [s, inner])
             monkeypatch.setattr(search, "objective", recording)
             state = descent_step(state, kind)
-            assert state.solved[packed(s)] == (0.0 if fail_s else fundamental_tone(s).gamma)
-            assert [m == inner for m in attempts] == ([False, True] if fail_s else [False])
-
-    @pytest.mark.parametrize("variant", ["plain", "rewarding"])
-    def test_ruled_out_by_a_solved_superset_would_not_pass(self, monkeypatch, variant):
-        # every candidate that a solved non-incumbent superset rules out,
-        # solved anyway, has its J above the bar
-        real_floor = search.objective_floor
-        audited = []
-
-        def auditing(state, cand, kind):
-            floor = real_floor(state, cand, kind)
-            bar = state.J - search.DELTA_REL * abs(state.J)
-            incumbent = {packed(state.mask): state.tone.gamma}
-            if floor > bar >= real_floor(replace(state, solved=incumbent), cand, kind):
-                J, _, _ = search.objective(cand.grid, cand, kind, tone_tol=1e-8,
-                                           initial=state.tone.eigenfield)
-                audited.append((J, bar))
-            return floor
-
-        monkeypatch.setattr(search, "objective_floor", auditing)
-        for shape in ("square", "annulus", "two_disks"):
-            optimize(small_config(init_shape=shape, penalty_variant=variant))
-        assert audited
-        assert all(J > bar for J, bar in audited)
+            assert packed(s) in state.solved and packed(inner) in state.solved
+            assert len(attempts) == 2 and attempts[0] == s and attempts[1] == inner
 
 
 class TestOptimize:
@@ -957,6 +921,27 @@ class TestOptimize:
         monkeypatch.setattr(search, "objective", recording)
         res = optimize(small_config(init_shape="two_disks"))
         assert len(set(keys)) == len(keys) == len(res.history)
+
+    def test_floor_only_saves_solves(self, monkeypatch):
+        # with the floor switched off every candidate new to the lattice is
+        # solved: the runs write more rows, but accept the same ones and end
+        # on the same J: on these runs the floor ruled out nothing that could
+        # have passed
+        def run(shape, variant):
+            res = optimize(small_config(init_shape=shape, penalty_variant=variant))
+            accepted = [(r.step, r.J, r.volume, r.nodes_per_side)
+                        for r in res.history if r.accepted]
+            return accepted, res.J, len(res.history)
+
+        cases = [(shape, variant) for shape in ("square", "annulus", "two_disks")
+                 for variant in ("plain", "rewarding")]
+        floored = [run(*case) for case in cases]
+        monkeypatch.setattr(search, "objective_floor", lambda *args: -math.inf)
+        for (accepted, J, rows), case in zip(floored, cases):
+            accepted_all, J_all, rows_all = run(*case)
+            assert accepted_all == accepted, case
+            assert J_all == J, case
+            assert rows_all > rows, case
 
     def test_snapshot_hook_called(self):
         seen = []
