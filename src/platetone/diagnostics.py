@@ -78,7 +78,12 @@ def _window(grid: Grid, idx, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
 
 
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
-    """R0, R0/2, ... down to (and including the last value >=) r_min."""
+    """R0, R0/2, ... down to (and including the last value >=) r_min.
+
+    Raises ValueError unless 0 < r_min <= R0 < inf: otherwise the halving
+    never stops (r_min <= 0, R0 = inf) or yields no radius (r_min > R0)."""
+    if not 0.0 < r_min <= R0 < math.inf:
+        raise ValueError(f"dyadic radii need 0 < r_min <= R0 < inf, got r_min={r_min}, R0={R0}")
     radii = []
     r = R0
     while r >= r_min * (1.0 - 1e-12):

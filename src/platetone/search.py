@@ -2,20 +2,20 @@
 
 The minimization over fields in the continuum problem becomes a search over
 masks here: each step proposes a deterministic list of candidate masks built
-from the current eigenfield (one superlevel set, at a fixed quantile scaled
-by an aggressiveness knob), from a one-ring dilation, from a volume-targeted
-partial dilation, from volume-neutral boundary exchanges (a fine one at
-every step, and a coarse one only while the fine one moves at most two
-nodes), from connected-component restrictions (each regrown toward the
-budget when there is room), and last from the incumbent with its holes
-filled and then shrunk to the volume budget, least |u| first.  Every node
-choice, the prolongation below included, follows one rule (``_ranked``):
-descending score, ties by ascending flat index; the partial dilation and
-the exchanges take prefixes of one ranking of the incumbent's ring.  The candidate with
-the lowest objective wins, ties broken by list position; a step that fails
-to improve the objective by the fixed relative margin ``DELTA_REL`` (1e-6)
-halves the aggressiveness, and the run stops when the aggressiveness
-underflows 1e-3 or the step budget is exhausted.
+from the current eigenfield: a cut of its weakest members (a fixed fraction
+scaled by an aggressiveness knob), a one-ring dilation, a volume-targeted
+partial dilation, volume-neutral boundary exchanges (a fine one at every
+step, and a coarse one only while the fine one moves at most two nodes),
+connected-component restrictions (each regrown toward the budget when there
+is room), and last the incumbent with its holes filled and then shrunk to
+the volume budget.  Every node choice, the prolongation below included,
+follows one rule (``_ranked``): descending score, ties by ascending flat
+index; the growth and the exchanges take prefixes of one ranking of the
+incumbent's ring, and both shrinks are one peel (``_peel``), least |u|
+first.  The candidate with the lowest objective wins, ties broken by list
+position; a step that fails to improve the objective by the fixed relative
+margin ``DELTA_REL`` (1e-6) halves the aggressiveness, and the run stops
+when the aggressiveness underflows 1e-3 or the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -351,8 +351,9 @@ def _ranked(idx: np.ndarray, *scores: np.ndarray) -> np.ndarray:
     negate a score to rank it ascending.
 
     Every node choice takes a prefix of such a ranking: the budgeted growth,
-    the exchanges and each component's regrowth (``candidate_masks``), the
-    peel (``_shrink_to_budget``) and the prolongation (``prolong_mask``).
+    the exchanges and each component's regrowth (``candidate_masks``), each
+    layer of the peel that makes the cut and the fill (``_peel``) and the
+    prolongation (``prolong_mask``).
     """
     return idx[np.lexsort((idx, *[-s for s in reversed(scores)]))]
 
@@ -375,51 +376,41 @@ def _moved(mask: Mask, add: np.ndarray = _NO_NODES, drop: np.ndarray = _NO_NODES
     return mask_from_array(mask.grid, inside)
 
 
-def _superlevel(grid: Grid, values: np.ndarray, q: float) -> Mask:
-    """Superlevel set {|u| >= t_q}, t_q the q-quantile of the positive
-    magnitudes of u.  The incumbent eigenfield is normalized and finite, so
-    it never vanishes."""
-    mag = np.abs(values)
-    return mask_from_array(grid, mag >= np.quantile(mag[mag > 0.0], q))
-
-
-def _shrink_to_budget(mask: Mask, magnitude: np.ndarray, omega0: float) -> Mask | None:
-    """Peel boundary members, one layer at a time, until the volume is at
-    most omega0; None when it already is.
-
-    Each layer is the boundary of what is left (members with a non-member
-    face neighbour).  Its members go weakest first, ranked by ``magnitude``
-    (|u| per flat index), never more than the excess over the budget; the
-    next layer is peeled only when the whole of this one went.
-    """
-    if _room(mask, omega0) >= 0:
-        return None
-    while (excess := -_room(mask, omega0)) > 0:
+def _peel(mask: Mask, magnitude: np.ndarray, count: int) -> Mask:
+    """The mask without its ``count`` weakest members by ``magnitude`` (|u|
+    per flat index); the mask itself when count <= 0.  It peels one boundary
+    layer of what is left (members with a non-member face neighbour) at a
+    time, weakest first, and the next layer only once the whole of this one
+    went."""
+    while count > 0:
         layer = np.flatnonzero(boundary_nodes(mask))
-        mask = _moved(mask, drop=_ranked(layer, -magnitude[layer])[:excess])
+        drop = _ranked(layer, -magnitude[layer])[:count]
+        mask = _moved(mask, drop=drop)
+        count -= drop.size
     return mask
 
 
 def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
-    Order: the superlevel set at quantile 0.02 * aggressiveness, dilate, the
-    volume-targeted partial dilation, the volume-neutral boundary exchanges
-    (a coarse one, only while the fine one moves at most two nodes, then
-    the fine one), then, when the mask is disconnected, one candidate
-    per connected component, and last, when the mask has a hole, the mask
-    with its holes filled and then shrunk to the volume budget
-    (``fill_holes``, ``_shrink_to_budget``).  A component's candidate is its
-    restriction grown by one budgeted ring, or the bare restriction when
-    the component alone leaves no budget to grow into.  Below the budget,
-    dropping a dead component alone moves the objective only through the
-    penalty, by nothing (plain) or an O(eps) sliver (rewarding), while the
-    regrown restriction contains the bare one, stays within the budget and
-    buys an O(gamma h) tone drop at once; so does the filled move, where a
-    ring start otherwise fills its hole by whole-mask dilations far above
-    the budget.  The peel works inward from the outer boundary, so the
-    filled nodes (u = 0 there) go only after every layer outside them.  Both
-    budgeted growths fill, and the peel shrinks, toward the target volume
+    Order: the cut, dilate, the volume-targeted partial dilation, the
+    volume-neutral boundary exchanges (a coarse one, only while the fine one
+    moves at most two nodes, then the fine one), then, when the mask is
+    disconnected, one candidate per connected component, and last, when the
+    mask has a hole, the mask with its holes filled (``fill_holes``).  A
+    component's candidate is its restriction grown by one budgeted ring, or
+    the bare restriction when the component alone leaves no budget to grow
+    into.  Below the budget, dropping a dead component alone moves the
+    objective only through the penalty, by nothing (plain) or an O(eps)
+    sliver (rewarding), while the regrown restriction contains the bare one,
+    stays within the budget and buys an O(gamma h) tone drop at once; so
+    does the filled move, where a ring start otherwise fills its hole by
+    whole-mask dilations far above the budget.  Both shrinks peel the
+    weakest members by |u| from the outer boundary inward (``_peel``): the
+    cut ceil(0.02 * aggressiveness * (m - 1)) of the m members (those below
+    that quantile of |u| when no magnitudes tie), the filled mask those the
+    target volume ``omega0`` does not admit, its filled nodes (u = 0 there)
+    only after every layer outside them.  The budgeted growths fill toward
     ``omega0``; only whole-mask dilation grows past it.  Empty candidates
     are dropped.
 
@@ -441,6 +432,7 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """
     mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
+    magnitude = np.abs(values).ravel()
     grown = dilate(mask)
     score = _lap(values, grid.spacing).ravel() ** 2
     ring = np.flatnonzero(grown.inside & ~mask.inside)
@@ -450,12 +442,12 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     room = _room(mask, omega0)
     # The one shrink move of a connected mask without holes, and an overfull
     # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
-    # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 974
-    # times, solved 29 times and wins 4 steps, each from an incumbent above
+    # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 999
+    # times, solved 26 times and wins 4 steps, each from an incumbent above
     # omega0 (under the plain penalty the floor rules out every subset of an
     # incumbent at or under omega0).
     cands = [
-        _superlevel(grid, values, 0.02 * state.aggressiveness),
+        _peel(mask, magnitude, math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))),
         grown,
         _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
@@ -479,8 +471,7 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
             cands.append(_moved(part, add=_ranked(part_ring, part_score[part_ring])[:part_room]))
     filled = fill_holes(mask)
     if filled is not None:
-        budgeted = _shrink_to_budget(filled, np.abs(values).ravel(), omega0)
-        cands.append(filled if budgeted is None else budgeted)
+        cands.append(_peel(filled, magnitude, -_room(filled, omega0)))
     return [m for m in cands if m is not None and not m.is_empty]
 
 
@@ -489,7 +480,7 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
 # ---------------------------------------------------------------------------
 
 def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
-            J: float, accepted: bool) -> None:
+            J: float, accepted: bool) -> HistoryRow:
     state.history.append(HistoryRow(
         step=state.step,
         gamma=gamma,
@@ -499,6 +490,7 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
         accepted=accepted,
         nodes_per_side=state.mask.grid.nodes_per_side,
     ))
+    return state.history[-1]
 
 
 def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
@@ -522,8 +514,9 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     the aggressiveness is halved.  A candidate whose ``objective_floor`` lies
     above the bar cannot pass, so it is not solved and adds no history row
     (logged at DEBUG).  Candidate eigensolves are warm started from the
-    incumbent eigenfield; a candidate whose solve fails is skipped and
-    logged, never fatal.  Every evaluation lands in the history.  The
+    incumbent eigenfield; a failed solve is skipped and logged, never fatal.
+    Each solve adds its history row at once; the row of the first candidate
+    with the lowest J at or under the bar is then flagged accepted.  The
     candidates grow toward ``kind.omega0``, the volume the penalty charges.
 
     A mask is solved at most once per lattice: its key joins
@@ -536,7 +529,7 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
-    evals: list[tuple[float, int, Mask, ToneResult, float]] = []
+    best = None
     for idx, cand in enumerate(candidate_masks(state, kind.omega0)):
         key = np.packbits(cand.inside).tobytes()
         if key in state.solved:
@@ -553,21 +546,13 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
         except ConvergenceFailure as exc:
             log.warning("step %d: candidate %d skipped: %s", state.step, idx, exc)
             continue
-        evals.append((J, idx, cand, tone, vol))
+        row = _record(state, kind, tone.gamma, vol, J, accepted=False)
+        if J <= bar and (best is None or J < best[0]):
+            best = (J, cand, tone, vol, row)
 
-    accepted_entry = None
-    if evals:
-        best = min(evals, key=lambda e: (e[0], e[1]))
-        if best[0] <= bar:
-            accepted_entry = best
-
-    for J, idx, cand, tone, vol in evals:
-        is_best = accepted_entry is not None and idx == accepted_entry[1]
-        _record(state, kind, tone.gamma, vol, J, is_best)
-
-    if accepted_entry is not None:
-        J, _, cand, tone, vol = accepted_entry
-        state.mask, state.tone, state.J, state.volume = cand, tone, J, vol
+    if best is not None:
+        state.J, state.mask, state.tone, state.volume, row = best
+        row.accepted = True
     else:
         state.aggressiveness *= 0.5
         if state.aggressiveness < AGGRESSIVENESS_FLOOR:

@@ -157,6 +157,31 @@ class TestDoublingSigma:
         with pytest.raises(ValueError):
             estimate_doubling_sigma(m, R0=4.0 * g.spacing)
 
+    @pytest.mark.parametrize("R0, r_min", [(8.0, 16.0), (math.inf, 4.0)])
+    def test_rejects_radii_that_probe_nothing_or_never_stop(self, R0, r_min):
+        # with r_min above R0 no radius would be probed and sigma would read
+        # 1.0; with R0 = inf the halving would never stop
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        h = g.spacing
+        with pytest.raises(ValueError, match="r_min"):
+            estimate_doubling_sigma(m, R0=R0 * h, r_min=r_min * h)
+
+
+class TestDyadicRadii:
+    def test_halves_down_to_r_min(self):
+        assert dyadic_radii(1.0, 0.25) == (1.0, 0.5, 0.25)
+        assert dyadic_radii(1.0, 0.3) == (1.0, 0.5)
+        assert dyadic_radii(0.5, 0.5) == (0.5,)
+
+    @pytest.mark.parametrize("R0, r_min", [
+        (1.0, 0.0), (1.0, -0.25), (1.0, math.nan), (math.inf, 0.25),
+        (math.nan, 0.25), (0.25, 1.0),
+    ])
+    def test_rejects_bad_radii(self, R0, r_min):
+        with pytest.raises(ValueError, match=f"r_min={r_min}, R0={R0}"):
+            dyadic_radii(R0, r_min)
+
 
 class TestNondegeneracy:
     # run_diagnostics' c1: the smallest sup |grad u| / R over boundary probes

@@ -26,8 +26,8 @@ from platetone.penalty import penalty_value
 from platetone.search import (
     RunConfig,
     _lap,
+    _peel,
     _ranked,
-    _shrink_to_budget,
     SearchState,
     candidate_masks,
     coarse_nodes_per_side,
@@ -250,16 +250,26 @@ class TestLaplacian:
 
 
 class TestCandidateMasks:
-    def test_quantile_zero_aggressiveness_keeps_support(self):
+    def test_smallest_cut_drops_the_weakest_boundary_member(self):
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(m, config)
-        state.aggressiveness = 1e-12
-        cands = candidate_masks(state, config.omega0)
-        # with the threshold at the minimum positive magnitude the superlevel
-        # set is the support of the eigenfield, i.e. the current mask
-        assert any(c == m for c in cands)
+        # the least aggressiveness a run reaches: halving it once more
+        # underflows the floor
+        state.aggressiveness = 2.0 ** -9
+        assert state.aggressiveness / 2 < search.AGGRESSIVENESS_FLOOR <= state.aggressiveness
+        assert 0.02 * state.aggressiveness * (m.member_count - 1) < 1.0
+        cut = candidate_masks(state, config.omega0)[0]
+        # the cut still drops one member: the boundary member with the
+        # least |u|, ties by ascending flat index
+        mag = np.abs(state.tone.eigenfield.values).ravel()
+        boundary = np.flatnonzero(boundary_nodes(m))
+        weakest = boundary[np.argmin(mag[boundary])]
+        assert mag[weakest] == mag[m.inside.ravel()].min()
+        inside = m.inside.copy()
+        inside.ravel()[weakest] = False
+        assert cut == mask_from_array(g, inside)
 
     def test_all_candidates_nonempty(self):
         config = small_config(init_shape="two_disks")
@@ -281,10 +291,23 @@ class TestCandidateMasks:
         count, labels = connected_components(m)
         assert count == 2
         assert len(cands) == 1 + 1 + 1 + count
-        # one superlevel cut first, at the 0.02 quantile, then the dilation
+        # the cut first: the ceil(0.02 a (m - 1)) weakest members peeled,
+        # then the dilation
         mag = np.abs(state.tone.eigenfield.values)
+        k = math.ceil(0.02 * a * (m.member_count - 1))
+        assert k > 1
+        assert cands[0] == _peel(m, mag.ravel(), k)
+        assert cands[0].member_count == m.member_count - k
+        # against the superlevel set {|u| >= t}, t the 0.02 a quantile of
+        # the positive magnitudes: np.quantile puts t after the k weakest,
+        # so the cut lies inside the set, and the set keeps beyond the cut
+        # only members whose |u| ties with the weakest one the cut keeps
+        # (here one: the two disks' |u| ties across their mirror planes)
         positive = mag[mag > 0.0]
-        assert cands[0] == mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
+        assert positive.size == m.member_count
+        superlevel = mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
+        assert not np.any(cands[0].inside & ~superlevel.inside)
+        assert np.all(mag[superlevel.inside & ~cands[0].inside] == mag[cands[0].inside].min())
         assert cands[1] == dilate(m)
         # one volume-neutral exchange: the fine one moves more than two
         # nodes here, so the coarse one is not offered
@@ -328,7 +351,10 @@ class TestCandidateMasks:
         filled = fill_holes(m)
         last = cands[-1]
         magnitude = np.abs(state.tone.eigenfield.values).ravel()
-        assert last == _shrink_to_budget(filled, magnitude, OMEGA0)
+        # peeled by the members the volume budget omega0 does not admit
+        excess = filled.member_count - math.floor(OMEGA0 / g.spacing ** 2)
+        assert excess > 0
+        assert last == _peel(filled, magnitude, excess)
         assert fill_holes(last) is None
         assert mask_volume(last) <= OMEGA0 < mask_volume(filled)
         # the peel took members of the incumbent only, from its outer
@@ -342,30 +368,27 @@ class TestCandidateMasks:
         assert depth >= 1
         assert not np.any(taken & core.inside)
         # and it took no more of the outer layers than the budget required
-        excess = filled.member_count - math.floor(OMEGA0 / g.spacing ** 2)
         assert np.count_nonzero(taken) == excess
 
-    def test_shrink_to_budget(self):
+    def test_peel(self):
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
-        hn = g.spacing ** 2
         magnitude = np.random.default_rng(5).random(g.node_count)
-        # at or under the budget there is nothing to peel
-        assert _shrink_to_budget(m, magnitude, mask_volume(m)) is None
-        assert _shrink_to_budget(m, magnitude, 2.0 * mask_volume(m)) is None
+        # a count of zero or less peels nothing
+        assert _peel(m, magnitude, 0) == m
+        assert _peel(m, magnitude, -5) == m
         ring = np.flatnonzero(boundary_nodes(m))
         second = np.flatnonzero(boundary_nodes(erode(m)))
         # part of the outer layer: its k least-magnitude members
         k = ring.size // 3
-        peeled = _shrink_to_budget(m, magnitude, (m.member_count - k + 0.5) * hn)
+        peeled = _peel(m, magnitude, k)
         gone = np.flatnonzero(m.inside.ravel() & ~peeled.inside.ravel())
         assert set(gone) == set(ring[np.argsort(magnitude[ring])[:k]])
         # more than the outer layer: all of it, then the least of the next
-        budget = (m.member_count - ring.size - k + 0.5) * hn
-        peeled = _shrink_to_budget(m, magnitude, budget)
+        peeled = _peel(m, magnitude, ring.size + k)
         gone = np.flatnonzero(m.inside.ravel() & ~peeled.inside.ravel())
         assert set(gone) == set(ring) | set(second[np.argsort(magnitude[second])[:k]])
-        assert mask_volume(peeled) <= budget
+        assert peeled.member_count == m.member_count - ring.size - k
 
     def test_component_candidates_for_disconnected_mask(self):
         config = small_config(init_shape="two_disks")
