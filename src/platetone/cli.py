@@ -180,6 +180,9 @@ def cmd_run(args) -> int:
     out = Path(args.out) if args.out else Path(args.config).with_suffix(".out")
     created = not out.exists()
     if not created:
+        if not out.is_dir():
+            print(f"error: output path {out} exists and is not a directory", file=sys.stderr)
+            return 1
         if not args.force:
             print(f"error: output directory {out} exists (use --force)", file=sys.stderr)
             return 1

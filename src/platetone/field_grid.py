@@ -336,7 +336,9 @@ def load_mask_pgm(path, grid: Grid) -> Mask:
         raise ValueError("unexpected maxval")
     if (w, h) != (grid.nodes_per_side, grid.nodes_per_side) or grid.dim != 2:
         raise ValueError("PGM dimensions do not match the grid")
-    data = np.frombuffer(parts[3][: w * h], dtype=np.uint8).reshape(h, w)
+    if len(parts[3]) != w * h:
+        raise ValueError("payload size does not match the header geometry")
+    data = np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w)
     return mask_from_array(grid, data > 127)
 
 

@@ -10,12 +10,13 @@ connected-component restrictions (each regrown toward the budget when there
 is room), and last the incumbent with its holes filled and then shrunk to
 the volume budget.  Every node choice, the prolongation below included,
 follows one rule (``_ranked``): descending score, ties by ascending flat
-index; the growth and the exchanges take prefixes of one ranking of the
-incumbent's ring, and both shrinks are one peel (``_peel``), least |u|
-first.  The candidate with the lowest objective wins, ties broken by list
-position; a step that fails to improve the objective by the fixed relative
-margin ``DELTA_REL`` (1e-6) halves the aggressiveness, and the run stops
-when the aggressiveness underflows 1e-3 or the step budget is exhausted.
+index; the growth, the exchanges and each component's regrowth take
+prefixes of one ranking of the incumbent's ring, and both shrinks are one
+peel (``_peel``), least |u| first.  The candidate with the lowest objective
+wins, ties broken by list position; a step that fails to improve the
+objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
+aggressiveness.  A lattice's descent ends at the first such step with
+nothing new to solve, or when the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -83,9 +84,8 @@ from platetone.penalty import PenaltyKind, objective, penalty_value
 log = logging.getLogger(__name__)
 
 INIT_SHAPES = ("disk", "square", "annulus", "two_disks", "random_blob")
-TERMINATED_CONVERGED = "aggressiveness_floor"
+TERMINATED_CONVERGED = "nothing_to_solve"
 TERMINATED_MAX_STEPS = "max_steps"
-AGGRESSIVENESS_FLOOR = 1e-3
 DELTA_REL = 1e-6    # a step is accepted only when it lowers J by DELTA_REL * |J|
 
 # A run starts on the lattice of half its resolution while that lattice has
@@ -427,8 +427,8 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     max(1, round(0.25 * span)) for the coarse one.  The exchange keeps the
     volume, which pure growth or shrink cannot; without it the search stalls
     on the first shape that hits the target volume.  A component's regrowth
-    is the same prefix of its own ring, ranked by the score of its own
-    field.
+    is a prefix of the same ring ranking restricted to the component's own
+    ring (a ring node between two components is scored by both fields).
     """
     mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
@@ -465,10 +465,8 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     if count > 1:
         for comp in range(1, count + 1):
             part = mask_from_array(grid, labels == comp)
-            part_ring = np.flatnonzero(dilate(part).inside & ~part.inside)
-            part_score = _lap(np.where(part.inside, values, 0.0), grid.spacing).ravel() ** 2
             part_room = max(_room(part, omega0), 0)
-            cands.append(_moved(part, add=_ranked(part_ring, part_score[part_ring])[:part_room]))
+            cands.append(_moved(part, add=ring[dilate(part).inside.ravel()[ring]][:part_room]))
     filled = fill_holes(mask)
     if filled is not None:
         cands.append(_peel(filled, magnitude, -_room(filled, omega0)))
@@ -525,11 +523,13 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     ``DELTA_REL * |J|`` or more below the mask's J, far beyond the
     ~``RunConfig.tone_tol`` (a constant below ``DELTA_REL``) that another
     warm start moves it.  A mask whose solve fails is not retried on the
-    lattice either.
+    lattice either.  A rejected step that adds no key there had nothing new
+    to solve and ends the descent on the lattice; a step that goes on lowers
+    J or solves a new mask, so every run ends without a tuned constant.
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
-    best = None
+    best, known = None, len(state.solved)
     for idx, cand in enumerate(candidate_masks(state, kind.omega0)):
         key = np.packbits(cand.inside).tobytes()
         if key in state.solved:
@@ -555,7 +555,7 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
         row.accepted = True
     else:
         state.aggressiveness *= 0.5
-        if state.aggressiveness < AGGRESSIVENESS_FLOOR:
+        if len(state.solved) == known:
             state.terminated = TERMINATED_CONVERGED
     return state
 
@@ -563,8 +563,8 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
 def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
             prior: SearchState | None = None, on_accept=None) -> SearchState:
     """Solve the start ``mask`` on its lattice, then take descent steps on
-    that lattice until the aggressiveness underflows or ``config.max_steps``
-    steps have been taken.
+    that lattice until one is left with nothing to solve or
+    ``config.max_steps`` steps have been taken.
 
     ``prior`` is the finished state of a coarser lattice.  Its history and
     step count carry on, so steps are numbered continuously across lattices

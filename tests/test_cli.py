@@ -368,6 +368,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--force"]) == 1
         assert (out / "notes.txt").read_text() == "kept\n"
 
+    # an --out that is a file fails before the run, with or without --force;
+    # a forced run used to optimize first and then fail on "Not a directory"
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    def test_out_that_is_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     force):
+        def no_run(*args, **kwargs):
+            raise AssertionError("optimize was called")
+
+        monkeypatch.setattr("platetone.cli.optimize", no_run)
+        cfg = write(tmp_path, QUICK)
+        out = write(tmp_path, "kept\n", name="out")
+        assert main(["run", "--config", str(cfg), "--out", str(out), *force]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path {out} exists and is not a directory\n"
+        assert out.read_text() == "kept\n"
+
 
 class TestInvalidRunConfig:
     @pytest.mark.parametrize("text, field", [

@@ -352,6 +352,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             save_mask_pgm(m, tmp_path / "m.pgm")
 
+    # one byte more or fewer than w * h; a trailing byte used to be ignored
+    # and a short payload to fail in numpy's reshape
+    @pytest.mark.parametrize("edit", [lambda blob: blob + b"\xff", lambda blob: blob[:-1]],
+                             ids=["long", "short"])
+    def test_pgm_rejects_a_payload_of_the_wrong_size(self, tmp_path, edit):
+        g = make_grid(2, 17, 1.0)
+        path = tmp_path / "m.pgm"
+        save_mask_pgm(ball_mask(g, (0.0, 0.0), 0.4), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="^payload size does not match the header geometry$"):
+            load_mask_pgm(path, g)
+
     def test_msk_round_trip_3d(self, tmp_path):
         g = make_grid(3, 17, 1.5)
         m = ball_mask(g, (0.0, 0.1, 0.0), 0.7)

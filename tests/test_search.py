@@ -255,21 +255,20 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(m, config)
-        # the least aggressiveness a run reaches: halving it once more
-        # underflows the floor
-        state.aggressiveness = 2.0 ** -9
-        assert state.aggressiveness / 2 < search.AGGRESSIVENESS_FLOOR <= state.aggressiveness
-        assert 0.02 * state.aggressiveness * (m.member_count - 1) < 1.0
-        cut = candidate_masks(state, config.omega0)[0]
-        # the cut still drops one member: the boundary member with the
-        # least |u|, ties by ascending flat index
+        # the cut drops the boundary member with the least |u|, ties by
+        # ascending flat index
         mag = np.abs(state.tone.eigenfield.values).ravel()
         boundary = np.flatnonzero(boundary_nodes(m))
         weakest = boundary[np.argmin(mag[boundary])]
         assert mag[weakest] == mag[m.inside.ravel()].min()
         inside = m.inside.copy()
         inside.ravel()[weakest] = False
-        assert cut == mask_from_array(g, inside)
+        # nothing bounds the aggressiveness from below, and however small
+        # it gets, the cut still drops that one member
+        for aggressiveness in (2.0 ** -9, 2.0 ** -60):
+            state.aggressiveness = aggressiveness
+            assert 0.02 * aggressiveness * (m.member_count - 1) < 1.0
+            assert candidate_masks(state, config.omega0)[0] == mask_from_array(g, inside)
 
     def test_all_candidates_nonempty(self):
         config = small_config(init_shape="two_disks")
@@ -389,6 +388,32 @@ class TestCandidateMasks:
         gone = np.flatnonzero(m.inside.ravel() & ~peeled.inside.ravel())
         assert set(gone) == set(ring) | set(second[np.argsort(magnitude[second])[:k]])
         assert peeled.member_count == m.member_count - ring.size - k
+
+    def test_components_regrow_by_the_incumbents_ring_ranking(self):
+        # two 5x3 blocks two lattice steps apart, u = 1 on the left and 10 on
+        # the right: a node of the gap column touches both, so its squared
+        # Laplacian of the whole field, (1 + 10)^2, beats every other ring
+        # node, and each block's three-node regrowth fills the top of the
+        # gap.  Scored by its own block's field alone, every ring node of a
+        # block ties, and the lowest flat indices, the row above it, would win
+        config = small_config()
+        g = make_grid(2, 17, 1.5)
+        inside = np.zeros(g.shape, dtype=bool)
+        inside[6:11, 3:6] = inside[6:11, 7:10] = True
+        values = np.where(inside, 1.0, 0.0)
+        values[:, 7:] *= 10.0
+        m = mask_from_array(g, inside)
+        state = make_state(m, config)
+        state.tone = replace(state.tone, eigenfield=make_field(m, values))
+        assert connected_components(m)[0] == 2 and fill_holes(m) is None
+        omega0 = (15 + 3.5) * g.spacing ** 2    # room for three nodes per block
+        gap = np.zeros(g.shape, dtype=bool)
+        gap[6:9, 6] = True
+        for block, regrown in zip((slice(3, 6), slice(7, 10)),
+                                  candidate_masks(state, omega0)[-2:]):
+            part = np.zeros(g.shape, dtype=bool)
+            part[6:11, block] = True
+            assert regrown == mask_from_array(g, part | gap)
 
     def test_component_candidates_for_disconnected_mask(self):
         config = small_config(init_shape="two_disks")
@@ -550,6 +575,53 @@ class TestDescentStep:
         assert state.aggressiveness == 0.5 * before
         assert state.mask == m
         assert all(not row.accepted for row in state.history)
+
+    def test_rejected_step_that_tries_no_solve_ends_the_descent(self, monkeypatch):
+        # the step offers the incumbent, solved already, and its cut, a
+        # subset whose floor is the incumbent's J: nothing is left to solve
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "disk", OMEGA0)
+        state = make_state(m, config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        cut = candidate_masks(state, config.omega0)[0]
+        assert objective_floor(state, cut, kind) == state.J
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a candidate was solved")
+
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: [m, cut])
+        monkeypatch.setattr(search, "objective", no_solve)
+        state = descent_step(state, kind)
+        assert state.terminated == search.TERMINATED_CONVERGED
+        assert state.aggressiveness == 0.5 and state.history == [] and state.mask == m
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["solved", "failed"])
+    def test_rejected_step_that_tries_a_solve_goes_on(self, monkeypatch, fail):
+        # one candidate, no subset of the incumbent, is tried and rejected;
+        # a failed solve counts as tried
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "disk", OMEGA0)
+        state = make_state(m, config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        shifted = ball_mask(g, (0.6, 0.0), 0.3)
+        assert objective_floor(state, shifted, kind) == 0.0
+        real = search.objective
+
+        def rejected(grid, mask, *args, **kwargs):
+            if fail:
+                raise ConvergenceFailure("eigensolver did not converge")
+            _, tone, vol = real(grid, mask, *args, **kwargs)
+            return state.J, tone, vol
+
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: [m, shifted])
+        monkeypatch.setattr(search, "objective", rejected)
+        state = descent_step(state, kind)
+        assert state.terminated is None
+        assert state.aggressiveness == 0.5 and state.mask == m
+        assert packed(shifted) in state.solved
+        assert len(state.history) == (0 if fail else 1)
 
     def test_acceptance_decreases_J(self):
         config = small_config(init_shape="square")
@@ -1103,6 +1175,28 @@ class TestMultiLevelHistory:
         assert rows == two_level_run.history
         assert calls == expected
         assert {n for _, n, _ in calls} == {65, 129}
+
+    def test_each_lattice_ends_at_its_only_step_that_tries_nothing(self, monkeypatch,
+                                                                   two_level_run):
+        # every step tries a solve (a key joins ``solved``) but the last one
+        # on each lattice, which ends that lattice's descent
+        tries = []
+        real = search.descent_step
+
+        def recording(state, kind):
+            known = len(state.solved)
+            state = real(state, kind)
+            tries.append((state.mask.grid.nodes_per_side, len(state.solved) > known))
+            return state
+
+        monkeypatch.setattr(search, "descent_step", recording)
+        res = optimize(small_config(nodes_per_side=129, init_shape="square", max_steps=300))
+        assert res.history == two_level_run.history
+        assert res.termination == search.TERMINATED_CONVERGED and res.steps < 300
+        for n in (65, 129):
+            on_lattice = [tried for size, tried in tries if size == n]
+            assert len(on_lattice) > 1
+            assert on_lattice[-1] is False and all(on_lattice[:-1])
 
     def test_max_steps_bounds_the_total(self, two_level_run):
         coarse_steps = next(row.step for row in two_level_run.history
