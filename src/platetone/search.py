@@ -3,20 +3,21 @@
 The minimization over fields in the continuum problem becomes a search over
 masks here: each step proposes a deterministic list of candidate masks built
 from the current eigenfield: a cut of its weakest members (a fixed fraction
-scaled by an aggressiveness knob), a one-ring dilation, a volume-targeted
-partial dilation, volume-neutral boundary exchanges (a fine one at every
-step, and a coarse one only while the fine one moves at most two nodes),
-connected-component restrictions (each regrown toward the budget when there
-is room), and last the incumbent with its holes filled and then shrunk to
-the volume budget.  Every node choice, the prolongation below included,
-follows one rule (``_ranked``): descending score, ties by ascending flat
-index; the growth, the exchanges and each component's regrowth take
-prefixes of one ranking of the incumbent's ring, and both shrinks are one
-peel (``_peel``), least |u| first.  The candidate with the lowest objective
-wins, ties broken by list position; a step that fails to improve the
-objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
-aggressiveness.  A lattice's descent ends at the first such step with
-nothing new to solve, or when the step budget is exhausted.
+scaled by an aggressiveness knob), a one-ring dilation (only while eps lies
+above its threshold), a volume-targeted partial dilation, volume-neutral
+boundary exchanges (a fine one at every step, and a coarse one only while
+the fine one moves at most two nodes), connected-component restrictions
+(each regrown toward the budget when there is room), and last the incumbent
+with its holes filled and then shrunk to the volume budget.  Every node
+choice, the prolongation below included, follows one rule (``_ranked``):
+descending score, ties by ascending flat index; the growth, the exchanges
+and each component's regrowth take prefixes of one ranking of the
+incumbent's ring, and both shrinks are one peel (``_peel``), least |u|
+first.  The candidate with the lowest objective wins, ties broken by list
+position; a step that fails to improve the objective by the fixed relative
+margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A lattice's descent
+ends at the first such step with nothing new to solve, or when the step
+budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -153,6 +154,7 @@ class SearchState:
     # packed masks attempted on this lattice (its start mask included), so
     # that none is solved twice there, whether its solve succeeded or not
     solved: set[bytes] = field(default_factory=set)
+    grow_past: bool = False     # eps > eps_threshold: volume past omega0 can pay
 
 
 @dataclass(frozen=True)
@@ -411,8 +413,9 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     that quantile of |u| when no magnitudes tie), the filled mask those the
     target volume ``omega0`` does not admit, its filled nodes (u = 0 there)
     only after every layer outside them.  The budgeted growths fill toward
-    ``omega0``; only whole-mask dilation grows past it.  Empty candidates
-    are dropped.
+    ``omega0``; only whole-mask dilation grows past it, and it is offered only
+    when ``state.grow_past``: eps above its threshold, where excess volume can
+    pay.  Empty candidates are dropped.
 
     Each step ranks the incumbent's exterior ring strongest first and its
     boundary weakest first, once (``_ranked``: ties by ascending flat
@@ -448,7 +451,7 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     # incumbent at or under omega0).
     cands = [
         _peel(mask, magnitude, math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))),
-        grown,
+        grown if state.grow_past else None,
         _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
     # The coarse exchange is offered only while the fine one moves at most
@@ -575,7 +578,8 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=RunConfig.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
                         aggressiveness=1.0,
-                        solved={np.packbits(mask.inside).tobytes()})
+                        solved={np.packbits(mask.inside).tobytes()},
+                        grow_past=kind.eps > eps_threshold(config))
     if prior is not None:
         state.step, state.history = prior.step, prior.history
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)

@@ -57,15 +57,25 @@ def packed(mask):
 
 
 def make_state(mask, config):
-    """The state ``descend`` starts from: the mask solved, and its key the
-    one entry of ``solved``."""
+    """The state ``descend`` starts from: the mask solved, its key the one
+    entry of ``solved``, and ``grow_past`` set when eps lies above the
+    threshold."""
     kind = penalty_kind(resolve_eps(config)[0])
     tone = fundamental_tone(mask, tol=config.tone_tol)
     vol = mask_volume(mask)
     return SearchState(mask=mask, tone=tone,
                        J=tone.gamma + penalty_value(kind, vol),
                        volume=vol, step=0, aggressiveness=1.0,
-                       solved={packed(mask)})
+                       solved={packed(mask)},
+                       grow_past=kind.eps > search.eps_threshold(config))
+
+
+def past_the_threshold(config, factor=0.8):
+    """The config at eps = factor * eps1 with ``eps_override``, above the
+    threshold, where excess volume can pay."""
+    eps = factor * eps1(config.dim, config.omega0)
+    assert eps > search.eps_threshold(config)
+    return replace(config, eps=eps, eps_override=True)
 
 
 def predicted_solves(state, cands, kind):
@@ -289,9 +299,8 @@ class TestCandidateMasks:
         assert mask_volume(m) > OMEGA0
         count, labels = connected_components(m)
         assert count == 2
-        assert len(cands) == 1 + 1 + 1 + count
-        # the cut first: the ceil(0.02 a (m - 1)) weakest members peeled,
-        # then the dilation
+        assert len(cands) == 1 + 1 + count
+        # the cut first: the ceil(0.02 a (m - 1)) weakest members peeled
         mag = np.abs(state.tone.eigenfield.values)
         k = math.ceil(0.02 * a * (m.member_count - 1))
         assert k > 1
@@ -307,10 +316,9 @@ class TestCandidateMasks:
         superlevel = mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
         assert not np.any(cands[0].inside & ~superlevel.inside)
         assert np.all(mag[superlevel.inside & ~cands[0].inside] == mag[cands[0].inside].min())
-        assert cands[1] == dilate(m)
         # one volume-neutral exchange: the fine one moves more than two
         # nodes here, so the coarse one is not offered
-        swapped = cands[2]
+        swapped = cands[1]
         assert swapped != m
         assert swapped.member_count == m.member_count
         assert len(added(swapped, m)) >= 3
@@ -318,10 +326,17 @@ class TestCandidateMasks:
         # budget, so it is offered grown by a budgeted ring, not bare
         for comp in range(1, count + 1):
             part = mask_from_array(g, labels == comp)
-            regrown = cands[2 + comp]
+            regrown = cands[1 + comp]
             assert regrown != part
             assert not np.any(part.inside & ~regrown.inside)
             assert mask_volume(regrown) <= OMEGA0
+        # the default eps is the threshold, where excess volume never pays:
+        # no whole-ring dilation.  Above the threshold the same list has it
+        # second, the one move that grows past omega0
+        assert not state.grow_past
+        above = make_state(m, past_the_threshold(config))
+        assert above.grow_past
+        assert candidate_masks(above, config.omega0) == cands[:1] + [dilate(m)] + cands[1:]
 
     def test_component_without_budget_is_offered_bare(self):
         # a disk larger than the budget next to a small one: the large
@@ -335,8 +350,8 @@ class TestCandidateMasks:
         m = mask_from_array(g, big.inside | small.inside)
         cands = candidate_masks(make_state(m, config), config.omega0)
         assert connected_components(m)[0] == 2
-        assert len(cands) == 1 + 1 + 1 + 2
-        offered = cands[3:]
+        assert len(cands) == 1 + 1 + 2
+        offered = cands[2:]
         assert big in offered
         assert small not in offered
         assert any(c != small and not np.any(small.inside & ~c.inside) for c in offered)
@@ -439,9 +454,9 @@ def dropped(cand, mask):
 
 
 class TestMoves:
-    """The budgeted growth (``cands[2]``) and the exchanges (``cands[3:]``)
-    of a connected mask without holes below the budget, checked against
-    rankings computed here node by node."""
+    """The budgeted growth (``cands[1]``) and the exchanges (``cands[2:]``)
+    of a connected mask without holes below the budget at the default eps,
+    checked against rankings computed here node by node."""
 
     @staticmethod
     def under_budget_disk(aggressiveness=1.0, nodes_per_side=49):
@@ -466,17 +481,17 @@ class TestMoves:
         ring, _ = self.rankings(state)
         room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
         assert 0 < room < len(ring)
-        assert len(cands) == 5
-        assert added(cands[2], m) == set(ring[:room])
-        assert dropped(cands[2], m) == set()
-        assert mask_volume(cands[2]) <= OMEGA0 < mask_volume(dilate(m))
+        assert len(cands) == 4
+        assert added(cands[1], m) == set(ring[:room])
+        assert dropped(cands[1], m) == set()
+        assert mask_volume(cands[1]) <= OMEGA0 < mask_volume(dilate(m))
 
     @pytest.mark.parametrize("aggressiveness", [1.0, 0.5, 0.01])
     def test_exchanges_swap_the_weakest_boundary_for_the_strongest_ring(self, aggressiveness):
         state, cands = self.under_budget_disk(aggressiveness)
         m = state.mask
         ring, boundary = self.rankings(state)
-        for fraction, swapped in zip((0.25, 0.05), cands[3:5]):
+        for fraction, swapped in zip((0.25, 0.05), cands[2:4]):
             k = max(1, round(fraction * aggressiveness * min(len(ring), len(boundary))))
             assert swapped.member_count == m.member_count
             assert added(swapped, m) == set(ring[:k])
@@ -494,7 +509,7 @@ class TestMoves:
         m = state.mask
         ring, boundary = self.rankings(state)
         assert min(len(ring), len(boundary)) == 52
-        exchanges = cands[3:]
+        exchanges = cands[2:]
         assert len(exchanges) == len(sizes)
         for k, swapped in zip(sizes, exchanges):
             assert swapped.member_count == m.member_count
@@ -505,7 +520,7 @@ class TestMoves:
         state, cands = self.under_budget_disk()
         ring, _ = self.rankings(state)
         sizes = []
-        for cand in cands[2:5]:
+        for cand in cands[1:4]:
             gained = added(cand, state.mask)
             sizes.append(len(gained))
             assert gained == set(ring[:len(gained)])
@@ -531,8 +546,8 @@ class TestMoves:
         assert (ring.size, len(sides), np.count_nonzero(corner)) == (52, 44, 4)
         room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
         assert room == 32
-        assert added(cands[2], m) == set(ring[:room].tolist())
-        for k, swapped in zip((12, 2), cands[3:5]):
+        assert added(cands[1], m) == set(ring[:room].tolist())
+        for k, swapped in zip((12, 2), cands[2:4]):
             assert added(swapped, m) == set(ring[:k].tolist())
             assert dropped(swapped, m) == set(sides[:k])
 
@@ -694,10 +709,11 @@ class TestDescentStep:
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
         # at the lattice disk both branches of the incumbent's floor rule
         # candidates out before the step: the cut, the first candidate, is a
-        # strict subset (floor = the incumbent's tone) and dilate's excess
-        # volume alone costs more than J; the step solves exactly the
+        # strict subset (floor = the incumbent's tone) and, at an eps just
+        # above the threshold (0.1 eps1 here), dilate is offered and its
+        # excess volume alone costs more than J; the step solves exactly the
         # candidates that pass the floor against the masks solved before them
-        config = small_config()
+        config = past_the_threshold(small_config(), factor=0.15)
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
@@ -706,10 +722,11 @@ class TestDescentStep:
         cands = candidate_masks(state, config.omega0)
         cut = cands[0]
         assert cut != m and not np.any(cut.inside & ~m.inside)
+        assert state.grow_past and cands[1] == dilate(m)
         cands = [c for c in cands if c != m]
         out = [c for c in cands if objective_floor(state, c, kind) > bar]
         assert any(c == cut for c in out)
-        assert any((c.inside & ~m.inside).any() for c in out)
+        assert any(c == dilate(m) for c in out)
         expected = predicted_solves(state, cands, kind)
         assert 0 < len(expected) <= len(cands) - len(out)
 
@@ -976,6 +993,34 @@ class TestOptimize:
         eps = factor * eps1(dim, config.omega0)
         res = optimize(replace(config, eps=eps, eps_override=True))
         assert res.volume > res.config.omega0
+
+    @staticmethod
+    def offered(monkeypatch, config):
+        """(incumbent, candidates) of every step of ``optimize(config)``."""
+        steps = []
+        real = search.candidate_masks
+
+        def recording(state, omega0):
+            steps.append((state.mask, real(state, omega0)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(search, "candidate_masks", recording)
+        optimize(config)
+        assert steps
+        return steps
+
+    @pytest.mark.parametrize("shape", ["disk", "square", "annulus", "two_disks"])
+    def test_default_eps_offers_no_growth_past_the_budget(self, monkeypatch, shape):
+        # at the default eps, the threshold, excess volume never pays: no
+        # step offers a candidate larger than both omega0 and its incumbent
+        for incumbent, cands in self.offered(monkeypatch, small_config(init_shape=shape)):
+            bound = max(OMEGA0, mask_volume(incumbent))
+            assert all(mask_volume(c) <= bound for c in cands)
+
+    def test_eps_past_the_threshold_offers_the_dilation(self, monkeypatch):
+        # above the threshold every step offers the whole-ring dilation
+        for incumbent, cands in self.offered(monkeypatch, past_the_threshold(small_config())):
+            assert dilate(incumbent) in cands
 
     def test_final_tone_above_half_ball_tone(self):
         # every optimized 2D domain must beat half the equal-volume ball tone
