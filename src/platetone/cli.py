@@ -6,8 +6,9 @@ Subcommands:
   writing trace.csv, mask snapshots, the final field dump and a flat summary
   into the output directory.  Exit code 0 on convergence, 2 when the step
   budget ran out, 1 on any error (bad config, I/O, an oracle or eigensolver
-  failure), reported as one ``error: ...`` line.  A run that fails removes
-  the output directory it created, so the same command can be rerun as is.
+  failure, a lattice too large for memory), reported as one ``error: ...``
+  line.  A run that fails removes the output directory it created, so the
+  same command can be rerun as is.
 * ``constants --dim N --omega0 V --eps V [--dn V] [--radius-b V]``: print the
   full constant record including both tone oracles and their residual.
 * ``verify --case {scaling|monotonicity|penalty|alpha0|oracle}``: built-in
@@ -46,7 +47,6 @@ from platetone.search import (
     TERMINATED_MAX_STEPS,
     optimize,
     resolve_eps,
-    validate_config,
 )
 
 
@@ -82,11 +82,11 @@ _CONFIG_PARSERS = {f.name: _BY_TYPE[f.type] for f in dataclasses.fields(RunConfi
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a flat key=value config file.
+    """Parse a flat key=value config file into a checked RunConfig.
 
     Missing keys take the documented defaults; unknown keys and malformed
-    lines are rejected with their line number; field validation errors name
-    the offending field.
+    lines are rejected with their line number; the errors RunConfig and
+    ``resolve_eps`` raise follow the path and name the offending field.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -107,13 +107,11 @@ def load_config(path) -> RunConfig:
                 values[key] = _CONFIG_PARSERS[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    config = RunConfig(**values)
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError(f"{path}: " + "; ".join(errors))
-    # the eps threshold check needs the oracle constants; resolve_eps raises
-    # with a message naming the input at fault, which need not be eps
+    # RunConfig names every bad field; the eps threshold check needs the
+    # oracle constants, and resolve_eps names the input at fault, which need
+    # not be eps
     try:
+        config = RunConfig(**values)
         resolve_eps(config)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -373,8 +371,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -55,22 +55,27 @@ FIELD_DIMS = (2, 3)
 MIN_NODES_PER_SIDE = 9
 
 
-def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
-    """Build a grid, rejecting shapes the field solvers cannot handle.
-
-    dim must lie in ``FIELD_DIMS``; nodes_per_side must be odd and at least
-    ``MIN_NODES_PER_SIDE``; radius_B positive and finite.
-    """
+def lattice_errors(dim: int, nodes_per_side: int, radius_B: float) -> list[str]:
+    """Every way the lattice misses the rule the field solvers need, one
+    message per field: dim in ``FIELD_DIMS``, nodes_per_side odd (so the
+    center is a node) and at least ``MIN_NODES_PER_SIDE``, radius_B positive
+    and finite."""
+    errors = []
     if dim not in FIELD_DIMS:
-        raise ValueError(f"field grids support dim in {FIELD_DIMS}, got {dim}")
-    if nodes_per_side < MIN_NODES_PER_SIDE:
-        raise ValueError(f"nodes_per_side must be >= {MIN_NODES_PER_SIDE}, got {nodes_per_side}")
-    if nodes_per_side % 2 == 0:
-        raise ValueError(
-            f"nodes_per_side must be odd so the center is a node, got {nodes_per_side}"
-        )
-    if not (radius_B > 0 and np.isfinite(radius_B)):
-        raise ValueError(f"radius_B must be positive and finite, got {radius_B}")
+        errors.append(f"dim: must be one of {FIELD_DIMS}, got {dim}")
+    if nodes_per_side < MIN_NODES_PER_SIDE or nodes_per_side % 2 == 0:
+        errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
+                      f"got {nodes_per_side}")
+    if not 0 < radius_B < np.inf:
+        errors.append(f"radius_B: must be positive and finite, got {radius_B}")
+    return errors
+
+
+def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
+    """Build a grid, raising one ValueError that lists every
+    ``lattice_errors`` of the shape."""
+    if errors := lattice_errors(dim, nodes_per_side, radius_B):
+        raise ValueError("; ".join(errors))
     return Grid(dim, nodes_per_side, float(radius_B))
 
 

@@ -65,7 +65,6 @@ from platetone.constants import (
 from platetone.diagnostics import DiagnosticsReport, run_diagnostics
 from platetone.field_grid import (
     FIELD_DIMS,
-    MIN_NODES_PER_SIDE,
     Grid,
     Mask,
     ScalarField,
@@ -76,11 +75,12 @@ from platetone.field_grid import (
     face_neighbours,
     fill_holes,
     inside_ball,
+    lattice_errors,
     make_grid,
     mask_from_array,
     mask_volume,
 )
-from platetone.penalty import PenaltyKind, objective, penalty_value
+from platetone.penalty import PLAIN, REWARDING, PenaltyKind, objective, penalty_value
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +107,10 @@ class RunConfig:
     ``eps=None`` means "use the largest theoretically safe value" for the
     chosen penalty variant (eps1_effective for plain, min(eps0,
     eps1_effective) for rewarding).  Values above the safe threshold are
-    rejected unless ``eps_override`` is set.
+    rejected unless ``eps_override`` is set; that check needs the ball-tone
+    oracles and is made by ``resolve_eps``.  Every other field is checked at
+    construction (``dataclasses.replace`` included): one ValueError names
+    each bad field.
     """
 
     dim: int = 2
@@ -126,6 +129,38 @@ class RunConfig:
     # is solved once per lattice only while a warm start moves its J far less
     # than the acceptance margin DELTA_REL (1e-6) (see descent_step).
     tone_tol: ClassVar[float] = 1e-8
+
+    def __post_init__(self):
+        errors = lattice_errors(self.dim, self.nodes_per_side, self.radius_B)
+        if not self.omega0 > 0:
+            errors.append(f"omega0: must be positive, got {self.omega0}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            errors.append(f"eps: must be positive and finite, got {self.eps}")
+        if self.penalty_variant not in (PLAIN, REWARDING):
+            errors.append(f"penalty_variant: must be {PLAIN} or {REWARDING}, "
+                          f"got {self.penalty_variant!r}")
+        if self.init_shape not in INIT_SHAPES:
+            errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {self.init_shape!r}")
+        if self.max_steps < 1:
+            errors.append(f"max_steps: must be >= 1, got {self.max_steps}")
+        if not 0.0 < self.d_n < 1.0:
+            errors.append(f"d_n: must lie in (0, 1), got {self.d_n}")
+        if self.seed < 0:
+            errors.append(f"seed: must be >= 0, got {self.seed}")
+        if self.snapshot_every < 1:
+            errors.append(f"snapshot_every: must be >= 1, got {self.snapshot_every}")
+        if self.dim in FIELD_DIMS and self.omega0 > 0 and 0 < self.radius_B < math.inf:
+            try:
+                vol_B = unit_ball_volume(self.dim) * self.radius_B ** self.dim
+            except OverflowError:
+                vol_B = math.inf
+            if vol_B == math.inf:
+                errors.append("radius_B: the reference ball's volume overflows, "
+                              f"got {self.radius_B}")
+            elif self.omega0 >= vol_B:
+                errors.append("omega0: target volume does not fit inside the reference ball")
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass
@@ -179,49 +214,10 @@ class RunResult:
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def validate_config(config: RunConfig) -> list[str]:
-    """Field-by-field validation; returns a list of error strings."""
-    errors = []
-    c = config
-    if c.dim not in FIELD_DIMS:
-        errors.append(f"dim: must be one of {FIELD_DIMS}, got {c.dim}")
-    if c.nodes_per_side < MIN_NODES_PER_SIDE or c.nodes_per_side % 2 == 0:
-        errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
-                      f"got {c.nodes_per_side}")
-    if not 0 < c.radius_B < math.inf:
-        errors.append(f"radius_B: must be positive and finite, got {c.radius_B}")
-    if not c.omega0 > 0:
-        errors.append(f"omega0: must be positive, got {c.omega0}")
-    if c.eps is not None and not 0 < c.eps < math.inf:
-        errors.append(f"eps: must be positive and finite, got {c.eps}")
-    if c.penalty_variant not in ("plain", "rewarding"):
-        errors.append(f"penalty_variant: must be plain or rewarding, got {c.penalty_variant!r}")
-    if c.init_shape not in INIT_SHAPES:
-        errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {c.init_shape!r}")
-    if c.max_steps < 1:
-        errors.append(f"max_steps: must be >= 1, got {c.max_steps}")
-    if not 0.0 < c.d_n < 1.0:
-        errors.append(f"d_n: must lie in (0, 1), got {c.d_n}")
-    if c.seed < 0:
-        errors.append(f"seed: must be >= 0, got {c.seed}")
-    if c.snapshot_every < 1:
-        errors.append(f"snapshot_every: must be >= 1, got {c.snapshot_every}")
-    if c.dim in FIELD_DIMS and c.omega0 > 0 and 0 < c.radius_B < math.inf:
-        try:
-            vol_B = unit_ball_volume(c.dim) * c.radius_B ** c.dim
-        except OverflowError:
-            vol_B = math.inf
-        if vol_B == math.inf:
-            errors.append(f"radius_B: the reference ball's volume overflows, got {c.radius_B}")
-        elif c.omega0 >= vol_B:
-            errors.append("omega0: target volume does not fit inside the reference ball")
-    return errors
-
-
 def eps_threshold(config: RunConfig) -> float:
     """Largest eps the theory covers for the configured penalty variant."""
     e1_eff = eps1_effective(config.dim, config.omega0, config.radius_B)
-    if config.penalty_variant == "plain":
+    if config.penalty_variant == PLAIN:
         return e1_eff
     return min(eps0(config.dim, config.omega0, config.d_n), e1_eff)
 
@@ -256,8 +252,9 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     """Centered starting mask of the requested topology whose volume matches
     omega0 up to one boundary layer of nodes.
 
-    Raises ValueError, naming the shape, omega0 and the lattice, when the
-    shape falls between the lattice nodes and the mask is empty."""
+    Raises ValueError, naming the shape and omega0, when the shape reaches
+    past B (naming radius_B) or falls between the lattice nodes and the mask
+    is empty (naming nodes_per_side)."""
     if shape not in INIT_SHAPES:
         raise ValueError(f"unknown init shape {shape!r}")
     n = grid.dim
@@ -267,15 +264,25 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
             f"omega0={omega0} does not fit inside the reference ball "
             f"(|B|={wn * grid.radius_B ** n})"
         )
+    # how far the square, the annulus and the two disks reach from the
+    # center; the disk and the blob fit whenever omega0 < |B|
+    half = 0.5 * omega0 ** (1.0 / n)
+    outer = (omega0 / (wn * (1.0 - 0.5 ** n))) ** (1.0 / n)
+    r = (omega0 / (2.0 * wn)) ** (1.0 / n)
+    offset = 1.5 * r
+    reach = {"square": half * math.sqrt(n), "annulus": outer, "two_disks": offset + r}
+    if reach.get(shape, 0.0) >= grid.radius_B:
+        raise ValueError(
+            f"init_shape {shape}: the start of volume omega0={omega0} does not fit "
+            f"in the reference ball of radius_B={grid.radius_B}; lower omega0 or "
+            "raise radius_B"
+        )
     center = (0.0,) * n
 
     if shape == "disk":
         mask = ball_mask(grid, center, (omega0 / wn) ** (1.0 / n))
 
     elif shape == "square":
-        half = 0.5 * omega0 ** (1.0 / n)
-        if half * math.sqrt(n) >= grid.radius_B:
-            raise ValueError("square of the requested volume does not fit in B")
         axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
         inside = np.ones(grid.shape, dtype=bool)
         for a in axes:
@@ -283,19 +290,11 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
         mask = mask_from_array(grid, inside)
 
     elif shape == "annulus":
-        outer = (omega0 / (wn * (1.0 - 0.5 ** n))) ** (1.0 / n)
-        inner = 0.5 * outer
-        if outer >= grid.radius_B:
-            raise ValueError("annulus of the requested volume does not fit in B")
         shell = np.logical_and(ball_mask(grid, center, outer).inside,
-                               np.logical_not(ball_mask(grid, center, inner).inside))
+                               np.logical_not(ball_mask(grid, center, 0.5 * outer).inside))
         mask = mask_from_array(grid, shell)
 
     elif shape == "two_disks":
-        r = (omega0 / (2.0 * wn)) ** (1.0 / n)
-        offset = 1.5 * r
-        if offset + r >= grid.radius_B:
-            raise ValueError("two disks of the requested volume do not fit in B")
         c1 = np.zeros(n)
         c1[0] = offset
         both = np.logical_or(ball_mask(grid, c1, r).inside,
@@ -655,9 +654,6 @@ def optimize(config: RunConfig, on_accept=None) -> RunResult:
     final lattice.  ``on_accept(state)`` is invoked after every accepted step
     on any lattice (the CLI counts the calls to dump masks).
     """
-    errors = validate_config(config)
-    if errors:
-        raise ValueError("invalid config: " + "; ".join(errors))
     config, consts = resolve_eps(config)
     kind = penalty_kind(config)
 

@@ -293,6 +293,37 @@ class TestRunCommand:
         assert code == 1
         assert err == "error: ARPACK did not converge in 1 restarts\n"
 
+    # numpy's message for the 2D lattice of a config holding only
+    # nodes_per_side = 1000003; a MemoryError raised by Python itself has none
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 7.28 TiB for an array with shape (1000003, 1000003) "
+        "and data type float64",
+        "",
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_clean_error(self, tmp_path, monkeypatch, capsys, message):
+        from platetone import cli
+
+        def fail(config, on_accept=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        cfg = write(tmp_path, "nodes_per_side = 1000003\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+        assert not out.exists()
+
+    def test_start_past_the_ball_names_its_fields(self, tmp_path, capsys):
+        # the square of volume 5 reaches 1.58 from the center, past radius_B
+        # = 1.5, though 5 < |B| = 7.07
+        cfg = write(tmp_path, "nodes_per_side = 33\ninit_shape = square\nomega0 = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: init_shape square: the start of volume omega0=5.0 does not fit in the "
+            "reference ball of radius_B=1.5; lower omega0 or raise radius_B\n")
+        assert not out.exists()
+
     def test_summary_contains_constants_and_diagnostics(self, tmp_path):
         cfg = write(tmp_path, QUICK)
         out = tmp_path / "out"

@@ -39,7 +39,6 @@ from platetone.search import (
     penalty_kind,
     prolong_mask,
     resolve_eps,
-    validate_config,
 )
 
 OMEGA0 = math.pi / 4.0
@@ -94,40 +93,47 @@ def predicted_solves(state, cands, kind):
 
 
 class TestValidateConfig:
+    """A RunConfig checks its fields when it is built or replaced."""
+
     def test_default_config_is_valid(self):
-        assert validate_config(RunConfig()) == []
+        RunConfig()
 
     def test_collects_field_errors(self):
-        bad = RunConfig(dim=5, nodes_per_side=10, omega0=-1.0,
-                        penalty_variant="foo")
-        errors = validate_config(bad)
-        joined = "\n".join(errors)
-        for token in ("dim", "nodes_per_side", "omega0", "penalty_variant"):
-            assert token in joined
+        with pytest.raises(ValueError) as info:
+            RunConfig(dim=5, nodes_per_side=10, omega0=-1.0, penalty_variant="foo")
+        fields = [e.split(":")[0] for e in str(info.value).split("; ")]
+        assert fields == ["dim", "nodes_per_side", "omega0", "penalty_variant"]
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match=r"^nodes_per_side: must be odd and >= 9, got 8$"):
+            replace(RunConfig(), nodes_per_side=8)
 
     @pytest.mark.parametrize("dim, n, field", [
         (1, 33, "dim"), (4, 33, "dim"), (2, 7, "nodes_per_side"),
         (2, 8, "nodes_per_side"), (3, 10, "nodes_per_side"), (2, 9, None), (3, 9, None),
     ])
     def test_lattice_rule_matches_make_grid(self, dim, n, field):
-        errors = validate_config(RunConfig(dim=dim, nodes_per_side=n, omega0=0.1))
         if field is None:
-            assert errors == []
+            RunConfig(dim=dim, nodes_per_side=n, omega0=0.1)
             make_grid(dim, n, 1.5)
-        else:
-            assert [e.split(":")[0] for e in errors] == [field]
-            with pytest.raises(ValueError, match=field):
-                make_grid(dim, n, 1.5)
+            return
+        with pytest.raises(ValueError) as from_config:
+            RunConfig(dim=dim, nodes_per_side=n, omega0=0.1)
+        with pytest.raises(ValueError) as from_grid:
+            make_grid(dim, n, 1.5)
+        assert str(from_config.value) == str(from_grid.value)
+        assert str(from_grid.value).startswith(f"{field}: must be")
 
     def test_omega0_must_fit_reference_ball(self):
-        bad = RunConfig(omega0=100.0)
-        assert any("fit" in e for e in validate_config(bad))
+        with pytest.raises(ValueError, match="^omega0: target volume does not fit"):
+            RunConfig(omega0=100.0)
 
     @pytest.mark.parametrize("radius_B", [1e154, 1e200])
     def test_reference_ball_volume_must_be_finite(self, radius_B):
         # radius_B ** 2 overflows (1e200) or pi * radius_B ** 2 does (1e154)
-        errors = validate_config(RunConfig(radius_B=radius_B))
-        assert errors == [f"radius_B: the reference ball's volume overflows, got {radius_B}"]
+        with pytest.raises(ValueError) as info:
+            RunConfig(radius_B=radius_B)
+        assert str(info.value) == f"radius_B: the reference ball's volume overflows, got {radius_B}"
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, search.DELTA_REL, 1e-3, math.inf, math.nan])
     def test_tone_tol_must_lie_below_the_acceptance_margin(self, tol):
@@ -143,9 +149,7 @@ class TestValidateConfig:
         with pytest.raises(TypeError):
             replace(RunConfig(), tone_tol=tol)
         # an instance reads the constant, as the benchmark worker does
-        config = RunConfig()
-        assert config.tone_tol == RunConfig.tone_tol
-        assert validate_config(config) == []
+        assert RunConfig().tone_tol == RunConfig.tone_tol
 
 
 class TestResolveEps:
@@ -209,8 +213,12 @@ class TestInitialMask:
         g = make_grid(2, 65, 1.0)
         with pytest.raises(ValueError):
             initial_mask(g, "disk", 10.0)
-        with pytest.raises(ValueError):
-            initial_mask(g, "two_disks", 2.5)
+        # each start of omega0 = 2.5 < |B| = pi reaches past B
+        for shape in ("square", "annulus", "two_disks"):
+            with pytest.raises(ValueError, match=f"^init_shape {shape}: the start of volume "
+                                                 r"omega0=2.5 does not fit in the reference "
+                                                 r"ball of radius_B=1.0; lower omega0"):
+                initial_mask(g, shape, 2.5)
 
     def test_rejects_unknown_shape(self):
         g = make_grid(2, 65, 1.0)
