@@ -159,14 +159,9 @@ def summary_lines(result: RunResult) -> list[str]:
         f"result.wall_time_s = {_fmt(result.wall_time)}",
         f"result.tone_iterations = {result.tone.iterations}",
         f"result.tone_residual = {_fmt(result.tone.residual)}",
-        f"diagnostics.connected = {_fmt(d.connected)}",
         f"diagnostics.component_count = {d.component_count}",
         f"diagnostics.doubling_sigma = {_fmt(d.doubling_sigma)}",
         f"diagnostics.nondegeneracy_c1 = {_fmt(d.nondegeneracy_c1)}",
-        f"diagnostics.sigma0_count = {d.sigma0_count}",
-        f"diagnostics.sigma1_count = {d.sigma1_count}",
-        f"diagnostics.dichotomy = {d.dichotomy.value}",
-        f"diagnostics.probe_radii = {_fmt(d.probe_radii)}",
     ]
     for r, q in d.density_c2_profile:
         lines.append(f"diagnostics.density_min[{_fmt(r)}] = {_fmt(q)}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -55,15 +56,24 @@ FIELD_DIMS = (2, 3)
 MIN_NODES_PER_SIDE = 9
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def lattice_errors(dim: int, nodes_per_side: int, radius_B: float) -> list[str]:
     """Every way the lattice misses the rule the field solvers need, one
-    message per field: dim in ``FIELD_DIMS``, nodes_per_side odd (so the
-    center is a node) and at least ``MIN_NODES_PER_SIDE``, radius_B positive
-    and finite."""
+    message per field: dim an integer in ``FIELD_DIMS``, nodes_per_side an
+    odd integer (so the center is a node) and at least
+    ``MIN_NODES_PER_SIDE``, radius_B positive and finite."""
     errors = []
-    if dim not in FIELD_DIMS:
+    if not is_integer(dim):
+        errors.append(f"dim: must be an integer, got {dim!r}")
+    elif dim not in FIELD_DIMS:
         errors.append(f"dim: must be one of {FIELD_DIMS}, got {dim}")
-    if nodes_per_side < MIN_NODES_PER_SIDE or nodes_per_side % 2 == 0:
+    if not is_integer(nodes_per_side):
+        errors.append(f"nodes_per_side: must be an integer, got {nodes_per_side!r}")
+    elif nodes_per_side < MIN_NODES_PER_SIDE or nodes_per_side % 2 == 0:
         errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
                       f"got {nodes_per_side}")
     if not 0 < radius_B < np.inf:
@@ -76,7 +86,7 @@ def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
     ``lattice_errors`` of the shape."""
     if errors := lattice_errors(dim, nodes_per_side, radius_B):
         raise ValueError("; ".join(errors))
-    return Grid(dim, nodes_per_side, float(radius_B))
+    return Grid(int(dim), int(nodes_per_side), float(radius_B))
 
 
 @lru_cache(maxsize=32)

@@ -75,6 +75,7 @@ from platetone.field_grid import (
     face_neighbours,
     fill_holes,
     inside_ball,
+    is_integer,
     lattice_errors,
     make_grid,
     mask_from_array,
@@ -141,13 +142,19 @@ class RunConfig:
                           f"got {self.penalty_variant!r}")
         if self.init_shape not in INIT_SHAPES:
             errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {self.init_shape!r}")
-        if self.max_steps < 1:
+        if not is_integer(self.max_steps):
+            errors.append(f"max_steps: must be an integer, got {self.max_steps!r}")
+        elif self.max_steps < 1:
             errors.append(f"max_steps: must be >= 1, got {self.max_steps}")
         if not 0.0 < self.d_n < 1.0:
             errors.append(f"d_n: must lie in (0, 1), got {self.d_n}")
-        if self.seed < 0:
+        if not is_integer(self.seed):
+            errors.append(f"seed: must be an integer, got {self.seed!r}")
+        elif self.seed < 0:
             errors.append(f"seed: must be >= 0, got {self.seed}")
-        if self.snapshot_every < 1:
+        if not is_integer(self.snapshot_every):
+            errors.append(f"snapshot_every: must be an integer, got {self.snapshot_every!r}")
+        elif self.snapshot_every < 1:
             errors.append(f"snapshot_every: must be >= 1, got {self.snapshot_every}")
         if self.dim in FIELD_DIMS and self.omega0 > 0 and 0 < self.radius_B < math.inf:
             try:
@@ -252,11 +259,13 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     """Centered starting mask of the requested topology whose volume matches
     omega0 up to one boundary layer of nodes.
 
-    Raises ValueError, naming the shape and omega0, when the shape reaches
-    past B (naming radius_B) or falls between the lattice nodes and the mask
-    is empty (naming nodes_per_side)."""
+    Raises ValueError naming omega0 unless it is positive and finite, and
+    naming the shape and omega0 when the shape reaches past B (radius_B) or
+    falls between the lattice nodes and the mask is empty (nodes_per_side)."""
     if shape not in INIT_SHAPES:
         raise ValueError(f"unknown init shape {shape!r}")
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0: must be positive and finite, got {omega0}")
     n = grid.dim
     wn = unit_ball_volume(n)
     if omega0 >= wn * grid.radius_B ** n:

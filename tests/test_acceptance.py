@@ -24,6 +24,7 @@ from platetone.constants import (
 from platetone.diagnostics import (
     Dichotomy,
     density_quotient,
+    dichotomy_check,
     estimate_doubling_sigma,
 )
 from platetone.field_grid import (
@@ -187,17 +188,18 @@ def test_criterion_7_optimizer_recovers_disk():
     lattice_disk = fundamental_tone(
         ball_mask(grid, (0.0, 0.0), 0.5), tol=1e-9).gamma
     matched_rel = abs(result.gamma - lattice_disk) / lattice_disk
+    dichotomy = dichotomy_check(result.mask, OMEGA0)
     ok = (gamma_rel <= 0.05 and vol_rel <= 0.02
-          and result.diagnostics.dichotomy is Dichotomy.VOLUME_MET
+          and dichotomy is Dichotomy.VOLUME_MET
           and elapsed < 900.0)
     report(7, ok,
            f"gamma {result.gamma:.2f} vs analytic ball {target:.2f} "
            f"(rel {gamma_rel:.4f}, bound 0.05; lattice-disk-matched rel "
            f"{matched_rel:.4f}), volume rel {vol_rel:.5f} (bound 0.02), "
-           f"dichotomy {result.diagnostics.dichotomy.value}, {elapsed:.0f}s")
+           f"dichotomy {dichotomy.value}, {elapsed:.0f}s")
     assert elapsed < 900.0
     assert vol_rel <= 0.02
-    assert result.diagnostics.dichotomy is Dichotomy.VOLUME_MET
+    assert dichotomy is Dichotomy.VOLUME_MET
     assert gamma_rel <= 0.05
 
 
@@ -214,13 +216,14 @@ def test_criterion_8_rewarding_volume_window():
     lo = result.constants.alpha0 * OMEGA0 - tol_h
     hi = OMEGA0 + tol_h
     in_window = lo <= result.volume <= hi
-    ok = in_window and result.diagnostics.connected and elapsed < 900.0
+    components = result.diagnostics.component_count
+    ok = in_window and components == 1 and elapsed < 900.0
     report(8, ok, f"volume {result.volume:.5f} in [{lo:.5f}, {hi:.5f}]: "
-                  f"{in_window}, connected {result.diagnostics.connected}, "
+                  f"{in_window}, components {components}, "
                   f"{elapsed:.0f}s")
     assert elapsed < 900.0
     assert in_window
-    assert result.diagnostics.connected
+    assert components == 1
 
 
 def test_criterion_9_trace_monotone_and_deterministic():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -330,7 +331,7 @@ class TestRunCommand:
         main(["run", "--config", str(cfg), "--out", str(out)])
         text = (out / "summary.txt").read_text()
         for token in ("constants.gamma_b1", "constants.eps1", "constants.alpha0",
-                      "diagnostics.dichotomy", "diagnostics.doubling_sigma",
+                      "diagnostics.component_count", "diagnostics.doubling_sigma",
                       "result.gamma", "result.termination"):
             assert token in text, token
 
@@ -348,10 +349,21 @@ class TestRunCommand:
         lines = (out / "summary.txt").read_text().splitlines()
         summary = dict(line.split(" = ", 1) for line in lines)
         assert summary["diagnostics.nondegeneracy_c1"] == format(rep.nondegeneracy_c1, ".17g")
-        assert summary["diagnostics.sigma0_count"] == str(rep.sigma0_count)
-        assert summary["diagnostics.sigma1_count"] == str(rep.sigma1_count)
-        assert summary["diagnostics.connected"] == ("true" if rep.connected else "false")
         assert summary["diagnostics.component_count"] == str(rep.component_count)
+
+    def test_summary_diagnostics_are_the_four_statistics(self, tmp_path):
+        # the component count, the doubling ratio, c1 and one density line
+        # per probe radius; no statistic that reads the same on every run
+        cfg = write(tmp_path, QUICK)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        keys = [line.split(" = ", 1)[0]
+                for line in (out / "summary.txt").read_text().splitlines()
+                if line.startswith("diagnostics.")]
+        assert keys[:3] == ["diagnostics.component_count", "diagnostics.doubling_sigma",
+                            "diagnostics.nondegeneracy_c1"]
+        assert len(keys) > 3
+        assert all(re.fullmatch(r"diagnostics\.density_min\[[0-9.e+-]+\]", k) for k in keys[3:])
 
     # the final volume against omega0: at or under it at the default eps,
     # above it at 0.8 eps1 (TestOptimize measures both on this disk)

@@ -111,6 +111,8 @@ class TestValidateConfig:
     @pytest.mark.parametrize("dim, n, field", [
         (1, 33, "dim"), (4, 33, "dim"), (2, 7, "nodes_per_side"),
         (2, 8, "nodes_per_side"), (3, 10, "nodes_per_side"), (2, 9, None), (3, 9, None),
+        (2.0, 33, "dim"), (2, 33.0, "nodes_per_side"), (True, 33, "dim"),
+        (np.int64(2), np.int32(9), None),
     ])
     def test_lattice_rule_matches_make_grid(self, dim, n, field):
         if field is None:
@@ -123,6 +125,30 @@ class TestValidateConfig:
             make_grid(dim, n, 1.5)
         assert str(from_config.value) == str(from_grid.value)
         assert str(from_grid.value).startswith(f"{field}: must be")
+
+    # a float node count would fail deep in numpy, and a fractional
+    # max_steps would run its ceiling in steps
+    @pytest.mark.parametrize("field, value", [
+        ("nodes_per_side", "33"), ("max_steps", 2.5), ("max_steps", True),
+        ("seed", 1.0), ("seed", False), ("snapshot_every", 10.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{field: value})
+        assert str(info.value) == f"{field}: must be an integer, got {value!r}"
+
+    def test_two_non_integer_fields_are_two_messages(self):
+        with pytest.raises(ValueError) as info:
+            RunConfig(nodes_per_side=33.0, max_steps=2.5)
+        assert str(info.value) == ("nodes_per_side: must be an integer, got 33.0; "
+                                   "max_steps: must be an integer, got 2.5")
+
+    def test_numpy_integers_construct(self):
+        config = RunConfig(dim=np.int64(2), nodes_per_side=np.int64(33), max_steps=np.int32(2),
+                           seed=np.int64(3), snapshot_every=np.int16(1))
+        assert optimize(config).steps <= 2
+        g = make_grid(np.int64(2), np.int64(33), 1.5)
+        assert (type(g.dim), type(g.nodes_per_side)) == (int, int)
 
     def test_omega0_must_fit_reference_ball(self):
         with pytest.raises(ValueError, match="^omega0: target volume does not fit"):
@@ -219,6 +245,16 @@ class TestInitialMask:
                                                  r"omega0=2.5 does not fit in the reference "
                                                  r"ball of radius_B=1.0; lower omega0"):
                 initial_mask(g, shape, 2.5)
+
+    # a negative omega0 would take a complex root, and random_blob would end
+    # in the empty-start message
+    @pytest.mark.parametrize("omega0", [-1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("shape", search.INIT_SHAPES)
+    def test_rejects_omega0_not_positive_and_finite(self, shape, omega0):
+        g = make_grid(2, 33, 1.5)
+        with pytest.raises(ValueError) as info:
+            initial_mask(g, shape, omega0)
+        assert str(info.value) == f"omega0: must be positive and finite, got {omega0}"
 
     def test_rejects_unknown_shape(self):
         g = make_grid(2, 65, 1.0)
@@ -949,7 +985,7 @@ class TestOptimize:
         config = small_config(init_shape="two_disks", penalty_variant="rewarding",
                               max_steps=80)
         res = optimize(config)
-        assert res.diagnostics.connected
+        assert res.diagnostics.component_count == 1
 
     def test_accepted_J_strictly_decreasing(self):
         config = small_config(init_shape="square", max_steps=60)
