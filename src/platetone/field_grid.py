@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -61,11 +61,16 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def lattice_errors(dim: int, nodes_per_side: int, radius_B: float) -> list[str]:
     """Every way the lattice misses the rule the field solvers need, one
     message per field: dim an integer in ``FIELD_DIMS``, nodes_per_side an
     odd integer (so the center is a node) and at least
-    ``MIN_NODES_PER_SIDE``, radius_B positive and finite."""
+    ``MIN_NODES_PER_SIDE``, radius_B a positive and finite real number."""
     errors = []
     if not is_integer(dim):
         errors.append(f"dim: must be an integer, got {dim!r}")
@@ -76,7 +81,9 @@ def lattice_errors(dim: int, nodes_per_side: int, radius_B: float) -> list[str]:
     elif nodes_per_side < MIN_NODES_PER_SIDE or nodes_per_side % 2 == 0:
         errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
                       f"got {nodes_per_side}")
-    if not 0 < radius_B < np.inf:
+    if not is_real(radius_B):
+        errors.append(f"radius_B: must be a real number, got {radius_B!r}")
+    elif not 0 < radius_B < np.inf:
         errors.append(f"radius_B: must be positive and finite, got {radius_B}")
     return errors
 

@@ -5,19 +5,19 @@ masks here: each step proposes a deterministic list of candidate masks built
 from the current eigenfield: a cut of its weakest members (a fixed fraction
 scaled by an aggressiveness knob), a one-ring dilation (only while eps lies
 above its threshold), a volume-targeted partial dilation, volume-neutral
-boundary exchanges (a fine one at every step, and a coarse one only while
-the fine one moves at most two nodes), connected-component restrictions
-(each regrown toward the budget when there is room), and last the incumbent
-with its holes filled and then shrunk to the volume budget.  Every node
-choice, the prolongation below included, follows one rule (``_ranked``):
-descending score, ties by ascending flat index; the growth, the exchanges
-and each component's regrowth take prefixes of one ranking of the
-incumbent's ring, and both shrinks are one peel (``_peel``), least |u|
-first.  The candidate with the lowest objective wins, ties broken by list
-position; a step that fails to improve the objective by the fixed relative
-margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A lattice's descent
-ends at the first such step with nothing new to solve, or when the step
-budget is exhausted.
+boundary exchanges (a fine one at every step, and a coarse one only on a
+run's first lattice, while the fine one moves at most two nodes),
+connected-component restrictions (each regrown toward the budget when there
+is room), and last the incumbent with its holes filled and then shrunk to
+the volume budget.  Every node choice, the prolongation below included,
+follows one rule (``_ranked``): descending score, ties by ascending flat
+index; the growth, the exchanges and each component's regrowth take prefixes
+of one ranking of the incumbent's ring, and both shrinks are one peel
+(``_peel``), least |u| first.  The candidate with the lowest objective wins,
+ties broken by list position; a step that fails to improve the objective by
+the fixed relative margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A
+lattice's descent ends at the first such step with nothing new to solve, or
+when the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -76,6 +76,7 @@ from platetone.field_grid import (
     fill_holes,
     inside_ball,
     is_integer,
+    is_real,
     lattice_errors,
     make_grid,
     mask_from_array,
@@ -133,9 +134,13 @@ class RunConfig:
 
     def __post_init__(self):
         errors = lattice_errors(self.dim, self.nodes_per_side, self.radius_B)
-        if not self.omega0 > 0:
+        if not is_real(self.omega0):
+            errors.append(f"omega0: must be a real number, got {self.omega0!r}")
+        elif not self.omega0 > 0:
             errors.append(f"omega0: must be positive, got {self.omega0}")
-        if self.eps is not None and not 0 < self.eps < math.inf:
+        if self.eps is not None and not is_real(self.eps):
+            errors.append(f"eps: must be a real number or None, got {self.eps!r}")
+        elif self.eps is not None and not 0 < self.eps < math.inf:
             errors.append(f"eps: must be positive and finite, got {self.eps}")
         if self.penalty_variant not in (PLAIN, REWARDING):
             errors.append(f"penalty_variant: must be {PLAIN} or {REWARDING}, "
@@ -146,7 +151,9 @@ class RunConfig:
             errors.append(f"max_steps: must be an integer, got {self.max_steps!r}")
         elif self.max_steps < 1:
             errors.append(f"max_steps: must be >= 1, got {self.max_steps}")
-        if not 0.0 < self.d_n < 1.0:
+        if not is_real(self.d_n):
+            errors.append(f"d_n: must be a real number, got {self.d_n!r}")
+        elif not 0.0 < self.d_n < 1.0:
             errors.append(f"d_n: must lie in (0, 1), got {self.d_n}")
         if not is_integer(self.seed):
             errors.append(f"seed: must be an integer, got {self.seed!r}")
@@ -156,7 +163,8 @@ class RunConfig:
             errors.append(f"snapshot_every: must be an integer, got {self.snapshot_every!r}")
         elif self.snapshot_every < 1:
             errors.append(f"snapshot_every: must be >= 1, got {self.snapshot_every}")
-        if self.dim in FIELD_DIMS and self.omega0 > 0 and 0 < self.radius_B < math.inf:
+        if (self.dim in FIELD_DIMS and is_real(self.omega0) and is_real(self.radius_B)
+                and self.omega0 > 0 and 0 < self.radius_B < math.inf):
             try:
                 vol_B = unit_ball_volume(self.dim) * self.radius_B ** self.dim
             except OverflowError:
@@ -197,6 +205,7 @@ class SearchState:
     # that none is solved twice there, whether its solve succeeded or not
     solved: set[bytes] = field(default_factory=set)
     grow_past: bool = False     # eps > eps_threshold: volume past omega0 can pay
+    prolonged: bool = False     # the lattice started from a prolonged coarse optimum
 
 
 @dataclass(frozen=True)
@@ -259,11 +268,14 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     """Centered starting mask of the requested topology whose volume matches
     omega0 up to one boundary layer of nodes.
 
-    Raises ValueError naming omega0 unless it is positive and finite, and
-    naming the shape and omega0 when the shape reaches past B (radius_B) or
-    falls between the lattice nodes and the mask is empty (nodes_per_side)."""
+    Raises ValueError naming omega0 unless it is a positive and finite real
+    number, and naming the shape and omega0 when the shape reaches past B
+    (radius_B) or falls between the lattice nodes and the mask is empty
+    (nodes_per_side)."""
     if shape not in INIT_SHAPES:
         raise ValueError(f"unknown init shape {shape!r}")
+    if not is_real(omega0):
+        raise ValueError(f"omega0: must be a real number, got {omega0!r}")
     if not 0 < omega0 < math.inf:
         raise ValueError(f"omega0: must be positive and finite, got {omega0}")
     n = grid.dim
@@ -404,8 +416,9 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
     Order: the cut, dilate, the volume-targeted partial dilation, the
-    volume-neutral boundary exchanges (a coarse one, only while the fine one
-    moves at most two nodes, then the fine one), then, when the mask is
+    volume-neutral boundary exchanges (a coarse one, only on a run's first
+    lattice, ``not state.prolonged``, and there only while the fine one moves
+    at most two nodes, then the fine one), then, when the mask is
     disconnected, one candidate per connected component, and last, when the
     mask has a hole, the mask with its holes filled (``fill_holes``).  A
     component's candidate is its restriction grown by one budgeted ring, or
@@ -462,14 +475,18 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
         grown if state.grow_past else None,
         _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
-    # The coarse exchange is offered only while the fine one moves at most
-    # two nodes, where it can still step past a stall.  Over 62 runs it was
-    # solved 781 times and won 35 steps, 10 of them on 2D N=33; on the 3D
-    # N=33 square start (seeds 0-10) it was solved 102 times and won none.
+    # The coarse exchange is offered only on a run's first lattice, and there
+    # only while the fine one moves at most two nodes, where it can still step
+    # past a stall: over five default starts it won 10 of 36 solves on 2D
+    # N=33 and 2 of 24 on N=65.  A prolonged start has left those stalls on
+    # the coarser lattice: on N=129 (annulus-2d-129, seeds 0-10) it was solved
+    # 41 times and won nothing.  It wins nothing on 3D N=33 either (square
+    # start, seeds 0-10: 33 solves), but 2 of 19 and 2 of 26 on 3D N=17, 25.
     if ring.size and boundary.size:
         span = state.aggressiveness * min(ring.size, boundary.size)
         fine = max(1, round(0.05 * span))
-        sizes = [max(1, round(0.25 * span)), fine] if fine <= 2 else [fine]
+        coarse = fine <= 2 and not state.prolonged
+        sizes = [max(1, round(0.25 * span)), fine] if coarse else [fine]
         for k in sizes:
             cands.append(_moved(mask, add=ring[:k], drop=boundary[:k]))
     count, labels = connected_components(mask)
@@ -580,14 +597,16 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     ``prior`` is the finished state of a coarser lattice.  Its history and
     step count carry on, so steps are numbered continuously across lattices
     and ``config.max_steps`` bounds their total; the start row shares the
-    step number of the last coarse step.  ``on_accept(state)`` is invoked
+    step number of the last coarse step, and the state is ``prolonged``, so
+    its steps offer no coarse exchange.  ``on_accept(state)`` is invoked
     after every accepted step; the start is not a step.
     """
     J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=RunConfig.tone_tol)
     state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
                         aggressiveness=1.0,
                         solved={np.packbits(mask.inside).tobytes()},
-                        grow_past=kind.eps > eps_threshold(config))
+                        grow_past=kind.eps > eps_threshold(config),
+                        prolonged=prior is not None)
     if prior is not None:
         state.step, state.history = prior.step, prior.history
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)

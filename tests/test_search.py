@@ -143,6 +143,37 @@ class TestValidateConfig:
         assert str(info.value) == ("nodes_per_side: must be an integer, got 33.0; "
                                    "max_steps: must be an integer, got 2.5")
 
+    # a string or None reached a bare TypeError that named no field, and a
+    # bool counted as a number
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", "0.5"), ("omega0", True), ("radius_B", "1.5"), ("radius_B", None),
+        ("eps", "1e-4"), ("eps", False), ("d_n", None), ("d_n", "0.5"),
+    ])
+    def test_real_fields_must_be_real_numbers(self, field, value):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{field: value})
+        rule = "a real number or None" if field == "eps" else "a real number"
+        assert str(info.value) == f"{field}: must be {rule}, got {value!r}"
+
+    def test_two_non_real_fields_are_two_messages(self):
+        with pytest.raises(ValueError) as info:
+            RunConfig(omega0="0.5", d_n=None)
+        assert str(info.value) == ("omega0: must be a real number, got '0.5'; "
+                                   "d_n: must be a real number, got None")
+
+    def test_radius_rule_matches_make_grid(self):
+        with pytest.raises(ValueError) as from_config:
+            RunConfig(radius_B="1.5")
+        with pytest.raises(ValueError) as from_grid:
+            make_grid(2, 33, "1.5")
+        assert str(from_config.value) == str(from_grid.value)
+
+    def test_integers_and_numpy_reals_construct(self):
+        config = RunConfig(nodes_per_side=33, omega0=np.float32(0.5), radius_B=1,
+                           eps=np.float64(1e-4), d_n=np.float16(0.5))
+        assert config.radius_B == 1
+        assert make_grid(2, 33, np.float32(1.5)).radius_B == 1.5
+
     def test_numpy_integers_construct(self):
         config = RunConfig(dim=np.int64(2), nodes_per_side=np.int64(33), max_steps=np.int32(2),
                            seed=np.int64(3), snapshot_every=np.int16(1))
@@ -255,6 +286,14 @@ class TestInitialMask:
         with pytest.raises(ValueError) as info:
             initial_mask(g, shape, omega0)
         assert str(info.value) == f"omega0: must be positive and finite, got {omega0}"
+
+    @pytest.mark.parametrize("omega0", ["0.5", True, None])
+    @pytest.mark.parametrize("shape", search.INIT_SHAPES)
+    def test_rejects_omega0_not_a_real_number(self, shape, omega0):
+        g = make_grid(2, 33, 1.5)
+        with pytest.raises(ValueError) as info:
+            initial_mask(g, shape, omega0)
+        assert str(info.value) == f"omega0: must be a real number, got {omega0!r}"
 
     def test_rejects_unknown_shape(self):
         g = make_grid(2, 65, 1.0)
@@ -559,6 +598,18 @@ class TestMoves:
             assert swapped.member_count == m.member_count
             assert added(swapped, m) == set(ring[:k])
             assert dropped(swapped, m) == set(boundary[:k])
+
+    def test_coarse_exchange_only_on_the_first_lattice(self):
+        # a lattice that starts from a prolonged coarse optimum is offered
+        # the same list without the coarse exchange: over seeds 0-10 of
+        # annulus-2d-129 it was solved 41 times on N=129 and won no step
+        state, first = self.under_budget_disk(0.8, nodes_per_side=65)
+        ring, boundary = self.rankings(state)
+        coarse = first[2]
+        assert added(coarse, state.mask) == set(ring[:10])
+        assert dropped(coarse, state.mask) == set(boundary[:10])
+        state.prolonged = True
+        assert candidate_masks(state, OMEGA0) == first[:2] + first[3:]
 
     def test_growth_and_exchanges_add_prefixes_of_one_ring_order(self):
         state, cands = self.under_budget_disk()
@@ -1052,6 +1103,37 @@ class TestOptimize:
         optimize(config)
         assert steps
         return steps
+
+    def test_coarse_exchange_is_built_on_the_first_of_two_lattices_only(self, monkeypatch):
+        # the default 2D N=129 disk descends on N=65, then on N=129; a step
+        # offers the coarse exchange when its mask, k = max(1, round(0.25 *
+        # span)) nodes swapped, is among its candidates and differs from the
+        # fine one, k = max(1, round(0.05 * span))
+        steps = []
+        real = search.candidate_masks
+
+        def recording(state, omega0):
+            steps.append((replace(state), real(state, omega0)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(search, "candidate_masks", recording)
+        assert optimize(RunConfig()).levels == (65, 129)
+        built = {65: 0, 129: 0}
+        eligible = {65: 0, 129: 0}
+        for state, cands in steps:
+            ring, boundary = TestMoves.rankings(state)
+            span = state.aggressiveness * min(len(ring), len(boundary))
+            fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
+            if fine > 2 or k == fine:
+                continue
+            mask, n = state.mask, state.mask.grid.nodes_per_side
+            eligible[n] += 1
+            inside = mask.inside.copy()
+            inside.ravel()[ring[:k]] = True
+            inside.ravel()[boundary[:k]] = False
+            built[n] += mask_from_array(mask.grid, inside) in cands
+        assert eligible[129] >= 1
+        assert built[65] >= 1 and built[129] == 0
 
     @pytest.mark.parametrize("shape", ["disk", "square", "annulus", "two_disks"])
     def test_default_eps_offers_no_growth_past_the_budget(self, monkeypatch, shape):
