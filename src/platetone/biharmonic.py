@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from platetone.field_grid import Grid, Mask, ScalarField, make_field
+from platetone.field_grid import Grid, Mask, ScalarField, make_field, raise_errors, real_errors
 # re-exported only because perfbench/worker.py imports the field codecs from here
 from platetone.field_grid import save_field_csv, save_field_fld
 
@@ -253,8 +253,7 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
     """
     if mask.is_empty:
         raise EmptyMaskError("fundamental tone of an empty mask is undefined")
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    raise_errors(real_errors("tol", tol))
     if initial is not None and initial.grid != mask.grid:
         raise ValueError("initial field lies on another lattice than the mask")
 

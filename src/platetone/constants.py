@@ -28,6 +28,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import diags
 
+from platetone.field_grid import raise_errors, real_errors
+
 
 class OracleError(RuntimeError):
     """A tone oracle failed to converge or the two oracles disagree."""
@@ -57,6 +59,27 @@ def unit_ball_volume(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
+
+
+def ball_volume(n: int, radius: float) -> float:
+    """Volume of the n-ball of the given radius; inf where it overflows."""
+    try:
+        return unit_ball_volume(n) * radius ** n
+    except OverflowError:
+        return math.inf
+
+
+def ball_fit_errors(n: int, omega0: float, radius_B: float) -> list[str]:
+    """The ball-fit rule for an omega0 and a radius_B that pass their own
+    rules: no message when the reference ball B has a finite volume |B| and
+    omega0 < |B|, else one naming the field at fault."""
+    vol_B = ball_volume(n, radius_B)
+    if vol_B == math.inf:
+        return [f"radius_B: the reference ball's volume overflows, got {radius_B}"]
+    if omega0 >= vol_B:
+        return [f"omega0: target volume does not fit inside the reference ball "
+                f"(|B|={vol_B}), got {omega0}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +257,7 @@ def gamma_ball(n: int) -> float:
 def eps1(n: int, omega0: float) -> float:
     """Penalty threshold below which excess volume never pays:
     (omega0/omega_n)^(4/n) * omega0 / gamma_ball(n)."""
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
+    raise_errors(real_errors("omega0", omega0))
     try:
         e1 = (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n)
     except OverflowError:
@@ -253,24 +275,19 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     a_max = |B|/omega0, and the correction factor (a_max-1)/(a_max^(4/n)-1)
     restores the bound because the ratio is decreasing in a.
     """
-    if not 0 < radius_B < math.inf:
-        raise ValueError(f"radius_B must be positive and finite, got {radius_B}")
+    raise_errors(real_errors("radius_B", radius_B))
     e1 = eps1(n, omega0)
     if n >= 4:
         return e1
+    raise_errors(ball_fit_errors(n, omega0, radius_B))
+    a_max = ball_volume(n, radius_B) / omega0
     try:
-        vol_B = unit_ball_volume(n) * radius_B ** n
-        growth = (vol_B / omega0) ** (4.0 / n)
+        growth = a_max ** (4.0 / n)
     except OverflowError:
         growth = math.inf
-    if growth == math.inf:          # |B| itself may overflow to inf
+    if growth == math.inf:
         raise ValueError(f"radius_B={radius_B!r} is too large: (|B|/omega0)^(4/n) "
                          f"overflows at omega0={omega0!r}")
-    a_max = vol_B / omega0
-    if a_max <= 1.0:
-        raise ValueError(
-            f"omega0={omega0} does not fit in the reference ball (|B|={vol_B})"
-        )
     e1_eff = e1 * (a_max - 1.0) / (growth - 1.0)
     if not math.isfinite(e1_eff):   # e1 * (a_max - 1) overflows silently
         raise ValueError(f"eps1_effective overflows at omega0={omega0!r}, radius_B={radius_B!r}")
@@ -279,6 +296,7 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
 
 def eps0(n: int, omega0: float, d_n: float = 0.5) -> float:
     """Threshold for the volume dichotomy: min(eps1, d_n * (4/n) / eps1)."""
+    raise_errors(real_errors("d_n", d_n, 1.0))
     e1 = eps1(n, omega0)
     return min(e1, d_n * (4.0 / n) / e1)
 
@@ -295,8 +313,7 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
     x -> 0 (alpha0 -> d_n) is computed without cancellation.  Returns
     (alpha0, |f(alpha0) - x|).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    raise_errors(real_errors("eps", eps) + real_errors("d_n", d_n, 1.0))
     x = eps * eps1(n, omega0)
     try:
         disc = (1.0 + x) ** 2 - 4.0 * d_n * x
@@ -317,8 +334,7 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
 def ball_tone_for_volume(omega: float, n: int) -> float:
     """Fundamental tone of the n-ball of volume omega:
     (omega_n/omega)^(4/n) * gamma_ball(n)."""
-    if omega <= 0:
-        raise ValueError("volume must be positive")
+    raise_errors(real_errors("omega", omega))
     return (unit_ball_volume(n) / omega) ** (4.0 / n) * gamma_ball(n)
 
 
@@ -355,12 +371,8 @@ def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
                       radius_B: float | None = None) -> TheoryConstants:
     """Evaluate the full constant bundle, running the dual-oracle protocol."""
     _check_dim(n)
-    if not 0 < omega0 < math.inf:
-        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not 0.0 < d_n < 1.0:
-        raise ValueError(f"d_n must lie in (0, 1), got {d_n}")
+    raise_errors(real_errors("omega0", omega0) + real_errors("eps", eps)
+                 + real_errors("d_n", d_n, 1.0))
     fd = gamma_ball_radial(n)
     bs = gamma_ball_bessel(n)
     a0, res = alpha0(n, eps, omega0, d_n)

@@ -66,33 +66,49 @@ def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def count_errors(name: str, value, rule: str, holds) -> list[str]:
+    """The integer-count rule: no message when value is an integer for which
+    ``holds(value)`` is true, else one naming the field; ``rule`` words what
+    ``holds`` checks."""
+    if not is_integer(value):
+        return [f"{name}: must be an integer, got {value!r}"]
+    return [] if holds(value) else [f"{name}: must be {rule}, got {value}"]
+
+
+def real_errors(name: str, value, upper: float = np.inf) -> list[str]:
+    """The real-in-an-open-interval rule: no message when value is a real
+    number in (0, upper), else one naming the field."""
+    if not is_real(value):
+        return [f"{name}: must be a real number, got {value!r}"]
+    if 0 < value < upper:
+        return []
+    if upper == np.inf:
+        return [f"{name}: must be positive and finite, got {value}"]
+    return [f"{name}: must lie in (0, {upper:g}), got {value}"]
+
+
+def raise_errors(errors: list[str]) -> None:
+    """Raise one ValueError joining the messages, if there are any."""
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
 def lattice_errors(dim: int, nodes_per_side: int, radius_B: float) -> list[str]:
     """Every way the lattice misses the rule the field solvers need, one
     message per field: dim an integer in ``FIELD_DIMS``, nodes_per_side an
     odd integer (so the center is a node) and at least
     ``MIN_NODES_PER_SIDE``, radius_B a positive and finite real number."""
-    errors = []
-    if not is_integer(dim):
-        errors.append(f"dim: must be an integer, got {dim!r}")
-    elif dim not in FIELD_DIMS:
-        errors.append(f"dim: must be one of {FIELD_DIMS}, got {dim}")
-    if not is_integer(nodes_per_side):
-        errors.append(f"nodes_per_side: must be an integer, got {nodes_per_side!r}")
-    elif nodes_per_side < MIN_NODES_PER_SIDE or nodes_per_side % 2 == 0:
-        errors.append(f"nodes_per_side: must be odd and >= {MIN_NODES_PER_SIDE}, "
-                      f"got {nodes_per_side}")
-    if not is_real(radius_B):
-        errors.append(f"radius_B: must be a real number, got {radius_B!r}")
-    elif not 0 < radius_B < np.inf:
-        errors.append(f"radius_B: must be positive and finite, got {radius_B}")
-    return errors
+    return (count_errors("dim", dim, f"one of {FIELD_DIMS}", FIELD_DIMS.__contains__)
+            + count_errors("nodes_per_side", nodes_per_side,
+                           f"odd and >= {MIN_NODES_PER_SIDE}",
+                           lambda k: k >= MIN_NODES_PER_SIDE and k % 2 == 1)
+            + real_errors("radius_B", radius_B))
 
 
 def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
     """Build a grid, raising one ValueError that lists every
     ``lattice_errors`` of the shape."""
-    if errors := lattice_errors(dim, nodes_per_side, radius_B):
-        raise ValueError("; ".join(errors))
+    raise_errors(lattice_errors(dim, nodes_per_side, radius_B))
     return Grid(int(dim), int(nodes_per_side), float(radius_B))
 
 

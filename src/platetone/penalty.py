@@ -12,15 +12,22 @@ Both vanish at s = omega0 and are continuous there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from platetone.biharmonic import ToneResult, fundamental_tone
-from platetone.field_grid import Grid, Mask, ScalarField, mask_volume
+from platetone.field_grid import Grid, Mask, ScalarField, mask_volume, raise_errors, real_errors
 
 PLAIN = "plain"
 REWARDING = "rewarding"
 _VARIANTS = (PLAIN, REWARDING)
+
+
+def variant_errors(variant) -> list[str]:
+    """The variant rule: no message for a known penalty variant, else one
+    naming the field."""
+    if variant in _VARIANTS:
+        return []
+    return [f"penalty_variant: must be {PLAIN} or {REWARDING}, got {variant!r}"]
 
 
 @dataclass(frozen=True)
@@ -30,12 +37,8 @@ class PenaltyKind:
     omega0: float
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
+        raise_errors(variant_errors(self.variant) + real_errors("eps", self.eps)
+                     + real_errors("omega0", self.omega0))
 
 
 def penalty_value(kind: PenaltyKind, s: float) -> float:

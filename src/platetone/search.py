@@ -57,6 +57,7 @@ import numpy as np
 from platetone.biharmonic import ConvergenceFailure, ToneResult
 from platetone.constants import (
     TheoryConstants,
+    ball_fit_errors,
     compute_constants,
     eps0,
     eps1_effective,
@@ -71,18 +72,19 @@ from platetone.field_grid import (
     ball_mask,
     boundary_nodes,
     connected_components,
+    count_errors,
     dilate,
     face_neighbours,
     fill_holes,
     inside_ball,
-    is_integer,
-    is_real,
     lattice_errors,
     make_grid,
     mask_from_array,
     mask_volume,
+    raise_errors,
+    real_errors,
 )
-from platetone.penalty import PLAIN, REWARDING, PenaltyKind, objective, penalty_value
+from platetone.penalty import PLAIN, PenaltyKind, objective, penalty_value, variant_errors
 
 log = logging.getLogger(__name__)
 
@@ -134,48 +136,19 @@ class RunConfig:
 
     def __post_init__(self):
         errors = lattice_errors(self.dim, self.nodes_per_side, self.radius_B)
-        if not is_real(self.omega0):
-            errors.append(f"omega0: must be a real number, got {self.omega0!r}")
-        elif not self.omega0 > 0:
-            errors.append(f"omega0: must be positive, got {self.omega0}")
-        if self.eps is not None and not is_real(self.eps):
-            errors.append(f"eps: must be a real number or None, got {self.eps!r}")
-        elif self.eps is not None and not 0 < self.eps < math.inf:
-            errors.append(f"eps: must be positive and finite, got {self.eps}")
-        if self.penalty_variant not in (PLAIN, REWARDING):
-            errors.append(f"penalty_variant: must be {PLAIN} or {REWARDING}, "
-                          f"got {self.penalty_variant!r}")
-        if self.init_shape not in INIT_SHAPES:
-            errors.append(f"init_shape: must be one of {INIT_SHAPES}, got {self.init_shape!r}")
-        if not is_integer(self.max_steps):
-            errors.append(f"max_steps: must be an integer, got {self.max_steps!r}")
-        elif self.max_steps < 1:
-            errors.append(f"max_steps: must be >= 1, got {self.max_steps}")
-        if not is_real(self.d_n):
-            errors.append(f"d_n: must be a real number, got {self.d_n!r}")
-        elif not 0.0 < self.d_n < 1.0:
-            errors.append(f"d_n: must lie in (0, 1), got {self.d_n}")
-        if not is_integer(self.seed):
-            errors.append(f"seed: must be an integer, got {self.seed!r}")
-        elif self.seed < 0:
-            errors.append(f"seed: must be >= 0, got {self.seed}")
-        if not is_integer(self.snapshot_every):
-            errors.append(f"snapshot_every: must be an integer, got {self.snapshot_every!r}")
-        elif self.snapshot_every < 1:
-            errors.append(f"snapshot_every: must be >= 1, got {self.snapshot_every}")
-        if (self.dim in FIELD_DIMS and is_real(self.omega0) and is_real(self.radius_B)
-                and self.omega0 > 0 and 0 < self.radius_B < math.inf):
-            try:
-                vol_B = unit_ball_volume(self.dim) * self.radius_B ** self.dim
-            except OverflowError:
-                vol_B = math.inf
-            if vol_B == math.inf:
-                errors.append("radius_B: the reference ball's volume overflows, "
-                              f"got {self.radius_B}")
-            elif self.omega0 >= vol_B:
-                errors.append("omega0: target volume does not fit inside the reference ball")
-        if errors:
-            raise ValueError("; ".join(errors))
+        errors += start_errors(self.init_shape, self.omega0, self.seed)
+        if self.eps is not None:
+            errors += real_errors("eps", self.eps)
+        errors += variant_errors(self.penalty_variant)
+        errors += count_errors("max_steps", self.max_steps, ">= 1", lambda k: k >= 1)
+        errors += real_errors("d_n", self.d_n, 1.0)
+        errors += count_errors("snapshot_every", self.snapshot_every, ">= 1", lambda k: k >= 1)
+        if not isinstance(self.eps_override, (bool, np.bool_)):
+            errors.append(f"eps_override: must be a bool, got {self.eps_override!r}")
+        if self.dim in FIELD_DIMS and not (real_errors("omega0", self.omega0)
+                                           or real_errors("radius_B", self.radius_B)):
+            errors += ball_fit_errors(self.dim, self.omega0, self.radius_B)
+        raise_errors(errors)
 
 
 @dataclass
@@ -264,27 +237,28 @@ def penalty_kind(config: RunConfig) -> PenaltyKind:
 # initial shapes
 # ---------------------------------------------------------------------------
 
+def start_errors(shape: str, omega0: float, seed: int) -> list[str]:
+    """The rules of the start that ``RunConfig`` and ``initial_mask`` share,
+    one message per bad field: a known init_shape, omega0 a positive and
+    finite real number, seed an integer >= 0."""
+    errors = [] if shape in INIT_SHAPES else [
+        f"init_shape: must be one of {INIT_SHAPES}, got {shape!r}"]
+    return (errors + real_errors("omega0", omega0)
+            + count_errors("seed", seed, ">= 0", lambda k: k >= 0))
+
+
 def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     """Centered starting mask of the requested topology whose volume matches
     omega0 up to one boundary layer of nodes.
 
-    Raises ValueError naming omega0 unless it is a positive and finite real
-    number, and naming the shape and omega0 when the shape reaches past B
-    (radius_B) or falls between the lattice nodes and the mask is empty
-    (nodes_per_side)."""
-    if shape not in INIT_SHAPES:
-        raise ValueError(f"unknown init shape {shape!r}")
-    if not is_real(omega0):
-        raise ValueError(f"omega0: must be a real number, got {omega0!r}")
-    if not 0 < omega0 < math.inf:
-        raise ValueError(f"omega0: must be positive and finite, got {omega0}")
+    Raises ValueError naming each field that misses ``start_errors`` or
+    ``ball_fit_errors``, and naming the shape and omega0 when the shape
+    reaches past B (radius_B) or falls between the lattice nodes and the
+    mask is empty (nodes_per_side)."""
+    raise_errors(start_errors(shape, omega0, seed))
+    raise_errors(ball_fit_errors(grid.dim, omega0, grid.radius_B))
     n = grid.dim
     wn = unit_ball_volume(n)
-    if omega0 >= wn * grid.radius_B ** n:
-        raise ValueError(
-            f"omega0={omega0} does not fit inside the reference ball "
-            f"(|B|={wn * grid.radius_B ** n})"
-        )
     # how far the square, the annulus and the two disks reach from the
     # center; the disk and the blob fit whenever omega0 < |B|
     half = 0.5 * omega0 ** (1.0 / n)

@@ -487,7 +487,7 @@ class TestConstantsCommand:
                      "--radius-b", "1.5", option, value])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith(f"error: {field} must be positive and finite, got ")
+        assert captured.err.startswith(f"error: {field}: must be positive and finite, got ")
 
     # eps1 underflows to zero (2D, omega0 1e-300) or overflows (3D, 1e308);
     # these ended in a ZeroDivisionError or OverflowError traceback.  Past

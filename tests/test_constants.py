@@ -194,11 +194,16 @@ class TestEps1Effective:
         with pytest.raises(ValueError):
             eps1_effective(2, 10.0, 1.0)
 
-    @pytest.mark.parametrize("n, radius_B", [(2, 1e100), (2, 1e154), (3, 1e200)])
-    def test_overflow_names_radius_B(self, n, radius_B):
-        # (|B|/omega0)^(4/n) or |B| itself overflows (1e154: |B| is inf and
-        # the ratio inf / inf); this was an OverflowError or a nan
-        with pytest.raises(ValueError, match="radius_B=.* is too large"):
+    # (|B|/omega0)^(4/n) overflows (1e100), or |B| itself does (1e154: pi *
+    # 1e308 is inf; 1e200: radius_B ** n raises), and the ball-fit rule
+    # names it; this was an OverflowError or a nan
+    @pytest.mark.parametrize("n, radius_B, message", [
+        (2, 1e100, "^radius_B=1e\\+100 is too large: "),
+        (2, 1e154, "^radius_B: the reference ball's volume overflows, got 1e\\+154$"),
+        (3, 1e200, "^radius_B: the reference ball's volume overflows, got 1e\\+200$"),
+    ], ids=["2-1e+100", "2-1e+154", "3-1e+200"])
+    def test_overflow_names_radius_B(self, n, radius_B, message):
+        with pytest.raises(ValueError, match=message):
             eps1_effective(n, 1.0, radius_B)
 
     def test_overflow_names_omega0_and_radius_B(self):
@@ -286,10 +291,10 @@ class TestAlpha0:
             alpha0(2, eps, omega0)
 
     def test_rejects_negative_discriminant(self):
-        # d_n > 1 can push the discriminant negative; the guard must fire
+        # d_n > 1 can push the discriminant negative; the d_n rule rejects it
         om0 = 1.0
         e1 = eps1(2, om0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^d_n: must lie in \(0, 1\), got 1.5$"):
             alpha0(2, 1.0 / e1, om0, d_n=1.5)
 
 

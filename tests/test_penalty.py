@@ -85,7 +85,7 @@ class TestPenaltyKindValidation:
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_rejects_eps_that_is_not_finite(self, eps):
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^eps: must be positive and finite, got {eps}$"):
             PenaltyKind("rewarding", eps, 1.0)
 
 

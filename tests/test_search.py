@@ -8,7 +8,14 @@ import pytest
 
 from platetone import search
 from platetone.biharmonic import ConvergenceFailure, fundamental_tone
-from platetone.constants import eps1, unit_ball_volume
+from platetone.constants import (
+    alpha0,
+    compute_constants,
+    eps0,
+    eps1,
+    eps1_effective,
+    unit_ball_volume,
+)
 from platetone.field_grid import (
     ball_mask,
     boundary_nodes,
@@ -22,7 +29,7 @@ from platetone.field_grid import (
     mask_from_array,
     mask_volume,
 )
-from platetone.penalty import penalty_value
+from platetone.penalty import PenaltyKind, penalty_value
 from platetone.search import (
     RunConfig,
     _lap,
@@ -152,8 +159,7 @@ class TestValidateConfig:
     def test_real_fields_must_be_real_numbers(self, field, value):
         with pytest.raises(ValueError) as info:
             RunConfig(**{field: value})
-        rule = "a real number or None" if field == "eps" else "a real number"
-        assert str(info.value) == f"{field}: must be {rule}, got {value!r}"
+        assert str(info.value) == f"{field}: must be a real number, got {value!r}"
 
     def test_two_non_real_fields_are_two_messages(self):
         with pytest.raises(ValueError) as info:
@@ -167,6 +173,59 @@ class TestValidateConfig:
         with pytest.raises(ValueError) as from_grid:
             make_grid(2, 33, "1.5")
         assert str(from_config.value) == str(from_grid.value)
+
+    # each entry point that takes the field raises the one text of its rule;
+    # omega0 = -1 read five ways, and "0.5" or None ended in a bare TypeError
+    @pytest.mark.parametrize("field, value", [
+        *[("omega0", v) for v in ("0.5", True, -1.0, 0.0, math.inf, math.nan)],
+        *[("eps", v) for v in ("1e-4", 0.0, math.inf, math.nan)],
+        *[("d_n", v) for v in (None, 0.0, 1.0)],
+        # the ball fit: omega0 = 100 misses |B| = 7.07, and |B| of radius
+        # 1e200 overflows
+        ("omega0 fit", 100.0), ("radius_B fit", 1e200),
+    ])
+    def test_one_fact_one_text(self, field, value):
+        grid = make_grid(2, 33, 1.5)
+        omega0, radius_B = (value, 1.5) if field == "omega0 fit" else (OMEGA0, value)
+        fit = [lambda: RunConfig(omega0=omega0, radius_B=radius_B),
+               lambda: initial_mask(make_grid(2, 33, radius_B), "disk", omega0),
+               lambda: eps1_effective(2, omega0, radius_B),
+               lambda: compute_constants(2, omega0, 1e-4, radius_B=radius_B)]
+        entry_points = {
+            "omega0": [lambda: RunConfig(omega0=value),
+                       lambda: initial_mask(grid, "disk", value),
+                       lambda: PenaltyKind("plain", 1e-4, value),
+                       lambda: compute_constants(2, value, 1e-4),
+                       lambda: eps1(2, value),
+                       lambda: eps1_effective(2, value, 1.5),
+                       lambda: alpha0(2, 1e-4, value),
+                       lambda: eps0(2, value)],
+            "eps": [lambda: RunConfig(eps=value),
+                    lambda: PenaltyKind("rewarding", value, OMEGA0),
+                    lambda: compute_constants(2, OMEGA0, value),
+                    lambda: alpha0(2, value, OMEGA0)],
+            "d_n": [lambda: RunConfig(d_n=value),
+                    lambda: compute_constants(2, OMEGA0, 1e-4, d_n=value),
+                    lambda: alpha0(2, 1e-4, OMEGA0, d_n=value),
+                    lambda: eps0(2, OMEGA0, d_n=value)],
+            "omega0 fit": fit,
+            "radius_B fit": fit,
+        }
+        messages = set()
+        for call in entry_points[field]:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert messages.pop().startswith(f"{field.split()[0]}: ")
+
+    # the string "false" is truthy, so resolve_eps ran at eps 1e-3
+    @pytest.mark.parametrize("value", ["false", None])
+    def test_eps_override_must_be_a_bool(self, value):
+        with pytest.raises(ValueError) as info:
+            RunConfig(nodes_per_side=33, eps=1e-3, eps_override=value)
+        assert str(info.value) == f"eps_override: must be a bool, got {value!r}"
+        assert RunConfig(eps=1e-3, eps_override=np.bool_(True)).eps_override
 
     def test_integers_and_numpy_reals_construct(self):
         config = RunConfig(nodes_per_side=33, omega0=np.float32(0.5), radius_B=1,
@@ -299,6 +358,19 @@ class TestInitialMask:
         g = make_grid(2, 65, 1.0)
         with pytest.raises(ValueError):
             initial_mask(g, "pentagon", 0.5)
+
+    # these said "unknown init shape ['disk']", or ended in numpy's
+    # "expected non-negative integer" or a bare TypeError
+    @pytest.mark.parametrize("field, shape, seed", [
+        ("init_shape", ["disk"], 0), ("seed", "random_blob", -1), ("seed", "random_blob", "1"),
+    ])
+    def test_start_rules_match_run_config(self, field, shape, seed):
+        with pytest.raises(ValueError) as from_mask:
+            initial_mask(make_grid(2, 33, 1.5), shape, 0.5, seed=seed)
+        with pytest.raises(ValueError) as from_config:
+            RunConfig(init_shape=shape, seed=seed)
+        assert str(from_mask.value) == str(from_config.value)
+        assert str(from_mask.value).startswith(f"{field}: must be")
 
     # the shape falls between the lattice nodes; before, the run failed
     # later with "fundamental tone of an empty mask is undefined"
