@@ -273,13 +273,14 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     The plain threshold argument needs (a-1)/(a^(4/n)-1) >= 1, which holds for
     n >= 4 only.  For n in {2, 3} the volume ratio a is a priori capped by
     a_max = |B|/omega0, and the correction factor (a_max-1)/(a_max^(4/n)-1)
-    restores the bound because the ratio is decreasing in a.
+    restores the bound because the ratio is decreasing in a.  In every
+    dimension omega0 must fit in B: ``ball_fit_errors`` is raised first.
     """
     raise_errors(real_errors("radius_B", radius_B))
     e1 = eps1(n, omega0)
+    raise_errors(ball_fit_errors(n, omega0, radius_B))
     if n >= 4:
         return e1
-    raise_errors(ball_fit_errors(n, omega0, radius_B))
     a_max = ball_volume(n, radius_B) / omega0
     try:
         growth = a_max ** (4.0 / n)

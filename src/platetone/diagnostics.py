@@ -30,6 +30,8 @@ from platetone.field_grid import (
     gradient_field,
     mask_volume,
     member_positions,
+    raise_errors,
+    real_errors,
 )
 
 
@@ -154,6 +156,7 @@ def _density(local: np.ndarray, d2: np.ndarray, R: float) -> float:
 
 def default_vol_tol(grid: Grid, omega0: float) -> float:
     """One boundary layer of volume for a domain of volume omega0."""
+    raise_errors(real_errors("omega0", omega0))
     n = grid.dim
     r_eq = (omega0 / unit_ball_volume(n)) ** (1.0 / n)
     return 5.0 * grid.spacing * r_eq ** (n - 1)
@@ -171,6 +174,7 @@ def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
     property, so observing it flags a search failure.  Otherwise the scaled
     set genuinely cannot be translated into the ball: SCALED_DOES_NOT_FIT.
     """
+    raise_errors(real_errors("omega0", omega0))
     if mask.is_empty:
         raise ValueError("dichotomy check on an empty mask")
     grid = mask.grid
@@ -204,6 +208,7 @@ def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
 def default_probe_radius(grid: Grid, omega0: float) -> float:
     """Probe cap: local enough to stay boundary-scale, large enough to
     beat lattice noise."""
+    raise_errors(real_errors("omega0", omega0))
     n = grid.dim
     r_eq = (omega0 / unit_ball_volume(n)) ** (1.0 / n)
     return max(4.0 * grid.spacing, min(0.25 * r_eq, 32.0 * grid.spacing))
@@ -214,9 +219,9 @@ def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
     probing at the dyadic radii from ``default_probe_radius`` down to 4h.
     The mask's boundary and |grad u| are computed once for every statistic."""
     mask, grid = field.mask, field.grid
+    R0 = default_probe_radius(grid, omega0)     # raises the omega0 rule's text
     if mask.is_empty:
         raise ValueError("diagnostics on an empty mask")
-    R0 = default_probe_radius(grid, omega0)
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
     boundary = boundary_nodes(mask)
     mag = np.linalg.norm(gradient_field(field), axis=0)

@@ -21,7 +21,7 @@ when the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
-exact volume (see ``coarse_nodes_per_side``); ``optimize`` loops over the
+exact volume (see ``lattice_levels``); ``optimize`` loops over the
 lattices, so a 2D N=257 run descends on N=65, then 129, then 257.  One
 history spans the levels; a step works on its incumbent mask's lattice.
 
@@ -50,6 +50,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import ClassVar
 
 import numpy as np
@@ -259,6 +260,7 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     raise_errors(ball_fit_errors(grid.dim, omega0, grid.radius_B))
     n = grid.dim
     wn = unit_ball_volume(n)
+    radius = (omega0 / wn) ** (1.0 / n)     # of the ball of volume omega0
     # how far the square, the annulus and the two disks reach from the
     # center; the disk and the blob fit whenever omega0 < |B|
     half = 0.5 * omega0 ** (1.0 / n)
@@ -272,29 +274,21 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
             f"in the reference ball of radius_B={grid.radius_B}; lower omega0 or "
             "raise radius_B"
         )
-    center = (0.0,) * n
+    axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
+    rho2 = sum(a * a for a in axes)
 
     if shape == "disk":
-        mask = ball_mask(grid, center, (omega0 / wn) ** (1.0 / n))
+        members = rho2 < radius * radius
 
     elif shape == "square":
-        axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
-        inside = np.ones(grid.shape, dtype=bool)
-        for a in axes:
-            inside &= np.abs(a) < half
-        mask = mask_from_array(grid, inside)
+        members = reduce(np.maximum, map(np.abs, axes)) < half
 
     elif shape == "annulus":
-        shell = np.logical_and(ball_mask(grid, center, outer).inside,
-                               np.logical_not(ball_mask(grid, center, 0.5 * outer).inside))
-        mask = mask_from_array(grid, shell)
+        members = (rho2 < outer * outer) & ~(rho2 < (0.5 * outer) * (0.5 * outer))
 
     elif shape == "two_disks":
-        c1 = np.zeros(n)
-        c1[0] = offset
-        both = np.logical_or(ball_mask(grid, c1, r).inside,
-                             ball_mask(grid, -c1, r).inside)
-        mask = mask_from_array(grid, both)
+        c1 = offset * np.eye(n)[0]
+        members = ball_mask(grid, c1, r).inside | ball_mask(grid, -c1, r).inside
 
     else:
         # random_blob: low-order angular wobble of the volume-matched ball,
@@ -303,22 +297,16 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
         modes = np.arange(2, 6)
         amp = 0.25 * rng.standard_normal(modes.size) / modes
         phase = rng.uniform(0.0, 2.0 * math.pi, modes.size)
-        axes = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij", sparse=True)
-        rho = np.sqrt(sum(a * a for a in axes))
+        rho = np.sqrt(rho2)
         theta = np.arctan2(axes[1], axes[0])
-        wobble = np.zeros(grid.shape)
-        for k, a, p in zip(modes, amp, phase):
-            wobble += a * np.cos(k * theta + p)
-        base = (omega0 / wn) ** (1.0 / n)
+        wobble = sum(a * np.cos(k * theta + p) for k, a, p in zip(modes, amp, phase))
+        base = radius
         for _ in range(4):
-            mask = mask_from_array(grid, rho < base * (1.0 + wobble))
-            vol = mask_volume(mask)
-            if vol <= 0:
-                base *= 1.25
-                continue
-            base *= (omega0 / vol) ** (1.0 / n)
-        mask = mask_from_array(grid, rho < base * (1.0 + wobble))
+            vol = mask_volume(mask_from_array(grid, rho < base * (1.0 + wobble)))
+            base *= 1.25 if vol <= 0 else (omega0 / vol) ** (1.0 / n)
+        members = rho < base * (1.0 + wobble)
 
+    mask = mask_from_array(grid, members)
     if mask.is_empty:
         raise ValueError(
             f"init_shape {shape}: the start of volume omega0={omega0} covers no "
@@ -595,38 +583,35 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     return state
 
 
-def coarse_nodes_per_side(config: RunConfig) -> int | None:
-    """Nodes per side of the lattice a run descends on before its own, or
-    None when it starts on its own lattice from ``init_shape``.
+def lattice_levels(config: RunConfig) -> tuple[int, ...]:
+    """Nodes per side of each lattice a run descends on, coarsest first; the
+    last is ``config.nodes_per_side``.
 
-    The coarse lattice keeps radius_B and has half the resolution, so fine
+    Each coarser lattice keeps radius_B and has half the resolution, so fine
     node 2i is coarse node i; its node count (N + 1) / 2 is odd only for
     N = 1 (mod 4).  It is used only while it keeps MIN_COARSE_NODES_ACROSS
     nodes across the diameter of the ball of volume omega0.
     """
-    n = config.nodes_per_side
-    if n % 4 != 1:
-        return None
-    coarse = (n + 1) // 2
-    h = 2.0 * config.radius_B / (coarse - 1)
+    levels = (config.nodes_per_side,)
     diameter = 2.0 * (config.omega0 / unit_ball_volume(config.dim)) ** (1.0 / config.dim)
-    return coarse if diameter / h >= MIN_COARSE_NODES_ACROSS else None
+    while levels[0] % 4 == 1:
+        coarse = (levels[0] + 1) // 2
+        if diameter / (2.0 * config.radius_B / (coarse - 1)) < MIN_COARSE_NODES_ACROSS:
+            break
+        levels = (coarse, *levels)
+    return levels
 
 
 def _prolong(values: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a node array onto the lattice of half the
-    spacing: fine node 2i is coarse node i, and each fine node between
-    coarse nodes averages its two neighbours along every such axis."""
-    for ax in range(values.ndim):
-        shape = list(values.shape)
-        shape[ax] = 2 * shape[ax] - 1
-        fine = np.empty(shape)
-        even, odd, lo, hi = ([slice(None)] * values.ndim for _ in range(4))
-        even[ax], odd[ax] = slice(0, None, 2), slice(1, None, 2)
-        lo[ax], hi[ax] = slice(0, -1), slice(1, None)
-        fine[tuple(even)] = values
-        fine[tuple(odd)] = 0.5 * (values[tuple(lo)] + values[tuple(hi)])
-        values = fine
+    spacing, one axis at a time: each coarse value is repeated twice, then
+    each pair of neighbours averaged, so fine node 2i is coarse node i (the
+    mean of its value with itself) and fine node 2i + 1 the mean of coarse
+    nodes i and i + 1."""
+    for _ in range(values.ndim):
+        twice = np.repeat(values, 2, axis=0)
+        # the interpolated axis moves last: after ndim passes the order is back
+        values = np.moveaxis(0.5 * (twice[:-1] + twice[1:]), 0, -1)
     return values
 
 
@@ -651,7 +636,7 @@ def prolong_mask(field: ScalarField) -> Mask:
 
 def optimize(config: RunConfig, on_accept=None) -> RunResult:
     """Run the full search: ``descend`` on each lattice, coarsest first (see
-    ``coarse_nodes_per_side``), from ``init_shape`` on the first and from the
+    ``lattice_levels``), from ``init_shape`` on the first and from the
     previous optimum, prolonged, on each later one; bundle diagnostics of the
     final lattice.  ``on_accept(state)`` is invoked after every accepted step
     on any lattice (the CLI counts the calls to dump masks).
@@ -660,10 +645,7 @@ def optimize(config: RunConfig, on_accept=None) -> RunResult:
     kind = penalty_kind(config)
 
     t_start = time.perf_counter()
-    sizes = [config.nodes_per_side]
-    while coarse := coarse_nodes_per_side(replace(config, nodes_per_side=sizes[-1])):
-        sizes.append(coarse)
-    levels = tuple(reversed(sizes))
+    levels = lattice_levels(config)
     grid = make_grid(config.dim, levels[0], config.radius_B)
     mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
     state = descend(config, kind, mask, None, on_accept)

@@ -489,6 +489,17 @@ class TestConstantsCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {field}: must be positive and finite, got ")
 
+    # omega0 = 100 misses |B| = 4.93 of the unit ball in 4D; the record was
+    # printed, because eps1_effective returned eps1 for n >= 4 before the
+    # ball-fit rule
+    def test_4d_omega0_past_the_ball_is_one_error_line(self, capsys):
+        code = main(["constants", "--dim", "4", "--omega0", "100", "--eps", "1e-4",
+                     "--radius-b", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: omega0: target volume does not fit ")
+        assert captured.err.count("\n") == 1
+
     # eps1 underflows to zero (2D, omega0 1e-300) or overflows (3D, 1e308);
     # these ended in a ZeroDivisionError or OverflowError traceback.  Past
     # eps * eps1 = 1e154, alpha0's (1 + x)^2 overflowed and printed "error:

@@ -194,6 +194,13 @@ class TestEps1Effective:
         with pytest.raises(ValueError):
             eps1_effective(2, 10.0, 1.0)
 
+    # |B| = 4.93 in 4D and 5.26 in 5D at radius 1: the ball fit holds in
+    # every dimension (for n >= 4 eps1 was returned before the check)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rejects_omega0_not_fitting_for_n_ge_4(self, n):
+        with pytest.raises(ValueError, match=r"^omega0: target volume does not fit "):
+            eps1_effective(n, 100.0, 1.0)
+
     # (|B|/omega0)^(4/n) overflows (1e100), or |B| itself does (1e154: pi *
     # 1e308 is inf; 1e200: radius_B ** n raises), and the ball-fit rule
     # names it; this was an OverflowError or a nan

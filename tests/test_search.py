@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -15,6 +17,12 @@ from platetone.constants import (
     eps1,
     eps1_effective,
     unit_ball_volume,
+)
+from platetone.diagnostics import (
+    default_probe_radius,
+    default_vol_tol,
+    dichotomy_check,
+    run_diagnostics,
 )
 from platetone.field_grid import (
     ball_mask,
@@ -34,13 +42,14 @@ from platetone.search import (
     RunConfig,
     _lap,
     _peel,
+    _prolong,
     _ranked,
     SearchState,
     candidate_masks,
-    coarse_nodes_per_side,
     descend,
     descent_step,
     initial_mask,
+    lattice_levels,
     objective_floor,
     optimize,
     penalty_kind,
@@ -176,6 +185,8 @@ class TestValidateConfig:
 
     # each entry point that takes the field raises the one text of its rule;
     # omega0 = -1 read five ways, and "0.5" or None ended in a bare TypeError
+    # (the diagnostics: -1 a TypeError, 0 a report, nan and inf a report or
+    # "arange: cannot compute length")
     @pytest.mark.parametrize("field, value", [
         *[("omega0", v) for v in ("0.5", True, -1.0, 0.0, math.inf, math.nan)],
         *[("eps", v) for v in ("1e-4", 0.0, math.inf, math.nan)],
@@ -186,6 +197,8 @@ class TestValidateConfig:
     ])
     def test_one_fact_one_text(self, field, value):
         grid = make_grid(2, 33, 1.5)
+        disk = initial_mask(grid, "disk", OMEGA0)
+        disk_field = make_field(disk, np.ones(grid.shape))
         omega0, radius_B = (value, 1.5) if field == "omega0 fit" else (OMEGA0, value)
         fit = [lambda: RunConfig(omega0=omega0, radius_B=radius_B),
                lambda: initial_mask(make_grid(2, 33, radius_B), "disk", omega0),
@@ -199,7 +212,11 @@ class TestValidateConfig:
                        lambda: eps1(2, value),
                        lambda: eps1_effective(2, value, 1.5),
                        lambda: alpha0(2, 1e-4, value),
-                       lambda: eps0(2, value)],
+                       lambda: eps0(2, value),
+                       lambda: run_diagnostics(disk_field, value),
+                       lambda: dichotomy_check(disk, value),
+                       lambda: default_vol_tol(grid, value),
+                       lambda: default_probe_radius(grid, value)],
             "eps": [lambda: RunConfig(eps=value),
                     lambda: PenaltyKind("rewarding", value, OMEGA0),
                     lambda: compute_constants(2, OMEGA0, value),
@@ -315,6 +332,34 @@ class TestInitialMask:
         sizes = [(labels == k).sum() for k in (1, 2)]
         assert abs(sizes[0] - sizes[1]) <= 0.05 * max(sizes)
         assert mask_volume(m) == pytest.approx(OMEGA0, rel=0.05)
+
+    # member count and sha256 of the packed start at omega0 = pi / 4 and
+    # radius_B 1.5, recorded before the shapes became membership tests on
+    # one coordinate grid
+    @pytest.mark.parametrize("dim, n, shape, seed, count, digest", [
+        (2, 33, "disk", 0, 89, "3e1ffb26f2440f687f84d452792d91364632d03a795a287ff569667a5ccf1aec"),
+        (2, 33, "square", 0, 81, "b0b651b742be75589fe48df014164c0373d8db0e0b0f52fd102bcc234902471e"),
+        (2, 33, "annulus", 0, 92, "f3e246d64ff701bc6157f24bbd11ce4ee0c2fd99c1fc4cd85d2a758c178ef79d"),
+        (2, 33, "two_disks", 0, 84,
+         "661834f59359a20d2cd0c57ebb5c13ab39396a2523106061929635c11652d88b"),
+        (2, 33, "random_blob", 0, 89,
+         "ceb4bab5a752617981825bcd5d838dc56e1f63bb743217c47f17b2561f95ce14"),
+        (2, 33, "random_blob", 7, 90,
+         "536cbad4285f4b5b43562f54a681208c6db44fda458ba127be0d730d32b9d7ac"),
+        (3, 17, "disk", 0, 123, "7e6b5eec686c54a8e7da1c4d6de25ed750cded151e254a5acc37a3d4d3831956"),
+        (3, 17, "square", 0, 125, "db0d5b07922bed3c1e10f253e2a5ce3519c7cd4116c62d9c6df92f89aca392ca"),
+        (3, 17, "annulus", 0, 128, "a8f46b39b3fe1d9ad90e5f262dc1cf36b33a5c965cd8988f09e027c51f92add1"),
+        (3, 17, "two_disks", 0, 130,
+         "7b75c4bf45418567fac0793d52bba71a92b9a9bea72358806f2988766ed39c00"),
+        (3, 17, "random_blob", 0, 119,
+         "23f03dbd80e670943d3760b4bb1fb88e114a30d7f9c58aad36db8a75379bc9ad"),
+        (3, 17, "random_blob", 7, 112,
+         "6a6b91e63488198831c11083d498aa5a2bc8a054d0d43b54bcc147ac561ee482"),
+    ])
+    def test_start_is_pinned(self, dim, n, shape, seed, count, digest):
+        m = initial_mask(make_grid(dim, n, 1.5), shape, OMEGA0, seed)
+        assert m.member_count == count
+        assert hashlib.sha256(packed(m)).hexdigest() == digest
 
     def test_random_blob_deterministic_and_sized(self):
         g = make_grid(2, 129, 1.5)
@@ -1289,23 +1334,41 @@ class TestOptimize:
 
 
 class TestContinuation:
-    @pytest.mark.parametrize("dim, n, coarse", [
-        (2, 129, 65),     # 21.3 nodes across the target ball at N=65
-        (2, 257, 129),    # 42.7 across at N=129
-        (2, 65, None),    # 10.7 across at N=33
-        (3, 33, None),    # 6.1 across at N=17
-        (3, 65, None),    # 12.2 across at N=33
-        (2, 131, None),   # N = 3 (mod 4): (N + 1) / 2 is even
-    ])
-    def test_selection(self, dim, n, coarse):
-        config = small_config(dim=dim, nodes_per_side=n)
-        assert coarse_nodes_per_side(config) == coarse
+    # each run's lattices, coarsest first; an id names the lattice a run
+    # descends on before its own (None: it starts on its own)
+    @pytest.mark.parametrize("dim, n, levels", [
+        (2, 129, (65, 129)),        # 21.3 nodes across the target ball at N=65
+        (2, 257, (65, 129, 257)),   # 42.7 across at N=129, 21.3 at N=65
+        (2, 65, (65,)),             # 10.7 across at N=33
+        (3, 33, (33,)),             # 6.1 across at N=17
+        (3, 65, (65,)),             # 12.2 across at N=33
+        (2, 131, (131,)),           # N = 3 (mod 4): (N + 1) / 2 is even
+    ], ids=["2-129-65", "2-257-129", "2-65-None", "3-33-None", "3-65-None", "2-131-None"])
+    def test_selection(self, dim, n, levels):
+        assert lattice_levels(small_config(dim=dim, nodes_per_side=n)) == levels
 
-    def test_selection_recurses_down_to_the_threshold(self):
-        sizes = [257]
-        while (coarse := coarse_nodes_per_side(small_config(nodes_per_side=sizes[-1]))):
-            sizes.append(coarse)
-        assert sizes == [257, 129, 65]
+    # the coarse lattice is used at MIN_COARSE_NODES_ACROSS = 16 nodes across
+    # the target ball and above: on N=33 (h = 0.09375) that is omega0 =
+    # pi 0.75^2 = 1.7671
+    @pytest.mark.parametrize("omega0, levels", [(1.77, (33, 65)), (1.76, (65,))])
+    def test_selection_at_the_threshold(self, omega0, levels):
+        assert search.MIN_COARSE_NODES_ACROSS == 16
+        assert lattice_levels(small_config(nodes_per_side=65, omega0=omega0)) == levels
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 6), (3, 5, 4)])
+    def test_prolong_is_node_by_node_multilinear(self, shape):
+        # fine node k along an axis sits at k / 2 in coarse units: the mean
+        # of the coarse nodes floor(k / 2) and ceil(k / 2); the fine value is
+        # the mean over every corner of that box
+        coarse = np.random.default_rng(5).standard_normal(shape)
+        fine = _prolong(coarse)
+        assert fine.shape == tuple(2 * m - 1 for m in shape)
+        for node in itertools.product(*(range(m) for m in fine.shape)):
+            corners = itertools.product(*({k // 2, (k + 1) // 2} for k in node))
+            values = [coarse[c] for c in corners]
+            assert fine[node] == pytest.approx(sum(values) / len(values), rel=1e-14, abs=1e-14)
+        # coarse node i is fine node 2i exactly
+        assert np.array_equal(fine[(slice(None, None, 2),) * len(shape)], coarse)
 
     @pytest.mark.parametrize("dim, n", [(2, 33), (3, 17)])
     def test_prolongation_keeps_exact_volume_inside_B(self, dim, n):
