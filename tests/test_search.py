@@ -1347,6 +1347,14 @@ class TestContinuation:
     def test_selection(self, dim, n, levels):
         assert lattice_levels(small_config(dim=dim, nodes_per_side=n)) == levels
 
+    def test_selection_recurses_down_to_the_threshold(self):
+        # each lattice of a run descends on exactly the lattices below it in
+        # the run's own table; N=65 stops, as N=33 has 10.7 nodes across
+        levels = lattice_levels(small_config(nodes_per_side=257))
+        assert levels == (65, 129, 257)
+        for k, n in enumerate(levels):
+            assert lattice_levels(small_config(nodes_per_side=n)) == levels[:k + 1]
+
     # the coarse lattice is used at MIN_COARSE_NODES_ACROSS = 16 nodes across
     # the target ball and above: on N=33 (h = 0.09375) that is omega0 =
     # pi 0.75^2 = 1.7671
