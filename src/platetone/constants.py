@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import diags
 
-from platetone.field_grid import raise_errors, real_errors
+from platetone.field_grid import is_integer, raise_errors, real_errors
 
 
 class OracleError(RuntimeError):
@@ -44,8 +44,18 @@ ORACLE_RTOL = 1e-6      # relative agreement the two oracles must reach
 MAX_DIM = 14
 
 
+def _or_inf(value) -> float:
+    """The float ``value()``, or inf where computing it overflows."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
+
+
+# The oracle caches are typed, so a cached n = 2 never answers for 2.0 or
+# True, which this check rejects.
 def _check_dim(n: int) -> None:
-    if not 2 <= n <= MAX_DIM:
+    if not (is_integer(n) and 2 <= n <= MAX_DIM):
         raise ValueError(f"dimension must lie in 2..{MAX_DIM}, the range of the "
                          f"ball-tone oracles, got {n}")
 
@@ -63,10 +73,7 @@ def unit_ball_volume(n: int) -> float:
 
 def ball_volume(n: int, radius: float) -> float:
     """Volume of the n-ball of the given radius; inf where it overflows."""
-    try:
-        return unit_ball_volume(n) * radius ** n
-    except OverflowError:
-        return math.inf
+    return _or_inf(lambda: unit_ball_volume(n) * radius ** n)
 
 
 def ball_fit_errors(n: int, omega0: float, radius_B: float) -> list[str]:
@@ -155,7 +162,7 @@ def _radial_tone_level(n: int, cells: int) -> float:
     return lam
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def gamma_ball_radial(n: int) -> float:
     """Fundamental tone of the unit n-ball from the radial finite-difference
     oracle, Richardson-extrapolated at order 2 from grid levels 2048/4096.
@@ -203,7 +210,7 @@ def _cross_product(n: int, k: float) -> float:
             + _bessel_series(nu, k, False) * _bessel_series(nu + 1.0, k, True))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def gamma_ball_bessel(n: int) -> float:
     """Fundamental tone of the unit n-ball as k^4, where k is the first root
     of J_nu(k) I_{nu+1}(k) + I_nu(k) J_{nu+1}(k) with nu = n/2 - 1."""
@@ -232,22 +239,26 @@ def gamma_ball_bessel(n: int) -> float:
     return (0.5 * (k_lo + k_hi)) ** 4
 
 
-@lru_cache(maxsize=32)
+def oracle_gap(n: int) -> float:
+    """Relative gap |radial - bessel| / bessel between the two oracles."""
+    fd, bs = gamma_ball_radial(n), gamma_ball_bessel(n)
+    return abs(fd - bs) / bs
+
+
 def gamma_ball(n: int) -> float:
     """Dual-oracle fundamental tone of the unit n-ball.
 
-    Both oracles are evaluated and must agree to ``ORACLE_RTOL`` relative;
-    the bisection value is returned (it carries no discretization error).
+    The oracles are cached, their agreement is not: every call checks that
+    ``oracle_gap(n)`` is within ``ORACLE_RTOL`` and returns the bisection
+    value (it carries no discretization error).
     """
-    fd = gamma_ball_radial(n)
-    bs = gamma_ball_bessel(n)
-    rel = abs(fd - bs) / bs
+    rel = oracle_gap(n)
     if rel > ORACLE_RTOL:
         raise OracleError(
-            f"tone oracles disagree for n={n}: radial={fd!r} bessel={bs!r} "
-            f"relative difference {rel:.3e}"
+            f"tone oracles disagree for n={n}: radial={gamma_ball_radial(n)!r} "
+            f"bessel={gamma_ball_bessel(n)!r} relative difference {rel:.3e}"
         )
-    return bs
+    return gamma_ball_bessel(n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +269,7 @@ def eps1(n: int, omega0: float) -> float:
     """Penalty threshold below which excess volume never pays:
     (omega0/omega_n)^(4/n) * omega0 / gamma_ball(n)."""
     raise_errors(real_errors("omega0", omega0))
-    try:
-        e1 = (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n)
-    except OverflowError:
-        e1 = math.inf
+    e1 = _or_inf(lambda: (omega0 / unit_ball_volume(n)) ** (4.0 / n) * omega0 / gamma_ball(n))
     if not 0.0 < e1 < math.inf:
         raise ValueError(f"eps1 = {e1!r} at omega0={omega0!r}: outside the positive finite floats")
     return e1
@@ -282,10 +290,7 @@ def eps1_effective(n: int, omega0: float, radius_B: float) -> float:
     if n >= 4:
         return e1
     a_max = ball_volume(n, radius_B) / omega0
-    try:
-        growth = a_max ** (4.0 / n)
-    except OverflowError:
-        growth = math.inf
+    growth = _or_inf(lambda: a_max ** (4.0 / n))
     if growth == math.inf:
         raise ValueError(f"radius_B={radius_B!r} is too large: (|B|/omega0)^(4/n) "
                          f"overflows at omega0={omega0!r}")
@@ -316,10 +321,7 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
     """
     raise_errors(real_errors("eps", eps) + real_errors("d_n", d_n, 1.0))
     x = eps * eps1(n, omega0)
-    try:
-        disc = (1.0 + x) ** 2 - 4.0 * d_n * x
-    except OverflowError:
-        disc = math.inf
+    disc = _or_inf(lambda: (1.0 + x) ** 2 - 4.0 * d_n * x)
     if not math.isfinite(disc):     # eps * eps1 near or past sqrt(max float)
         raise ValueError(f"alpha0 is out of the float range at eps={eps!r}, "
                          f"omega0={omega0!r} (eps * eps1 = {x!r})")
@@ -374,12 +376,7 @@ def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
     _check_dim(n)
     raise_errors(real_errors("omega0", omega0) + real_errors("eps", eps)
                  + real_errors("d_n", d_n, 1.0))
-    fd = gamma_ball_radial(n)
-    bs = gamma_ball_bessel(n)
     a0, res = alpha0(n, eps, omega0, d_n)
-    e1_eff = None
-    if radius_B is not None:
-        e1_eff = eps1_effective(n, omega0, radius_B)
     return TheoryConstants(
         dim=n,
         omega0=omega0,
@@ -387,12 +384,12 @@ def compute_constants(n: int, omega0: float, eps: float, d_n: float = 0.5,
         d_n=d_n,
         omega_n=unit_ball_volume(n),
         gamma_b1=gamma_ball(n),
-        gamma_b1_radial=fd,
-        gamma_b1_bessel=bs,
-        oracle_rel_diff=abs(fd - bs) / bs,
+        gamma_b1_radial=gamma_ball_radial(n),
+        gamma_b1_bessel=gamma_ball_bessel(n),
+        oracle_rel_diff=oracle_gap(n),
         eps1=eps1(n, omega0),
         eps0=eps0(n, omega0, d_n),
         alpha0=a0,
         alpha0_residual=res,
-        eps1_effective=e1_eff,
+        eps1_effective=None if radius_B is None else eps1_effective(n, omega0, radius_B),
     )

@@ -4,6 +4,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from platetone.cli import (
@@ -12,8 +13,9 @@ from platetone.cli import (
     build_parser,
     load_config,
     main,
+    summary_lines,
 )
-from platetone.constants import MAX_DIM, compute_constants, eps1
+from platetone.constants import MAX_DIM, compute_constants, eps1, oracle_gap
 from platetone.diagnostics import run_diagnostics
 from platetone.field_grid import (
     ball_mask,
@@ -23,7 +25,7 @@ from platetone.field_grid import (
     make_grid,
     mask_from_array,
 )
-from platetone.search import RunConfig
+from platetone.search import RunConfig, optimize
 
 
 MINIMAL = "# minimal run\n"
@@ -65,8 +67,17 @@ class TestLoadConfig:
         from platetone.cli import config_echo_lines
 
         config = load_config(write(tmp_path, QUICK))
-        echoed = load_config(write(tmp_path, "\n".join(config_echo_lines(config)), "echo.cfg"))
-        assert echoed == config
+        # numpy scalars echo at 17 digits too: np.float32(0.7) was echoed as
+        # 0.7, which reloads as another omega0 (though it compares equal to
+        # the np.float32), and np.True_ as True
+        numpy_scalars = dataclasses.replace(
+            config, omega0=np.float32(0.7), eps=np.float32(1e-5),
+            eps_override=np.True_, seed=np.int64(3))
+        for config in (config, numpy_scalars):
+            echo = config_echo_lines(config)
+            echoed = load_config(write(tmp_path, "\n".join(echo), "echo.cfg"))
+            assert echoed == config
+            assert config_echo_lines(echoed) == echo
 
     def test_parsers_cover_every_field_in_order(self):
         names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -380,6 +391,15 @@ class TestRunCommand:
         assert summary["result.volume_exact"] == exact
         assert (float(summary["result.volume"]) <= OMEGA0) == (exact == "true")
 
+    # a numpy omega0 makes volume <= omega0 an np.bool_, which read "True",
+    # and an np.float32 was echoed at its 8 digits
+    def test_summary_formats_numpy_scalars(self):
+        omega0 = np.float32(OMEGA0)
+        result = optimize(RunConfig(nodes_per_side=17, omega0=omega0, max_steps=2))
+        summary = dict(line.split(" = ", 1) for line in summary_lines(result))
+        assert summary["config.omega0"] == format(float(omega0), ".17g")
+        assert summary["result.volume_exact"] == str(bool(result.volume <= omega0)).lower()
+
     # an annulus between the lattice nodes: one error line naming the start
     def test_empty_start_is_one_error_line(self, tmp_path, capsys):
         cfg = write(tmp_path, "nodes_per_side = 17\ninit_shape = annulus\nomega0 = 0.02\n")
@@ -584,6 +604,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_oracle_gap_is_the_one_gap(self, capsys):
+        # verify --case oracle and the constant record read the one gap
+        assert main(["verify", "--case", "oracle"]) == 0
+        out = capsys.readouterr().out
+        for n in range(2, 9):
+            assert f"PASS  dual oracle n={n}  (rel={oracle_gap(n):.3e})\n" in out
+        assert compute_constants(4, 0.5, 1e-4).oracle_rel_diff == oracle_gap(4)
 
 
 class TestParser:

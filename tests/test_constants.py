@@ -19,6 +19,7 @@ from platetone.constants import (
     gamma_ball,
     gamma_ball_bessel,
     gamma_ball_radial,
+    oracle_gap,
     unit_ball_volume,
 )
 
@@ -83,6 +84,32 @@ class TestToneOracles:
                 oracle(n)
 
 
+# every entry point that takes a dimension, with inputs that pass their rules
+DIM_ENTRY_POINTS = {
+    "compute_constants": lambda n: compute_constants(n, 0.5, 1e-4, radius_B=1.5),
+    "gamma_ball_radial": gamma_ball_radial,
+    "gamma_ball_bessel": gamma_ball_bessel,
+    "gamma_ball": gamma_ball,
+    "oracle_gap": oracle_gap,
+    "eps1": lambda n: eps1(n, 0.5),
+    "eps0": lambda n: eps0(n, 0.5),
+    "alpha0": lambda n: alpha0(n, 1e-4, 0.5),
+    "eps1_effective": lambda n: eps1_effective(n, 0.5, 1.5),
+    "ball_tone_for_volume": lambda n: ball_tone_for_volume(0.5, n),
+}
+
+
+# the dimension must be an integer: 2.5 gave a record for a "2.5-ball", and
+# 2.0 (with n = 2 cached) and True (== 1) are no integers of the range either
+@pytest.mark.parametrize("entry", DIM_ENTRY_POINTS)
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_rejects_a_dimension_that_is_no_integer(n, entry):
+    gamma_ball_radial(2)
+    gamma_ball_bessel(2)
+    with pytest.raises(ValueError, match=f"^dimension must lie in 2..{MAX_DIM}, .*got {n}$"):
+        DIM_ENTRY_POINTS[entry](n)
+
+
 @pytest.fixture
 def cold_oracles():
     """Clear the oracle caches around a test that patches their internals,
@@ -133,6 +160,15 @@ class TestOracleLoops:
         monkeypatch.setattr(constants, "cho_solve_banded", alternating_solve)
         with pytest.raises(OracleError, match="did not settle"):
             gamma_ball_radial(2)
+
+    def test_gamma_ball_rechecks_the_oracles(self, monkeypatch):
+        # a tone cached past its oracles' cache would hide this disagreement
+        gamma_ball(2)
+        gamma_ball_radial.cache_clear()
+        gamma_ball_bessel.cache_clear()
+        monkeypatch.setattr(constants, "_radial_tone_level", lambda n, K: 100.0)
+        with pytest.raises(OracleError, match=r"^tone oracles disagree for n=2: radial=100\.0 "):
+            gamma_ball(2)
 
     def test_bisection_stops_when_the_bracket_stops_moving(self, monkeypatch):
         ks = []
@@ -335,3 +371,8 @@ class TestBundle:
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):
             compute_constants(1, 1.0, 1e-4)
+
+    def test_numpy_integer_dimension(self):
+        record = compute_constants(np.int64(3), 0.5, 1e-4, radius_B=1.5)
+        assert record == compute_constants(3, 0.5, 1e-4, radius_B=1.5)
+        assert record.oracle_rel_diff == oracle_gap(3)
