@@ -28,7 +28,6 @@ and reject copies that differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,7 +93,6 @@ class ToneResult:
 # the clamped operator
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _steps(grid: Grid) -> np.ndarray:
     """Flat-index steps to the 2n face neighbors, ordered so that direction
     2n - 1 - d is opposite direction d."""

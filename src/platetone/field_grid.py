@@ -47,7 +47,9 @@ class Grid:
         return self.nodes_per_side ** self.dim
 
     def axis_coords(self) -> np.ndarray:
-        return _axis_coords(self)
+        """Coordinate of each node along any axis, from -radius_B to radius_B;
+        every absolute node coordinate is read from here."""
+        return np.linspace(-self.radius_B, self.radius_B, self.nodes_per_side)
 
 
 # The lattices the field solvers handle (nodes_per_side must also be odd);
@@ -113,16 +115,9 @@ def make_grid(dim: int, nodes_per_side: int, radius_B: float) -> Grid:
 
 
 @lru_cache(maxsize=32)
-def _axis_coords(grid: Grid) -> np.ndarray:
-    c = np.linspace(-grid.radius_B, grid.radius_B, grid.nodes_per_side)
-    c.setflags(write=False)
-    return c
-
-
-@lru_cache(maxsize=32)
 def inside_ball(grid: Grid) -> np.ndarray:
     """Boolean array of nodes strictly inside the open reference ball."""
-    axes = np.meshgrid(*[_axis_coords(grid)] * grid.dim, indexing="ij", sparse=True)
+    axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij", sparse=True)
     ins = sum(a * a for a in axes) < grid.radius_B ** 2
     ins.setflags(write=False)
     return ins
@@ -288,8 +283,7 @@ def boundary_nodes(mask: Mask) -> np.ndarray:
 
 def member_positions(mask: Mask) -> np.ndarray:
     """Coordinates of the member nodes, shape (count, dim)."""
-    idx = np.argwhere(mask.inside)
-    return idx * mask.grid.spacing - mask.grid.radius_B
+    return mask.grid.axis_coords()[np.argwhere(mask.inside)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +324,31 @@ def make_field(mask: Mask, values: np.ndarray) -> ScalarField:
 # any supported dim), CSV fields (readable, small grids)
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sII d")     # magic, dim, N, radius_B; padded to 32
-_HEADER_SIZE = 32
+# MSK1 and FLD1: magic, dim, nodes_per_side, radius_B, zero padding to 32
+# bytes, then one payload value per node in C order
+_HEADER = struct.Struct("<4sIId12x")
 
 
-def _pack_header(magic: bytes, grid: Grid) -> bytes:
-    raw = _HEADER.pack(magic, grid.dim, grid.nodes_per_side, grid.radius_B)
-    return raw + b"\x00" * (_HEADER_SIZE - len(raw))
+def _write_lattice_file(path, magic: bytes, grid: Grid, payload: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, grid.dim, grid.nodes_per_side, grid.radius_B))
+        fh.write(payload.tobytes())
 
 
-def _unpack_header(blob: bytes, magic: bytes) -> Grid:
-    if len(blob) < _HEADER_SIZE:
+def _read_lattice_file(path, magic: bytes, dtype: str) -> tuple[Grid, np.ndarray]:
+    """The grid in the header and the payload as an array of its shape;
+    raises ValueError unless the magic and the payload size match."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _HEADER.size:
         raise ValueError("truncated header")
-    got, dim, n, radius = _HEADER.unpack(blob[: _HEADER.size])
+    got, dim, n, radius = _HEADER.unpack_from(blob)
     if got != magic:
         raise ValueError(f"bad magic {got!r}, expected {magic!r}")
-    return make_grid(dim, n, radius)
+    grid = make_grid(dim, n, radius)
+    if len(blob) - _HEADER.size != grid.node_count * np.dtype(dtype).itemsize:
+        raise ValueError("payload size does not match the header geometry")
+    return grid, np.frombuffer(blob, dtype=dtype, offset=_HEADER.size).reshape(grid.shape)
 
 
 def save_mask_pgm(mask: Mask, path) -> None:
@@ -383,26 +386,17 @@ def load_mask_pgm(path, grid: Grid) -> Mask:
 def save_mask_msk(mask: Mask, path) -> None:
     """Flat binary mask: 32-byte MSK1 header then one byte (0/1) per node in
     C order."""
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"MSK1", mask.grid))
-        fh.write(mask.inside.astype(np.uint8).tobytes())
+    _write_lattice_file(path, b"MSK1", mask.grid, mask.inside.astype(np.uint8))
 
 
 def load_mask_msk(path) -> Mask:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    grid = _unpack_header(blob, b"MSK1")
-    body = np.frombuffer(blob[_HEADER_SIZE:], dtype=np.uint8)
-    if body.size != grid.node_count:
-        raise ValueError("payload size does not match the header geometry")
-    return mask_from_array(grid, body.reshape(grid.shape) != 0)
+    grid, members = _read_lattice_file(path, b"MSK1", "u1")
+    return mask_from_array(grid, members != 0)
 
 
 def save_field_fld(field: ScalarField, path) -> None:
     """Flat binary dump: 32-byte FLD1 header, float64 node values in C order."""
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(b"FLD1", field.grid))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+    _write_lattice_file(path, b"FLD1", field.grid, field.values.astype("<f8"))
 
 
 def load_field_fld(path) -> ScalarField:
@@ -412,15 +406,8 @@ def load_field_fld(path) -> ScalarField:
     values: a member whose value is exactly 0.0 loads as a non-member.  Load
     the mask's own MSK1 or PGM file to recover the exact mask.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    grid = _unpack_header(blob, b"FLD1")
-    body = np.frombuffer(blob[_HEADER_SIZE:], dtype="<f8")
-    if body.size != grid.node_count:
-        raise ValueError("payload size does not match the header geometry")
-    values = body.reshape(grid.shape)
-    mask = mask_from_array(grid, values != 0.0)
-    return make_field(mask, values)
+    grid, values = _read_lattice_file(path, b"FLD1", "<f8")
+    return make_field(mask_from_array(grid, values != 0.0), values)
 
 
 def save_field_csv(field: ScalarField, path) -> None:

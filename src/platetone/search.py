@@ -170,7 +170,6 @@ class SearchState:
     mask: Mask
     tone: ToneResult
     J: float
-    volume: float
     step: int
     aggressiveness: float
     history: list[HistoryRow] = field(default_factory=list)
@@ -538,10 +537,10 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
             continue
         row = _record(state, kind, tone.gamma, vol, J, accepted=False)
         if J <= bar and (best is None or J < best[0]):
-            best = (J, cand, tone, vol, row)
+            best = (J, cand, tone, row)
 
     if best is not None:
-        state.J, state.mask, state.tone, state.volume, row = best
+        state.J, state.mask, state.tone, row = best
         row.accepted = True
     else:
         state.aggressiveness *= 0.5
@@ -550,11 +549,12 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     return state
 
 
-def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
-            prior: SearchState | None = None, on_accept=None) -> SearchState:
+def descend(config: RunConfig, mask: Mask, prior: SearchState | None = None,
+            on_accept=None) -> SearchState:
     """Solve the start ``mask`` on its lattice, then take descent steps on
     that lattice until one is left with nothing to solve or
-    ``config.max_steps`` steps have been taken.
+    ``config.max_steps`` steps have been taken.  The penalty is
+    ``penalty_kind(config)``, so ``config`` must have a resolved eps.
 
     ``prior`` is the finished state of a coarser lattice.  Its history and
     step count carry on, so steps are numbered continuously across lattices
@@ -563,8 +563,9 @@ def descend(config: RunConfig, kind: PenaltyKind, mask: Mask,
     its steps offer no coarse exchange.  ``on_accept(state)`` is invoked
     after every accepted step; the start is not a step.
     """
+    kind = penalty_kind(config)
     J0, tone0, vol0 = objective(mask.grid, mask, kind, tone_tol=RunConfig.tone_tol)
-    state = SearchState(mask=mask, tone=tone0, J=J0, volume=vol0, step=0,
+    state = SearchState(mask=mask, tone=tone0, J=J0, step=0,
                         aggressiveness=1.0,
                         solved={np.packbits(mask.inside).tobytes()},
                         grow_past=kind.eps > eps_threshold(config),
@@ -642,25 +643,25 @@ def optimize(config: RunConfig, on_accept=None) -> RunResult:
     on any lattice (the CLI counts the calls to dump masks).
     """
     config, consts = resolve_eps(config)
-    kind = penalty_kind(config)
 
     t_start = time.perf_counter()
     levels = lattice_levels(config)
     grid = make_grid(config.dim, levels[0], config.radius_B)
     mask = initial_mask(grid, config.init_shape, config.omega0, config.seed)
-    state = descend(config, kind, mask, None, on_accept)
+    state = descend(config, mask, None, on_accept)
     for _ in levels[1:]:
-        state = descend(config, kind, prolong_mask(state.tone.eigenfield), state, on_accept)
+        state = descend(config, prolong_mask(state.tone.eigenfield), state, on_accept)
     diagnostics = run_diagnostics(state.tone.eigenfield, config.omega0)
     wall = time.perf_counter() - t_start
+    volume = mask_volume(state.mask)
     return RunResult(
         config=config,
         constants=consts,
         mask=state.mask,
         tone=state.tone,
         gamma=state.tone.gamma,
-        volume=state.volume,
-        penalty=penalty_value(kind, state.volume),
+        volume=volume,
+        penalty=penalty_value(penalty_kind(config), volume),
         J=state.J,
         history=tuple(state.history),
         diagnostics=diagnostics,

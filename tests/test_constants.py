@@ -341,6 +341,18 @@ class TestAlpha0:
             alpha0(2, 1.0 / e1, om0, d_n=1.5)
 
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.0 + 2.0 ** -52])
+    def test_d_n_one_ulp_under_one(self, x):
+        # the largest d_n the rule admits; alpha0 lies within an ulp or so of
+        # 1 there, where f is steep, so the residual is not bounded
+        om0 = 1.0
+        e1 = eps1(2, om0)
+        eps = next(e for e in (x / e1, np.nextafter(x / e1, 0.0), np.nextafter(x / e1, 2.0 * x / e1))
+                   if e * e1 == x)
+        a0, _ = alpha0(2, float(eps), om0, d_n=1.0 - 2.0 ** -53)
+        assert math.isfinite(a0) and 0.0 < a0 < 1.0
+
+
 class TestScaling:
     def test_ball_tone_for_volume(self):
         for n in (2, 3):

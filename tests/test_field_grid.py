@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from platetone.field_grid import (
     erode,
     fill_holes,
     inside_ball,
+    load_field_fld,
     load_mask_msk,
     load_mask_pgm,
     make_field,
@@ -24,6 +26,7 @@ from platetone.field_grid import (
     mask_from_array,
     mask_volume,
     member_positions,
+    save_field_fld,
     save_mask_msk,
     save_mask_pgm,
 )
@@ -384,3 +387,29 @@ class TestSerialization:
         assert int.from_bytes(blob[8:12], "little") == 33
         assert np.frombuffer(blob[12:20], dtype="<f8")[0] == 1.25
         assert len(blob) == 32 + 33 * 33
+
+    @pytest.mark.parametrize("edit", ["other_magic", "short_header", "short_payload",
+                                      "long_payload"])
+    @pytest.mark.parametrize("fmt", ["msk", "fld"])
+    def test_lattice_file_rejections(self, tmp_path, fmt, edit):
+        g = make_grid(3, 9, 1.0)
+        mask = ball_mask(g, (0.0, 0.0, 0.0), 0.6)
+        path = tmp_path / f"lattice.{fmt}"
+        if fmt == "msk":
+            save_mask_msk(mask, path)
+            load, magic, other = load_mask_msk, b"MSK1", b"FLD1"
+        else:
+            save_field_fld(make_field(mask, np.where(mask.inside, 1.5, 0.0)), path)
+            load, magic, other = load_field_fld, b"FLD1", b"MSK1"
+        blob = path.read_bytes()
+        size = "^payload size does not match the header geometry$"
+        edited, message = {
+            "other_magic": (other + blob[4:],
+                            "^" + re.escape(f"bad magic {other!r}, expected {magic!r}") + "$"),
+            "short_header": (blob[:31], "^truncated header$"),
+            "short_payload": (blob[:-1], size),
+            "long_payload": (blob + b"\x00", size),
+        }[edit]
+        path.write_bytes(edited)
+        with pytest.raises(ValueError, match=message):
+            load(path)

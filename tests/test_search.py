@@ -80,7 +80,7 @@ def make_state(mask, config):
     vol = mask_volume(mask)
     return SearchState(mask=mask, tone=tone,
                        J=tone.gamma + penalty_value(kind, vol),
-                       volume=vol, step=0, aggressiveness=1.0,
+                       step=0, aggressiveness=1.0,
                        solved={packed(mask)},
                        grow_past=kind.eps > search.eps_threshold(config))
 
@@ -1436,10 +1436,15 @@ class TestContinuation:
         config = small_config(init_shape="square", max_steps=30)
         g = make_grid(2, 49, 1.5)
         resolved, _ = resolve_eps(config)
-        state = descend(resolved, penalty_kind(resolved), initial_mask(g, "square", OMEGA0))
+        state = descend(resolved, initial_mask(g, "square", OMEGA0))
         res = optimize(config)
         assert state.history == list(res.history)
         assert state.mask == res.mask and res.levels == (49,)
+
+    def test_descend_reads_its_penalty_from_a_resolved_config(self):
+        g = make_grid(2, 49, 1.5)
+        with pytest.raises(ValueError, match="^eps is unresolved; call resolve_eps first$"):
+            descend(small_config(), initial_mask(g, "square", OMEGA0))
 
 
 @pytest.fixture(scope="module")
