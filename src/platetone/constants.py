@@ -321,8 +321,9 @@ def alpha0(n: int, eps: float, omega0: float, d_n: float = 0.5) -> tuple[float, 
     """
     raise_errors(real_errors("eps", eps) + real_errors("d_n", d_n, 1.0))
     x = eps * eps1(n, omega0)
-    # d_n < 1 makes the discriminant exceed (1 - x)^2 >= 0
-    disc = _or_inf(lambda: (1.0 + x) ** 2 - 4.0 * d_n * x)
+    # (1 + x)^2 - 4 d_n x rewritten without its cancellation as d_n and x
+    # near 1; d_n < 1 keeps it above (1 - x)^2 >= 0
+    disc = _or_inf(lambda: (1.0 - x) ** 2 + 4.0 * (1.0 - d_n) * x)
     if not math.isfinite(disc):     # eps * eps1 near or past sqrt(max float)
         raise ValueError(f"alpha0 is out of the float range at eps={eps!r}, "
                          f"omega0={omega0!r} (eps * eps1 = {x!r})")

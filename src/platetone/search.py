@@ -6,7 +6,8 @@ from the current eigenfield: a cut of its weakest members (a fixed fraction
 scaled by an aggressiveness knob), a one-ring dilation (only while eps lies
 above its threshold), a volume-targeted partial dilation, volume-neutral
 boundary exchanges (a fine one at every step, and a coarse one only on a
-run's first lattice, while the fine one moves at most two nodes),
+lattice whose node budget floor(omega0 / h^n) is below
+``COARSE_EXCHANGE_MAX_NODES``, while the fine one moves at most two nodes),
 connected-component restrictions (each regrown toward the budget when there
 is room), and last the incumbent with its holes filled and then shrunk to
 the volume budget.  Every node choice, the prolongation below included,
@@ -104,6 +105,21 @@ DELTA_REL = 1e-6    # a step is accepted only when it lowers J by DELTA_REL * |J
 # start went 0.55 -> 1.28 s, and at 12.2 across (3D N=65) 105 -> 146 s.
 MIN_COARSE_NODES_ACROSS = 16
 
+# The coarse exchange is offered only on a lattice whose node budget,
+# floor(omega0 / h^n), is below this.  Its winning solves over all solves,
+# by budget: five default starts on 2D N=33, 49, 65 and 3D N=17, 25, seeds
+# 0-22 of square-3d-33, and seeds 0-10 of annulus-2d-129 on its prolonged
+# N=129 lattice, measured while every lattice still offered the move:
+#   budget   89     119    201    357    402    938-970  1408-1455
+#   lattice  2D 33  3D 17  2D 49  2D 65  3D 25  3D 33    2D 129
+#   wins     10/36  2/19   2/35   2/24   2/26   1/75     0/41
+# Nodes across the ball of volume omega0 do not separate the lattices where
+# it wins (18 of 140 solves up to 402 budget nodes) from those where it
+# almost never does (1 of 116 from 938 up); the budget does.  A later
+# lattice has at least 2 * MIN_COARSE_NODES_ACROSS nodes across, so at
+# least omega_n 16^n budget nodes (804 in 2D).
+COARSE_EXCHANGE_MAX_NODES = 640
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -178,7 +194,6 @@ class SearchState:
     # that none is solved twice there, whether its solve succeeded or not
     solved: set[bytes] = field(default_factory=set)
     grow_past: bool = False     # eps > eps_threshold: volume past omega0 can pay
-    prolonged: bool = False     # the lattice started from a prolonged coarse optimum
 
 
 @dataclass(frozen=True)
@@ -377,20 +392,20 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
     Order: the cut, dilate, the volume-targeted partial dilation, the
-    volume-neutral boundary exchanges (a coarse one, only on a run's first
-    lattice, ``not state.prolonged``, and there only while the fine one moves
-    at most two nodes, then the fine one), then, when the mask is
-    disconnected, one candidate per connected component, and last, when the
-    mask has a hole, the mask with its holes filled (``fill_holes``).  A
-    component's candidate is its restriction grown by one budgeted ring, or
-    the bare restriction when the component alone leaves no budget to grow
-    into.  Below the budget, dropping a dead component alone moves the
-    objective only through the penalty, by nothing (plain) or an O(eps)
-    sliver (rewarding), while the regrown restriction contains the bare one,
-    stays within the budget and buys an O(gamma h) tone drop at once; so
-    does the filled move, where a ring start otherwise fills its hole by
-    whole-mask dilations far above the budget.  Both shrinks peel the
-    weakest members by |u| from the outer boundary inward (``_peel``): the
+    volume-neutral boundary exchanges (a coarse one, only while the lattice's
+    node budget, ``_room`` plus the member count, is below
+    ``COARSE_EXCHANGE_MAX_NODES`` and the fine one moves at most two nodes,
+    then the fine one), then, when the mask is disconnected, one candidate per
+    connected component, and last, when the mask has a hole, the mask with its
+    holes filled (``fill_holes``).  A component's candidate is its restriction
+    grown by one budgeted ring, or the bare restriction when the component
+    alone leaves no budget to grow into.  Below the budget, dropping a dead
+    component alone moves the objective only through the penalty, by nothing
+    (plain) or an O(eps) sliver (rewarding), while the regrown restriction
+    contains the bare one, stays within the budget and buys an O(gamma h) tone
+    drop at once; so does the filled move, where a ring start otherwise fills
+    its hole by whole-mask dilations far above the budget.  Both shrinks peel
+    the weakest members by |u| from the outer boundary inward (``_peel``): the
     cut ceil(0.02 * aggressiveness * (m - 1)) of the m members (those below
     that quantile of |u| when no magnitudes tie), the filled mask those the
     target volume ``omega0`` does not admit, its filled nodes (u = 0 there)
@@ -436,17 +451,13 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
         grown if state.grow_past else None,
         _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
-    # The coarse exchange is offered only on a run's first lattice, and there
-    # only while the fine one moves at most two nodes, where it can still step
-    # past a stall: over five default starts it won 10 of 36 solves on 2D
-    # N=33 and 2 of 24 on N=65.  A prolonged start has left those stalls on
-    # the coarser lattice: on N=129 (annulus-2d-129, seeds 0-10) it was solved
-    # 41 times and won nothing.  It wins nothing on 3D N=33 either (square
-    # start, seeds 0-10: 33 solves), but 2 of 19 and 2 of 26 on 3D N=17, 25.
+    # The coarse exchange can step past a stall only while the fine one moves
+    # at most two nodes, and only on a lattice of few budget nodes (see
+    # COARSE_EXCHANGE_MAX_NODES).
     if ring.size and boundary.size:
         span = state.aggressiveness * min(ring.size, boundary.size)
         fine = max(1, round(0.05 * span))
-        coarse = fine <= 2 and not state.prolonged
+        coarse = fine <= 2 and room + mask.member_count < COARSE_EXCHANGE_MAX_NODES
         sizes = [max(1, round(0.25 * span)), fine] if coarse else [fine]
         for k in sizes:
             cands.append(_moved(mask, add=ring[:k], drop=boundary[:k]))
@@ -559,8 +570,7 @@ def descend(config: RunConfig, mask: Mask, prior: SearchState | None = None,
     ``prior`` is the finished state of a coarser lattice.  Its history and
     step count carry on, so steps are numbered continuously across lattices
     and ``config.max_steps`` bounds their total; the start row shares the
-    step number of the last coarse step, and the state is ``prolonged``, so
-    its steps offer no coarse exchange.  ``on_accept(state)`` is invoked
+    step number of the last coarse step.  ``on_accept(state)`` is invoked
     after every accepted step; the start is not a step.
     """
     kind = penalty_kind(config)
@@ -568,8 +578,7 @@ def descend(config: RunConfig, mask: Mask, prior: SearchState | None = None,
     state = SearchState(mask=mask, tone=tone0, J=J0, step=0,
                         aggressiveness=1.0,
                         solved={np.packbits(mask.inside).tobytes()},
-                        grow_past=kind.eps > eps_threshold(config),
-                        prolonged=prior is not None)
+                        grow_past=kind.eps > eps_threshold(config))
     if prior is not None:
         state.step, state.history = prior.step, prior.history
     _record(state, kind, tone0.gamma, vol0, J0, accepted=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import re
 
@@ -341,16 +342,30 @@ class TestAlpha0:
             alpha0(2, 1.0 / e1, om0, d_n=1.5)
 
 
+    @staticmethod
+    def eps_giving(x):
+        """The eps with eps * eps1(2, 1.0) == x exactly."""
+        e1 = eps1(2, 1.0)
+        return float(next(e for e in (x / e1, np.nextafter(x / e1, 0.0),
+                                      np.nextafter(x / e1, 2.0 * x / e1)) if e * e1 == x))
+
     @pytest.mark.parametrize("x", [0.5, 1.0, 1.0 + 2.0 ** -52])
     def test_d_n_one_ulp_under_one(self, x):
         # the largest d_n the rule admits; alpha0 lies within an ulp or so of
         # 1 there, where f is steep, so the residual is not bounded
-        om0 = 1.0
-        e1 = eps1(2, om0)
-        eps = next(e for e in (x / e1, np.nextafter(x / e1, 0.0), np.nextafter(x / e1, 2.0 * x / e1))
-                   if e * e1 == x)
-        a0, _ = alpha0(2, float(eps), om0, d_n=1.0 - 2.0 ** -53)
+        a0, _ = alpha0(2, self.eps_giving(x), 1.0, d_n=1.0 - 2.0 ** -53)
         assert math.isfinite(a0) and 0.0 < a0 < 1.0
+
+    def test_no_cancellation_as_d_n_and_x_near_one(self):
+        # the textbook discriminant (1 + x)^2 - 4 d_n x rounds to 0.0 here
+        # against an exact 4.4e-16 and gives 1 - 2^-53 for a root 1 - 1.05e-8
+        x, d_n = 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            dx, dd = decimal.Decimal(x), decimal.Decimal(d_n)
+            root = 2 * dd / (1 + dx + ((1 + dx) ** 2 - 4 * dd * dx).sqrt())
+        a0, _ = alpha0(2, self.eps_giving(x), 1.0, d_n=d_n)
+        assert a0 == pytest.approx(float(root), rel=1e-12)
 
 
 class TestScaling:

@@ -716,17 +716,30 @@ class TestMoves:
             assert added(swapped, m) == set(ring[:k])
             assert dropped(swapped, m) == set(boundary[:k])
 
-    def test_coarse_exchange_only_on_the_first_lattice(self):
-        # a lattice that starts from a prolonged coarse optimum is offered
-        # the same list without the coarse exchange: over seeds 0-10 of
-        # annulus-2d-129 it was solved 41 times on N=129 and won no step
-        state, first = self.under_budget_disk(0.8, nodes_per_side=65)
+    # the coarse exchange is offered only on a lattice whose node budget,
+    # floor(omega0 / h^n), is below COARSE_EXCHANGE_MAX_NODES = 640, whether
+    # or not the lattice is a run's first: each of these is a one-lattice run
+    @pytest.mark.parametrize("dim, n, budget, offered", [
+        (2, 65, 357, True), (2, 99, 838, False), (3, 25, 402, True), (3, 33, 953, False),
+    ])
+    def test_coarse_exchange_only_below_the_node_budget(self, dim, n, budget, offered):
+        config = small_config(dim=dim, nodes_per_side=n)
+        assert lattice_levels(config) == (n,)
+        m = ball_mask(make_grid(dim, n, 1.5), (0.0,) * dim, 0.45)
+        assert search._room(m, OMEGA0) + m.member_count == budget
+        state = make_state(m, config)
         ring, boundary = self.rankings(state)
-        coarse = first[2]
-        assert added(coarse, state.mask) == set(ring[:10])
-        assert dropped(coarse, state.mask) == set(boundary[:10])
-        state.prolonged = True
-        assert candidate_masks(state, OMEGA0) == first[:2] + first[3:]
+        state.aggressiveness = 30.0 / min(len(ring), len(boundary))
+        span = state.aggressiveness * min(len(ring), len(boundary))
+        fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
+        assert fine <= 2 < k
+        sizes = [k, fine] if offered else [fine]
+        exchanges = candidate_masks(state, OMEGA0)[2:]
+        assert len(exchanges) == len(sizes)
+        for size, swapped in zip(sizes, exchanges):
+            assert swapped.member_count == m.member_count
+            assert added(swapped, m) == set(ring[:size])
+            assert dropped(swapped, m) == set(boundary[:size])
 
     def test_growth_and_exchanges_add_prefixes_of_one_ring_order(self):
         state, cands = self.under_budget_disk()
@@ -1251,6 +1264,33 @@ class TestOptimize:
             built[n] += mask_from_array(mask.grid, inside) in cands
         assert eligible[129] >= 1
         assert built[65] >= 1 and built[129] == 0
+
+    def test_coarse_exchange_is_never_built_on_3d_33(self, monkeypatch):
+        # the 3D N=33 square start descends on one lattice of 953 budget
+        # nodes, above COARSE_EXCHANGE_MAX_NODES: over seeds 0-22 of
+        # square-3d-33 the coarse exchange was solved 75 times and won 1 step
+        steps = []
+        real = search.candidate_masks
+
+        def recording(state, omega0):
+            steps.append((replace(state), real(state, omega0)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(search, "candidate_masks", recording)
+        assert optimize(RunConfig(dim=3, nodes_per_side=33, init_shape="square")).levels == (33,)
+        eligible = built = 0
+        for state, cands in steps:
+            ring, boundary = TestMoves.rankings(state)
+            span = state.aggressiveness * min(len(ring), len(boundary))
+            fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
+            if fine > 2 or k == fine:
+                continue
+            eligible += 1
+            inside = state.mask.inside.copy()
+            inside.ravel()[ring[:k]] = True
+            inside.ravel()[boundary[:k]] = False
+            built += mask_from_array(state.mask.grid, inside) in cands
+        assert eligible >= 1 and built == 0
 
     @pytest.mark.parametrize("shape", ["disk", "square", "annulus", "two_disks"])
     def test_default_eps_offers_no_growth_past_the_budget(self, monkeypatch, shape):
