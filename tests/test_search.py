@@ -716,6 +716,29 @@ class TestMoves:
             assert added(swapped, m) == set(ring[:k])
             assert dropped(swapped, m) == set(boundary[:k])
 
+    def test_coarse_exchange_only_on_the_first_lattice(self):
+        # a two-lattice run's second lattice, N=129, starts from the prolonged
+        # N=65 optimum with a node budget above COARSE_EXCHANGE_MAX_NODES: it
+        # is offered the fine exchange alone where N=65 also had the coarse one
+        state, first = self.under_budget_disk(0.8, nodes_per_side=65)
+        ring, boundary = self.rankings(state)
+        coarse = first[2]
+        assert added(coarse, state.mask) == set(ring[:10])
+        assert dropped(coarse, state.mask) == set(boundary[:10])
+        config = small_config(nodes_per_side=129)
+        assert lattice_levels(config) == (65, 129)
+        m = prolong_mask(state.tone.eigenfield)
+        assert search._room(m, OMEGA0) + m.member_count >= search.COARSE_EXCHANGE_MAX_NODES
+        fine_state = make_state(m, config)
+        ring, boundary = self.rankings(fine_state)
+        fine_state.aggressiveness = 30.0 / min(len(ring), len(boundary))
+        fine = max(1, round(0.05 * 30.0))
+        assert fine <= 2 < max(1, round(0.25 * 30.0))
+        exchanges = candidate_masks(fine_state, OMEGA0)[2:]
+        assert len(exchanges) == 1
+        assert added(exchanges[0], m) == set(ring[:fine])
+        assert dropped(exchanges[0], m) == set(boundary[:fine])
+
     # the coarse exchange is offered only on a lattice whose node budget,
     # floor(omega0 / h^n), is below COARSE_EXCHANGE_MAX_NODES = 640, whether
     # or not the lattice is a run's first: each of these is a one-lattice run
