@@ -106,19 +106,31 @@ DELTA_REL = 1e-6    # a step is accepted only when it lowers J by DELTA_REL * |J
 MIN_COARSE_NODES_ACROSS = 16
 
 # The coarse exchange is offered only on a lattice whose node budget,
-# floor(omega0 / h^n), is below this.  Its winning solves over all solves,
-# by budget: five default starts on 2D N=33, 49, 65 and 3D N=17, 25, seeds
-# 0-22 of square-3d-33, and seeds 0-10 of annulus-2d-129 on its prolonged
-# N=129 lattice, measured while every lattice still offered the move:
-#   budget   89     119    201    357    402    938-970  1408-1455
-#   lattice  2D 33  3D 17  2D 49  2D 65  3D 25  3D 33    2D 129
-#   wins     10/36  2/19   2/35   2/24   2/26   1/75     0/41
-# Nodes across the ball of volume omega0 do not separate the lattices where
-# it wins (18 of 140 solves up to 402 budget nodes) from those where it
-# almost never does (1 of 116 from 938 up); the budget does.  A later
-# lattice has at least 2 * MIN_COARSE_NODES_ACROSS nodes across, so at
-# least omega_n 16^n budget nodes (804 in 2D).
-COARSE_EXCHANGE_MAX_NODES = 640
+# floor(omega0 / h^n), is below this.  Its winning solves over all its
+# solves, by budget, on one-lattice runs (five starts at the default omega0
+# unless one is given; square-3d-33 seeds 0-22) and on annulus-2d-129's
+# N=129 lattice (seeds 0-10, the move forced on):
+#   budget  89     119   201   357   402   511   558   638   641   675   682
+#   2D/3D N 2D 33  3D 17 2D 49 2D 65 3D 25 3D 27 2D 81 3D 29 2D 65 2D 89 2D 65
+#   omega0                                               1.41        1.5
+#   wins    10/36  2/19  2/35  2/24  2/26  0/6   0/10  0/20  2/24  1/14  2/24
+#   budget  706    771   785   800   838   907   938-970  980   1143  1357
+#   2D/3D N 2D 91  2D 95 3D 31 2D 65 2D 99 2D103 3D 33    2D107 3D 35 3D 37
+#   omega0                     1.76
+#   wins    0/15   0/23  1/19  0/21  0/21  0/20  1/75     0/21  5/33  0/14
+#   budget  1385   1408-1455  1861
+#   2D/3D N 2D127  2D 129     3D 41
+#   wins    0/20   0/41       0/22
+# No budget separates the lattices where it wins from those where it does
+# not: it wins 24 of 295 solves below 800 nodes and 6 of 288 from 800 up.
+# 800 keeps every win measured below 938 and lies under omega_2 16^2 = 804,
+# the least budget of a later lattice (one with MIN_COARSE_NODES_ACROSS
+# nodes across on the coarser lattice), so no later lattice gains the move.
+# Above it the move costs a quarter of square-3d-33's solves; dropping it
+# there raised the final J of square-3d-33 seeds 20 and 24 (of 0-34) by
+# 0.085% and 0.015%, and of the 3D N=35 disk and annulus starts by 0.38%
+# and 0.28%.
+COARSE_EXCHANGE_MAX_NODES = 800
 
 
 @dataclass(frozen=True)

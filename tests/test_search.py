@@ -740,10 +740,12 @@ class TestMoves:
         assert dropped(exchanges[0], m) == set(boundary[:fine])
 
     # the coarse exchange is offered only on a lattice whose node budget,
-    # floor(omega0 / h^n), is below COARSE_EXCHANGE_MAX_NODES = 640, whether
+    # floor(omega0 / h^n), is below COARSE_EXCHANGE_MAX_NODES = 800, whether
     # or not the lattice is a run's first: each of these is a one-lattice run
+    # (2D N=89 and 3D N=31 are lattices where the move won a step)
     @pytest.mark.parametrize("dim, n, budget, offered", [
-        (2, 65, 357, True), (2, 99, 838, False), (3, 25, 402, True), (3, 33, 953, False),
+        (2, 65, 357, True), (2, 89, 675, True), (2, 99, 838, False),
+        (3, 25, 402, True), (3, 31, 785, True), (3, 33, 953, False),
     ])
     def test_coarse_exchange_only_below_the_node_budget(self, dim, n, budget, offered):
         config = small_config(dim=dim, nodes_per_side=n)
@@ -763,6 +765,17 @@ class TestMoves:
             assert swapped.member_count == m.member_count
             assert added(swapped, m) == set(ring[:size])
             assert dropped(swapped, m) == set(boundary[:size])
+
+    def test_no_later_lattice_is_below_the_node_budget(self):
+        # a later lattice has 2 * MIN_COARSE_NODES_ACROSS nodes or more across
+        # the target ball, so omega_n 16^n budget nodes or more: 804 in 2D,
+        # 805 at the threshold of 2D N=65 after N=33 (omega0 = 1.77)
+        config = small_config(nodes_per_side=65, omega0=1.77)
+        assert lattice_levels(config) == (33, 65)
+        assert math.floor(1.77 / make_grid(2, 65, 1.5).spacing ** 2) == 805
+        least = math.floor(unit_ball_volume(2) * search.MIN_COARSE_NODES_ACROSS ** 2)
+        assert least == 804
+        assert search.COARSE_EXCHANGE_MAX_NODES <= least
 
     def test_growth_and_exchanges_add_prefixes_of_one_ring_order(self):
         state, cands = self.under_budget_disk()
