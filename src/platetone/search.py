@@ -4,21 +4,21 @@ The minimization over fields in the continuum problem becomes a search over
 masks here: each step proposes a deterministic list of candidate masks built
 from the current eigenfield: a cut of its weakest members (a fixed fraction
 scaled by an aggressiveness knob), a one-ring dilation (only while eps lies
-above its threshold), a volume-targeted partial dilation, volume-neutral
+above its threshold), one growth per connected component toward the
+lattice's node budget floor(omega0 / h^n) (of the whole incumbent when it is
+connected; a component with no room left is offered bare), volume-neutral
 boundary exchanges (a fine one at every step, and a coarse one only on a
-lattice whose node budget floor(omega0 / h^n) is below
-``COARSE_EXCHANGE_MAX_NODES``, while the fine one moves at most two nodes),
-connected-component restrictions (each regrown toward the budget when there
-is room), and last the incumbent with its holes filled and then shrunk to
-the volume budget.  Every node choice, the prolongation below included,
-follows one rule (``_ranked``): descending score, ties by ascending flat
-index; the growth, the exchanges and each component's regrowth take prefixes
-of one ranking of the incumbent's ring, and both shrinks are one peel
-(``_peel``), least |u| first.  The candidate with the lowest objective wins,
-ties broken by list position; a step that fails to improve the objective by
-the fixed relative margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A
-lattice's descent ends at the first such step with nothing new to solve, or
-when the step budget is exhausted.
+lattice whose node budget is below ``COARSE_EXCHANGE_MAX_NODES``, while the
+fine one moves at most two nodes), and last the incumbent with its holes
+filled and then shrunk to the volume budget.  Every node choice, the
+prolongation below included, follows one rule (``_ranked``): descending
+score, ties by ascending flat index; the growths and the exchanges take
+prefixes of one ranking of the incumbent's ring, and both shrinks are one
+peel (``_peel``), least |u| first.  The candidate with the lowest
+objective wins, ties broken by list position; a step that fails to improve
+the objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
+aggressiveness.  A lattice's descent ends at the first such step with
+nothing new to solve, or when the step budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -360,18 +360,17 @@ def _ranked(idx: np.ndarray, *scores: np.ndarray) -> np.ndarray:
     with idx, the first the most significant), ties broken by ascending idx;
     negate a score to rank it ascending.
 
-    Every node choice takes a prefix of such a ranking: the budgeted growth,
-    the exchanges and each component's regrowth (``candidate_masks``), each
-    layer of the peel that makes the cut and the fill (``_peel``) and the
-    prolongation (``prolong_mask``).
+    Every node choice takes a prefix of such a ranking: each component's
+    growth and the exchanges (``candidate_masks``), each layer of the peel
+    that makes the cut and the fill (``_peel``) and the prolongation
+    (``prolong_mask``).
     """
     return idx[np.lexsort((idx, *[-s for s in reversed(scores)]))]
 
 
-def _room(mask: Mask, omega0: float) -> int:
-    """Members the volume budget omega0 admits beyond the mask's own,
-    floor(omega0 / h^n) - member count; negative above the budget."""
-    return math.floor(omega0 / mask.grid.spacing ** mask.grid.dim) - mask.member_count
+def _budget(grid: Grid, omega0: float) -> int:
+    """Nodes the volume budget omega0 admits on the lattice, floor(omega0 / h^n)."""
+    return math.floor(omega0 / grid.spacing ** grid.dim)
 
 
 _NO_NODES = np.empty(0, dtype=np.intp)
@@ -403,17 +402,16 @@ def _peel(mask: Mask, magnitude: np.ndarray, count: int) -> Mask:
 def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
-    Order: the cut, dilate, the volume-targeted partial dilation, the
+    Order: the cut, dilate, one growth per connected component, the
     volume-neutral boundary exchanges (a coarse one, only while the lattice's
-    node budget, ``_room`` plus the member count, is below
-    ``COARSE_EXCHANGE_MAX_NODES`` and the fine one moves at most two nodes,
-    then the fine one), then, when the mask is disconnected, one candidate per
-    connected component, and last, when the mask has a hole, the mask with its
-    holes filled (``fill_holes``).  A component's candidate is its restriction
-    grown by one budgeted ring, or the bare restriction when the component
-    alone leaves no budget to grow into.  Below the budget, dropping a dead
-    component alone moves the objective only through the penalty, by nothing
-    (plain) or an O(eps) sliver (rewarding), while the regrown restriction
+    node budget ``_budget`` is below ``COARSE_EXCHANGE_MAX_NODES`` and the fine
+    one moves at most two nodes, then the fine one), and last, when the mask
+    has a hole, the mask with its holes filled (``fill_holes``).  A
+    component's growth is the component grown toward the budget: the whole
+    incumbent's budgeted growth when it is connected, and the bare component
+    when it alone leaves no budget to grow into.  Below the budget, dropping a
+    dead component alone moves the objective only through the penalty, by
+    nothing (plain) or an O(eps) sliver (rewarding), while the grown component
     contains the bare one, stays within the budget and buys an O(gamma h) tone
     drop at once; so does the filled move, where a ring start otherwise fills
     its hole by whole-mask dilations far above the budget.  Both shrinks peel
@@ -421,10 +419,11 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     cut ceil(0.02 * aggressiveness * (m - 1)) of the m members (those below
     that quantile of |u| when no magnitudes tie), the filled mask those the
     target volume ``omega0`` does not admit, its filled nodes (u = 0 there)
-    only after every layer outside them.  The budgeted growths fill toward
+    only after every layer outside them.  The component growths fill toward
     ``omega0``; only whole-mask dilation grows past it, and it is offered only
     when ``state.grow_past``: eps above its threshold, where excess volume can
-    pay.  Empty candidates are dropped.
+    pay.  Empty candidates are dropped, and so is the incumbent itself, the
+    growth of a connected incumbent with no room left.
 
     Each step ranks the incumbent's exterior ring strongest first and its
     boundary weakest first, once (``_ranked``: ties by ascending flat
@@ -432,15 +431,14 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     eigenfield, a heuristic stand-in for the boundary energy density that
     drives the shape derivative of the tone (not the clamped operator's
     energy): growth where it is large buys the most tone reduction, shrink
-    where it is small costs the least.  The budgeted growth adds the first
-    ``_room`` ring nodes, and an exchange swaps the first k boundary members
-    for the first k ring nodes: with span = aggressiveness * min(|ring|,
-    |boundary|), k = max(1, round(0.05 * span)) for the fine exchange and
-    max(1, round(0.25 * span)) for the coarse one.  The exchange keeps the
-    volume, which pure growth or shrink cannot; without it the search stalls
-    on the first shape that hits the target volume.  A component's regrowth
-    is a prefix of the same ring ranking restricted to the component's own
-    ring (a ring node between two components is scored by both fields).
+    where it is small costs the least.  A component's growth adds the first
+    budget - |component| ring nodes that touch the component (a ring node
+    between two components is scored by both fields), and an exchange swaps
+    the first k boundary members for the first k ring nodes: with span =
+    aggressiveness * min(|ring|, |boundary|), k = max(1, round(0.05 * span))
+    for the fine exchange and max(1, round(0.25 * span)) for the coarse one.
+    The exchange keeps the volume, which pure growth or shrink cannot; without
+    it the search stalls on the first shape that hits the target volume.
     """
     mask, grid = state.mask, state.mask.grid
     values = state.tone.eigenfield.values
@@ -451,7 +449,7 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     ring = _ranked(ring, score[ring])
     boundary = np.flatnonzero(boundary_nodes(mask))
     boundary = _ranked(boundary, -score[boundary])
-    room = _room(mask, omega0)
+    budget = _budget(grid, omega0)
     # The one shrink move of a connected mask without holes, and an overfull
     # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
     # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 999
@@ -461,28 +459,26 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     cands = [
         _peel(mask, magnitude, math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))),
         grown if state.grow_past else None,
-        _moved(mask, add=ring[:room]) if room > 0 and ring.size else None,
     ]
+    count, labels = connected_components(mask)
+    for comp in range(1, count + 1):
+        part = mask_from_array(grid, labels == comp)
+        touching = ring[dilate(part).inside.ravel()[ring]]
+        cands.append(_moved(part, add=touching[:max(budget - part.member_count, 0)]))
     # The coarse exchange can step past a stall only while the fine one moves
     # at most two nodes, and only on a lattice of few budget nodes (see
     # COARSE_EXCHANGE_MAX_NODES).
     if ring.size and boundary.size:
         span = state.aggressiveness * min(ring.size, boundary.size)
         fine = max(1, round(0.05 * span))
-        coarse = fine <= 2 and room + mask.member_count < COARSE_EXCHANGE_MAX_NODES
+        coarse = fine <= 2 and budget < COARSE_EXCHANGE_MAX_NODES
         sizes = [max(1, round(0.25 * span)), fine] if coarse else [fine]
         for k in sizes:
             cands.append(_moved(mask, add=ring[:k], drop=boundary[:k]))
-    count, labels = connected_components(mask)
-    if count > 1:
-        for comp in range(1, count + 1):
-            part = mask_from_array(grid, labels == comp)
-            part_room = max(_room(part, omega0), 0)
-            cands.append(_moved(part, add=ring[dilate(part).inside.ravel()[ring]][:part_room]))
     filled = fill_holes(mask)
     if filled is not None:
-        cands.append(_peel(filled, magnitude, -_room(filled, omega0)))
-    return [m for m in cands if m is not None and not m.is_empty]
+        cands.append(_peel(filled, magnitude, filled.member_count - budget))
+    return [m for m in cands if m is not None and not m.is_empty and m != mask]
 
 
 # ---------------------------------------------------------------------------

@@ -495,11 +495,11 @@ class TestCandidateMasks:
         state = make_state(m, config)
         cands = candidate_masks(state, config.omega0)
         a = state.aggressiveness
-        # above the volume target, so the budgeted growth is empty and dropped
+        # above the volume target as a whole, each disk alone below it
         assert mask_volume(m) > OMEGA0
         count, labels = connected_components(m)
         assert count == 2
-        assert len(cands) == 1 + 1 + count
+        assert len(cands) == 1 + count + 1
         # the cut first: the ceil(0.02 a (m - 1)) weakest members peeled
         mag = np.abs(state.tone.eigenfield.values)
         k = math.ceil(0.02 * a * (m.member_count - 1))
@@ -516,20 +516,20 @@ class TestCandidateMasks:
         superlevel = mask_from_array(g, mag >= np.quantile(positive, 0.02 * a))
         assert not np.any(cands[0].inside & ~superlevel.inside)
         assert np.all(mag[superlevel.inside & ~cands[0].inside] == mag[cands[0].inside].min())
-        # one volume-neutral exchange: the fine one moves more than two
-        # nodes here, so the coarse one is not offered
-        swapped = cands[1]
-        assert swapped != m
-        assert swapped.member_count == m.member_count
-        assert len(added(swapped, m)) >= 3
-        # one candidate per component: each disk alone lies under the
+        # one growth per component next: each disk alone lies under the
         # budget, so it is offered grown by a budgeted ring, not bare
         for comp in range(1, count + 1):
             part = mask_from_array(g, labels == comp)
-            regrown = cands[1 + comp]
+            regrown = cands[comp]
             assert regrown != part
             assert not np.any(part.inside & ~regrown.inside)
             assert mask_volume(regrown) <= OMEGA0
+        # last, one volume-neutral exchange: the fine one moves more than two
+        # nodes here, so the coarse one is not offered
+        swapped = cands[1 + count]
+        assert swapped != m
+        assert swapped.member_count == m.member_count
+        assert len(added(swapped, m)) >= 3
         # the default eps is the threshold, where excess volume never pays:
         # no whole-ring dilation.  Above the threshold the same list has it
         # second, the one move that grows past omega0
@@ -541,7 +541,7 @@ class TestCandidateMasks:
     def test_component_without_budget_is_offered_bare(self):
         # a disk larger than the budget next to a small one: the large
         # component leaves no budget to regrow into, so it is offered bare,
-        # and the small one is offered regrown
+        # and the small one is offered regrown, both right after the cut
         config = small_config()
         g = make_grid(2, 49, 1.5)
         big = ball_mask(g, (-0.5, 0.0), 0.52)
@@ -550,11 +550,33 @@ class TestCandidateMasks:
         m = mask_from_array(g, big.inside | small.inside)
         cands = candidate_masks(make_state(m, config), config.omega0)
         assert connected_components(m)[0] == 2
-        assert len(cands) == 1 + 1 + 2
-        offered = cands[2:]
-        assert big in offered
-        assert small not in offered
-        assert any(c != small and not np.any(small.inside & ~c.inside) for c in offered)
+        assert len(cands) == 1 + 2 + 1
+        assert cands[1] == big
+        regrown = cands[2]
+        assert regrown != small and not np.any(small.inside & ~regrown.inside)
+        assert not np.any(regrown.inside & big.inside)
+
+    def test_disks_under_the_budget_grow_one_at_a_time(self):
+        # two disjoint disks under the budget together: right after the cut
+        # each disk is offered grown by the prefix of the incumbent's ring
+        # ranking that touches it, up to the budget, and no candidate grows
+        # both at once
+        config = small_config()
+        g = make_grid(2, 49, 1.5)
+        left = ball_mask(g, (-0.5, 0.0), 0.3)
+        right = ball_mask(g, (0.5, 0.0), 0.3)
+        m = mask_from_array(g, left.inside | right.inside)
+        assert mask_volume(m) < OMEGA0
+        state = make_state(m, config)
+        cands = candidate_masks(state, config.omega0)
+        score = _lap(state.tone.eigenfield.values, g.spacing).ravel() ** 2
+        ring = ranked_by_hand(np.flatnonzero(dilate(m).inside & ~m.inside), score)
+        budget = math.floor(OMEGA0 / g.spacing ** 2)
+        for part, grown in zip((left, right), cands[1:3]):
+            touching = [i for i in ring if dilate(part).inside.ravel()[i]]
+            assert added(grown, part) == set(touching[:budget - part.member_count])
+            assert dropped(grown, part) == set()
+        assert not any(not np.any(m.inside & ~c.inside) for c in cands)
 
     def test_last_candidate_fills_the_hole_within_budget(self):
         config = small_config(init_shape="annulus")
@@ -625,7 +647,7 @@ class TestCandidateMasks:
         gap = np.zeros(g.shape, dtype=bool)
         gap[6:9, 6] = True
         for block, regrown in zip((slice(3, 6), slice(7, 10)),
-                                  candidate_masks(state, omega0)[-2:]):
+                                  candidate_masks(state, omega0)[1:3]):
             part = np.zeros(g.shape, dtype=bool)
             part[6:11, block] = True
             assert regrown == mask_from_array(g, part | gap)
@@ -728,7 +750,7 @@ class TestMoves:
         config = small_config(nodes_per_side=129)
         assert lattice_levels(config) == (65, 129)
         m = prolong_mask(state.tone.eigenfield)
-        assert search._room(m, OMEGA0) + m.member_count >= search.COARSE_EXCHANGE_MAX_NODES
+        assert search._budget(m.grid, OMEGA0) >= search.COARSE_EXCHANGE_MAX_NODES
         fine_state = make_state(m, config)
         ring, boundary = self.rankings(fine_state)
         fine_state.aggressiveness = 30.0 / min(len(ring), len(boundary))
@@ -751,7 +773,7 @@ class TestMoves:
         config = small_config(dim=dim, nodes_per_side=n)
         assert lattice_levels(config) == (n,)
         m = ball_mask(make_grid(dim, n, 1.5), (0.0,) * dim, 0.45)
-        assert search._room(m, OMEGA0) + m.member_count == budget
+        assert search._budget(m.grid, OMEGA0) == budget
         state = make_state(m, config)
         ring, boundary = self.rankings(state)
         state.aggressiveness = 30.0 / min(len(ring), len(boundary))
@@ -1336,9 +1358,12 @@ class TestOptimize:
             bound = max(OMEGA0, mask_volume(incumbent))
             assert all(mask_volume(c) <= bound for c in cands)
 
-    def test_eps_past_the_threshold_offers_the_dilation(self, monkeypatch):
-        # above the threshold every step offers the whole-ring dilation
-        for incumbent, cands in self.offered(monkeypatch, past_the_threshold(small_config())):
+    @pytest.mark.parametrize("shape", ["disk", "two_disks"])
+    def test_eps_past_the_threshold_offers_the_dilation(self, monkeypatch, shape):
+        # above the threshold every step offers the whole-ring dilation, of
+        # a disconnected incumbent too
+        config = past_the_threshold(small_config(init_shape=shape))
+        for incumbent, cands in self.offered(monkeypatch, config):
             assert dilate(incumbent) in cands
 
     def test_final_tone_above_half_ball_tone(self):
