@@ -138,7 +138,7 @@ def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
     """Fraction of the lattice ball B_R around the boundary node x0 that the
     mask occupies (member count over node count, both in the open ball)."""
     h = mask.grid.spacing
-    if R < 2.0 * h:
+    if not 2.0 * h <= R < math.inf:
         raise ValueError(f"R must be at least 2h = {2.0 * h}, got {R}")
     box, d2 = _window(mask.grid, x0, R)
     local = mask.inside[box]

@@ -43,7 +43,7 @@ class PenaltyKind:
 
 def penalty_value(kind: PenaltyKind, s: float) -> float:
     """Exact piecewise-linear penalty of a volume s >= 0."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"volume must be nonnegative, got {s}")
     excess = s - kind.omega0
     if excess >= 0.0:

@@ -285,6 +285,14 @@ class TestDensityQuotient:
         with pytest.raises(ValueError):
             density_quotient(m, probe, g.spacing)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_rejects_radius_that_is_not_finite(self, R):
+        g = make_grid(2, 49, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        probe = tuple(np.argwhere(boundary_nodes(m))[0])
+        with pytest.raises(ValueError, match="^R must be at least 2h = "):
+            density_quotient(m, probe, R)
+
 
 class TestDichotomy:
     def test_volume_met(self):

@@ -102,6 +102,19 @@ class TestBallMask:
         with pytest.raises(ValueError):
             ball_mask(g, (0.0, 0.0), -0.5)
 
+    @pytest.mark.parametrize("center, radius, message", [
+        ((math.nan, 0.0), 0.5, r"^center \[nan, 0.0\] lies outside the bounding box$"),
+        ((0.0, math.nan), 0.5, r"^center \[0.0, nan\] lies outside the bounding box$"),
+        ((0.0, 0.0), math.nan, "^radius must be nonnegative, got nan$"),
+    ], ids=["center_x", "center_y", "radius"])
+    def test_rejects_nan(self, center, radius, message):
+        with pytest.raises(ValueError, match=message):
+            ball_mask(make_grid(2, 33, 1.0), center, radius)
+
+    def test_infinite_radius_is_the_whole_ball(self):
+        g = make_grid(2, 33, 1.0)
+        assert np.array_equal(ball_mask(g, (0.0, 0.0), math.inf).inside, inside_ball(g))
+
 
 class TestMaskVolume:
     def test_empty_is_zero(self):

@@ -1,12 +1,15 @@
-"""Each decision has one owning module.
+"""Each decision has one owning module, and each name one provider.
 
 Checked on the source, not at run time: no platetone module imports an
 underscore name from another one (a private helper is read only where it
 is defined), and the diagnostics do not depend on the eigensolver module
-(the lattice gradient they read belongs to ``field_grid``).
+(the lattice gradient they read belongs to ``field_grid``).  The package
+root, checked at run time, offers only the entry points; every other name
+is imported from its defining module.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,10 @@ def test_diagnostics_import_nothing_from_biharmonic():
              if module == "platetone.biharmonic"
              or (module == "platetone" and name == "biharmonic")]
     assert found == []
+
+
+def test_package_root_exports_the_entry_points():
+    import platetone
+    public = {name for name, value in vars(platetone).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {"RunConfig", "optimize"}

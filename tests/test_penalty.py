@@ -71,6 +71,11 @@ class TestPenaltyValue:
         with pytest.raises(ValueError):
             penalty_value(plain, -0.1)
 
+    @pytest.mark.parametrize("variant", ["plain", "rewarding"])
+    def test_rejects_nan_volume(self, variant):
+        with pytest.raises(ValueError, match="^volume must be nonnegative, got nan$"):
+            penalty_value(PenaltyKind(variant, EPS, OMEGA0), math.nan)
+
 
 class TestPenaltyKindValidation:
     def test_rejects_bad_variant(self):
