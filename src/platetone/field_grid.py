@@ -182,9 +182,11 @@ def mask_volume(mask: Mask) -> float:
 def face_neighbours(values: np.ndarray, fill=0):
     """The 2n face-neighbour views of a node array, ``fill`` (zero unless
     given) beyond its border: view k holds, at each node, its k-th
-    neighbour's value; along each axis the upper neighbour comes first."""
-    padded = np.pad(values, 1, constant_values=fill)
+    neighbour's value; along each axis the upper neighbour comes first.
+    All views share one padded copy of the array."""
+    padded = np.full([size + 2 for size in values.shape], fill, dtype=values.dtype)
     core = [slice(1, -1)] * values.ndim
+    padded[tuple(core)] = values
     for ax in range(values.ndim):
         for start in (2, 0):
             shift = list(core)

@@ -14,11 +14,15 @@ filled and then shrunk to the volume budget.  Every node choice, the
 prolongation below included, follows one rule (``_ranked``): descending
 score, ties by ascending flat index; the growths and the exchanges take
 prefixes of one ranking of the incumbent's ring, and both shrinks are one
-peel (``_peel``), least |u| first.  The candidate with the lowest
-objective wins, ties broken by list position; a step that fails to improve
-the objective by the fixed relative margin ``DELTA_REL`` (1e-6) halves the
-aggressiveness.  A lattice's descent ends at the first such step with
-nothing new to solve, or when the step budget is exhausted.
+peel (``_peel``), least |u| first.  What the list reads of the incumbent
+(both rankings, the dilation, the components' growths, the filled mask) is
+derived once per incumbent and read by every step against it; only the cut
+(kept with its member count) and the exchanges follow the aggressiveness.
+The candidate with the lowest objective wins, ties broken by list
+position; a step that fails to improve the objective by the fixed relative
+margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A lattice's descent
+ends at the first such step with nothing new to solve, or when the step
+budget is exhausted.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -206,6 +210,10 @@ class SearchState:
     # that none is solved twice there, whether its solve succeeded or not
     solved: set[bytes] = field(default_factory=set)
     grow_past: bool = False     # eps > eps_threshold: volume past omega0 can pay
+    # (mask, tone, omega0) of the incumbent, then what candidate_masks derived
+    # from them (see _derive); derived again once any of the three is another
+    # object, so once per incumbent
+    derived: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -425,13 +433,13 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     pay.  Empty candidates are dropped, and so is the incumbent itself, the
     growth of a connected incumbent with no room left.
 
-    Each step ranks the incumbent's exterior ring strongest first and its
-    boundary weakest first, once (``_ranked``: ties by ascending flat
-    index).  The score is the squared Laplacian of the zero-extended
-    eigenfield, a heuristic stand-in for the boundary energy density that
-    drives the shape derivative of the tone (not the clamped operator's
-    energy): growth where it is large buys the most tone reduction, shrink
-    where it is small costs the least.  A component's growth adds the first
+    The incumbent's exterior ring is ranked strongest first and its
+    boundary weakest first once per incumbent (``_derive``; ``_ranked``:
+    ties by ascending flat index).  The score is the squared Laplacian of
+    the zero-extended eigenfield, a heuristic stand-in for the boundary
+    energy density that drives the shape derivative of the tone (not the
+    clamped operator's energy): growth where it is large buys the most tone
+    reduction, shrink where it is small costs the least.  A component's growth adds the first
     budget - |component| ring nodes that touch the component (a ring node
     between two components is scored by both fields), and an exchange swaps
     the first k boundary members for the first k ring nodes: with span =
@@ -440,31 +448,22 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     The exchange keeps the volume, which pure growth or shrink cannot; without
     it the search stalls on the first shape that hits the target volume.
     """
-    mask, grid = state.mask, state.mask.grid
-    values = state.tone.eigenfield.values
-    magnitude = np.abs(values).ravel()
-    grown = dilate(mask)
-    score = _lap(values, grid.spacing).ravel() ** 2
-    ring = np.flatnonzero(grown.inside & ~mask.inside)
-    ring = _ranked(ring, score[ring])
-    boundary = np.flatnonzero(boundary_nodes(mask))
-    boundary = _ranked(boundary, -score[boundary])
-    budget = _budget(grid, omega0)
+    mask = state.mask
+    key = (mask, state.tone, omega0)
+    if any(a is not b for a, b in zip(state.derived, key)):
+        state.derived = (None, None, None)      # the old incumbent's arrays go first
+        state.derived = key + _derive(mask, state.tone, omega0)
+    ring, boundary, budget, grown, growths, filled, cut = state.derived[3:]
     # The one shrink move of a connected mask without holes, and an overfull
     # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
     # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 999
     # times, solved 26 times and wins 4 steps, each from an incumbent above
     # omega0 (under the plain penalty the floor rules out every subset of an
     # incumbent at or under omega0).
-    cands = [
-        _peel(mask, magnitude, math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))),
-        grown if state.grow_past else None,
-    ]
-    count, labels = connected_components(mask)
-    for comp in range(1, count + 1):
-        part = mask_from_array(grid, labels == comp)
-        touching = ring[dilate(part).inside.ravel()[ring]]
-        cands.append(_moved(part, add=touching[:max(budget - part.member_count, 0)]))
+    count = math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))
+    if cut[0] != count:
+        cut[:] = count, _peel(mask, np.abs(state.tone.eigenfield.values).ravel(), count)
+    cands = [cut[1], grown if state.grow_past else None, *growths]
     # The coarse exchange can step past a stall only while the fine one moves
     # at most two nodes, and only on a lattice of few budget nodes (see
     # COARSE_EXCHANGE_MAX_NODES).
@@ -475,10 +474,34 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
         sizes = [max(1, round(0.25 * span)), fine] if coarse else [fine]
         for k in sizes:
             cands.append(_moved(mask, add=ring[:k], drop=boundary[:k]))
+    cands.append(filled)
+    return [m for m in cands if m is not None and not m.is_empty and m != mask]
+
+
+def _derive(mask: Mask, tone: ToneResult, omega0: float) -> tuple:
+    """What ``candidate_masks`` reads of an incumbent whatever the
+    aggressiveness: the ranked ring and boundary, the budget, the dilation,
+    each component's growth, the filled-and-peeled mask (None without a
+    hole) and the store of the last cut, [member count, cut]: the count only
+    falls while the incumbent stays, so only the last cut can come again."""
+    values = tone.eigenfield.values
+    grown = dilate(mask)
+    score = _lap(values, mask.grid.spacing).ravel() ** 2
+    ring = np.flatnonzero(grown.inside & ~mask.inside)
+    ring = _ranked(ring, score[ring])
+    boundary = np.flatnonzero(boundary_nodes(mask))
+    boundary = _ranked(boundary, -score[boundary])
+    budget = _budget(mask.grid, omega0)
+    count, labels = connected_components(mask)
+    growths = []
+    for comp in range(1, count + 1):
+        part = mask_from_array(mask.grid, labels == comp)
+        touching = ring[dilate(part).inside.ravel()[ring]]
+        growths.append(_moved(part, add=touching[:max(budget - part.member_count, 0)]))
     filled = fill_holes(mask)
     if filled is not None:
-        cands.append(_peel(filled, magnitude, filled.member_count - budget))
-    return [m for m in cands if m is not None and not m.is_empty and m != mask]
+        filled = _peel(filled, np.abs(values).ravel(), filled.member_count - budget)
+    return ring, boundary, budget, grown, growths, filled, [None, None]
 
 
 # ---------------------------------------------------------------------------

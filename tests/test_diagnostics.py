@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from platetone.biharmonic import fundamental_tone
+from platetone.constants import unit_ball_volume
 from platetone.diagnostics import (
     DiagnosticsReport,
     Dichotomy,
+    _probes,
+    _window,
     default_probe_radius,
     density_quotient,
     dichotomy_check,
@@ -19,6 +22,7 @@ from platetone.field_grid import (
     ball_mask,
     boundary_nodes,
     dilate,
+    gradient_field,
     make_field,
     make_grid,
     mask_from_array,
@@ -290,7 +294,8 @@ class TestDensityQuotient:
         g = make_grid(2, 49, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         probe = tuple(np.argwhere(boundary_nodes(m))[0])
-        with pytest.raises(ValueError, match="^R must be at least 2h = "):
+        with pytest.raises(ValueError,
+                           match=rf"^R must be finite and at least 2h = 0\.08333\d*, got {R}$"):
             density_quotient(m, probe, R)
 
 
@@ -391,3 +396,78 @@ class TestBundle:
         rep = run_diagnostics(field, omega0)
         assert ((rep.doubling_sigma, rep.nondegeneracy_c1, rep.density_c2_profile)
                 == brute_force_statistics(field, omega0))
+
+
+def per_probe_statistics(field, omega0):
+    """run_diagnostics' doubling ratio, c1 and density profile as the
+    per-probe ``_window`` loops computed them before the probes were
+    gathered in blocks: one clipped window and its distance table per probe,
+    the doubling ratio returning inf at its first probe whose inner ball
+    holds no other member."""
+    mask, grid = field.mask, field.grid
+    R0 = default_probe_radius(grid, omega0)
+    radii = dyadic_radii(R0, 4.0 * grid.spacing)
+    boundary = boundary_nodes(mask)
+    mag = np.linalg.norm(gradient_field(field), axis=0)
+
+    def sigma():
+        worst = 1.0
+        for idx in _probes(boundary, 512):
+            box, d2 = _window(grid, idx, 2.0 * R0)
+            near = d2[mask.inside[box]]
+            for r in radii:
+                inner = int(np.count_nonzero(near < r * r)) - 1
+                outer = int(np.count_nonzero(near < 4.0 * r * r)) - 1
+                if inner <= 0:
+                    return math.inf
+                worst = max(worst, outer / inner)
+        return worst
+
+    c1 = math.inf
+    for idx in _probes(boundary, 512):
+        box, d2 = _window(grid, idx, R0)
+        for r in radii:
+            c1 = min(c1, float(mag[box][d2 <= r * r].max(initial=0.0)) / r)
+    quotients = []
+    for idx in _probes(boundary, 128):
+        box, d2 = _window(grid, idx, R0)
+        local = mask.inside[box]
+        quotients.append([int(np.count_nonzero(local & (d2 < r * r)))
+                          / int(np.count_nonzero(d2 < r * r)) for r in radii])
+    return sigma(), c1, tuple(zip(radii, map(min, zip(*quotients))))
+
+
+class TestGatheredProbes:
+    # run_diagnostics reads every probe's balls from blocks of probes
+    # gathered at offsets sorted by distance; the per-probe loops above are
+    # the oracle, equal to the last bit
+    @pytest.mark.parametrize("dim, n, probe_h, lone", [
+        (2, 33, 8, False), (2, 65, 16, True), (2, 129, 24, False), (2, 129, 16, True),
+        (3, 17, 8, True), (3, 25, 8, False), (3, 33, 8, False),
+    ])
+    def test_matches_the_per_probe_loops(self, dim, n, probe_h, lone):
+        rng = np.random.default_rng(n + dim)
+        g = make_grid(dim, n, 1.0)
+        h = g.spacing
+        # a ball cut by the rim of B next to the face x = R_B of the box, and
+        # random balls centred in -0.2 < x < 0.8
+        inside = ball_mask(g, (0.7,) + (0.0,) * (dim - 1), 0.35).inside.copy()
+        for _ in range(4):
+            center = rng.uniform(-0.5, 0.5, dim) + 0.3 * np.eye(dim)[0]
+            inside |= ball_mask(g, center, rng.uniform(2.0 * h, 0.3)).inside
+        if lone:
+            # a member more than 4h from every other: first in C order, so
+            # it is the first probe, and no other member is in its inner ball
+            inside[:n // 4] = False
+            inside[(n // 8,) + (n // 2,) * (dim - 1)] = True
+        omega0 = unit_ball_volume(dim) * (4.0 * probe_h * h) ** dim
+        field = make_field(mask_from_array(g, inside), rng.standard_normal(g.shape))
+        R0 = default_probe_radius(g, omega0)
+        assert R0 == pytest.approx(probe_h * h, rel=1e-12)
+        clipped = np.argwhere(boundary_nodes(field.mask))[:, 0].max()
+        assert (n - 1 - clipped) * h < R0
+        rep = run_diagnostics(field, omega0)
+        expected = per_probe_statistics(field, omega0)
+        assert (rep.doubling_sigma, rep.nondegeneracy_c1, rep.density_c2_profile) == expected
+        assert (rep.doubling_sigma == math.inf) == lone
+        assert len(rep.density_c2_profile) == int(math.log2(probe_h / 4.0)) + 1

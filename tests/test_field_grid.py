@@ -16,6 +16,7 @@ from platetone.field_grid import (
     connected_components,
     dilate,
     erode,
+    face_neighbours,
     fill_holes,
     inside_ball,
     load_field_fld,
@@ -289,6 +290,28 @@ class TestMatchesNdimage:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+
+class TestFaceNeighbours:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dtype, fill", [(bool, 0), (np.int64, -1), (float, 0), (float, 2.5)])
+    def test_matches_np_pad(self, dim, dtype, fill):
+        # the views of one preallocated padded copy equal the shifted slices
+        # of np.pad's copy, bool (dilate, erode), int with fill -1 (_label)
+        # and float (the gradient, the Laplacian)
+        rng = np.random.default_rng(dim)
+        values = (rng.standard_normal((7, 9, 5)[:dim]) * 10).astype(dtype)
+        padded = np.pad(values, 1, constant_values=fill)
+        expected = []
+        for ax in range(dim):
+            for start in (2, 0):
+                shift = [slice(1, -1)] * dim
+                shift[ax] = slice(start, start + values.shape[ax])
+                expected.append(padded[tuple(shift)])
+        views = list(face_neighbours(values, fill))
+        assert len(views) == 2 * dim
+        for view, want in zip(views, expected):
+            assert view.dtype == values.dtype and np.array_equal(view, want)
 
 
 class TestBoundaryNodes:

@@ -856,6 +856,49 @@ class TestRanked:
         assert _ranked(idx, score).tolist() == ranked_by_hand(idx, by_node)
 
 
+class TestDerivedOncePerIncumbent:
+    # candidate_masks derives an incumbent's dilation, score, rankings,
+    # components, growths and filled mask on its first call for that
+    # incumbent, and every later step against it reads them
+    @pytest.mark.parametrize("config, move", [
+        (RunConfig(nodes_per_side=33, init_shape="annulus"), "fill"),
+        (RunConfig(dim=3, nodes_per_side=17, init_shape="two_disks"), "components"),
+        (RunConfig(nodes_per_side=33, eps=4e-4, eps_override=True), "dilation"),
+    ])
+    def test_each_step_builds_the_fresh_list_and_labels_once(self, monkeypatch, config, move):
+        real, label = search.candidate_masks, search.connected_components
+        labelled, incumbents, steps, moves = [], [], [], set()
+
+        def counting(mask):
+            labelled.append(mask)
+            return label(mask)
+
+        def checking(state, omega0):
+            before = len(labelled)
+            cands = real(state, omega0)
+            new = not any(tone is state.tone for tone in incumbents)
+            assert len(labelled) - before == new
+            incumbents.extend([state.tone] * new)
+            fresh = SearchState(mask=state.mask, tone=state.tone, J=state.J, step=state.step,
+                                aggressiveness=state.aggressiveness, grow_past=state.grow_past)
+            assert cands == real(fresh, omega0)
+            if fill_holes(state.mask) is not None:
+                moves.add("fill")
+            if label(state.mask)[0] > 1:
+                moves.add("components")
+            if state.grow_past and dilate(state.mask) in cands:
+                moves.add("dilation")
+            steps.append(state.step)
+            return cands
+
+        monkeypatch.setattr(search, "connected_components", counting)
+        monkeypatch.setattr(search, "candidate_masks", checking)
+        optimize(config)
+        assert move in moves
+        # steps after a rejection read what an earlier step derived
+        assert len(incumbents) < len(steps)
+
+
 class TestDescentStep:
     def test_rejection_halves_aggressiveness(self, monkeypatch):
         # a disk at the target volume with plain penalty is already locally
