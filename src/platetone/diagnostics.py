@@ -2,13 +2,13 @@
 
 These probes measure, on the discrete output of a run, quantities the theory
 reasons about; nothing is assumed, everything is counted on the lattice.
-``run_diagnostics`` reports the component count, the boundary doubling
-ratio, the nondegeneracy rate of the gradient near the free boundary and
-the smallest local density quotients.  The doubling ratio and the density
-quotient also have standalone probes, and so has the scaling/translation
-dichotomy for the final volume (``dichotomy_check``), which the report
-leaves out: its tolerance, one boundary layer (about 30% of omega0 at 33
-nodes per side), let it read VolumeMet on every run measured.
+``run_diagnostics`` reports the component count, the boundary doubling ratio,
+the nondegeneracy rate of the gradient near the free boundary and the
+smallest local density quotients.  The doubling ratio and the density
+quotient have standalone probes that count as the report does, and so has the
+scaling/translation dichotomy of the final volume (``dichotomy_check``),
+which the report leaves out: its tolerance, one boundary layer (about 30% of
+omega0 at 33 nodes per side), let it read VolumeMet on every run measured.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from platetone.field_grid import (
     boundary_nodes,
     connected_components,
     gradient_field,
+    is_integer,
+    is_real,
     mask_volume,
     member_positions,
     raise_errors,
@@ -58,11 +60,17 @@ def _probes(boundary: np.ndarray, cap: int) -> list:
 
 
 @lru_cache(maxsize=8)
-def _distance_table(grid: Grid, span: int) -> np.ndarray:
-    """Squared distances of the (2 span + 1)^n lattice offsets to the centre."""
+def _distance_table(grid: Grid, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2 span + 1)^n lattice offsets sorted by distance to the centre:
+    their squared distances, ascending, and their flat steps on the lattice
+    padded by span (node p + offset t - span sits at p + t there)."""
     d2 = sum((k * grid.spacing) ** 2 for k in np.ogrid[(slice(-span, span + 1),) * grid.dim])
-    d2.setflags(write=False)
-    return d2
+    order = np.argsort(d2, axis=None)
+    steps = np.ravel_multi_index(np.unravel_index(order, d2.shape), np.add(grid.shape, 2 * span))
+    d2 = d2.ravel()[order]
+    for a in (d2, steps):
+        a.setflags(write=False)
+    return d2, steps
 
 
 # Probes gathered at once by _balls.  On square-3d-33's final field (seed 0)
@@ -73,31 +81,33 @@ PROBE_BLOCK = 32
 
 def _balls(grid: Grid, probes: list, R: float, *arrays: np.ndarray):
     """Per block of PROBE_BLOCK probes: the squared distances of the lattice
-    offsets within R, ascending (``_distance_table``'s values, so a ball
-    counts the nodes a ``_window`` counts), and each array read at those
-    offsets around each probe, shape (block, offsets), zero beyond the
-    lattice (as the window is clipped there)."""
+    offsets within R, ascending, and each array read at those offsets around
+    each probe, shape (block, offsets), zero beyond the lattice."""
     span = int(math.ceil(R / grid.spacing)) + 1
-    table = _distance_table(grid, span)
-    order = np.argsort(table, axis=None)
-    d2 = table.ravel()[order]
+    d2, steps = _distance_table(grid, span)
     within = np.searchsorted(d2, R * R, "right")
     padded = [np.pad(a, span) for a in arrays]
-    # node p + offset t - span sits at p + t on the padded lattice
-    steps = np.ravel_multi_index(np.unravel_index(order[:within], table.shape), padded[0].shape)
     starts = np.ravel_multi_index(np.transpose(probes), padded[0].shape)
     for k in range(0, starts.size, PROBE_BLOCK):
-        at = starts[k:k + PROBE_BLOCK, None] + steps
+        at = starts[k:k + PROBE_BLOCK, None] + steps[:within]
         yield (d2[:within], *(a.take(at) for a in padded))
 
 
-def _window(grid: Grid, idx, R: float) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Index box around node idx that holds the ball of radius R, clipped to
-    the lattice, and the squared distances of its nodes to idx."""
-    span = int(math.ceil(R / grid.spacing)) + 1
-    box = tuple(slice(max(c - span, 0), min(c + span + 1, grid.nodes_per_side)) for c in idx)
-    cut = tuple(slice(b.start - c + span, b.stop - c + span) for b, c in zip(box, idx))
-    return box, _distance_table(grid, span)[cut]
+def _lowest_density(mask: Mask, probes: list, radii: tuple) -> list[float]:
+    """Per radius r (largest first), the smallest density quotient over the
+    probes: members over lattice nodes in the open ball B_r(probe)."""
+    lowest = np.ones(len(radii))
+    lattice = np.ones(mask.grid.shape, dtype=bool)
+    for d2, local, nodes in _balls(mask.grid, probes, radii[0], mask.inside, lattice):
+        last = np.searchsorted(d2, np.square(radii)) - 1    # >= 0, as d2[0] = 0 < r * r
+        quotient = local.cumsum(axis=1)[:, last] / nodes.cumsum(axis=1)[:, last]
+        lowest = np.minimum(lowest, quotient.min(axis=0))
+    return lowest.tolist()
+
+
+def _radius_errors(**radii) -> list[str]:
+    """``real_errors``' text for each radius that is not a real number."""
+    return [e for name, r in radii.items() if not is_real(r) for e in real_errors(name, r)]
 
 
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
@@ -115,28 +125,24 @@ def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
     return tuple(radii)
 
 
-def estimate_doubling_sigma(mask: Mask, R0: float,
-                            r_min: float | None = None) -> float:
-    """Worst doubling ratio |B_2R cap mask| / |B_R cap mask| over all boundary
-    probes and dyadic radii R0, R0/2, ... >= r_min (default 4h).
-
-    The probe node itself is excluded from both counts: it always lies in the
-    mask, but a lone point carries no measure in the limit, and counting it
-    would silently turn a degenerate probe (no other mass nearby) into a
-    harmless ratio of one.  A probe whose inner ball captures nothing else
-    therefore contributes +inf.
-    """
+def estimate_doubling_sigma(mask: Mask, R0: float, r_min: float | None = None) -> float:
+    """Worst doubling ratio |B_2R cap mask| / |B_R cap mask| over the boundary
+    probes of ``run_diagnostics`` and dyadic radii R0, R0/2, ... >= r_min
+    (default 4h).  The probe node is left out of both counts: a lone point
+    carries no measure in the limit, and counting it would turn a degenerate
+    probe (no other member nearby) into a harmless ratio of one, so a probe
+    whose inner ball holds no other member contributes +inf."""
     h = mask.grid.spacing
-    if r_min is None:
-        r_min = 4.0 * h
+    r_min = 4.0 * h if r_min is None else r_min
+    raise_errors(_radius_errors(R0=R0, r_min=r_min))
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    return _doubling_sigma(mask, boundary_nodes(mask), R0, dyadic_radii(R0, r_min))
+    return _doubling_sigma(mask, _probes(boundary_nodes(mask), 512), R0, dyadic_radii(R0, r_min))
 
 
-def _doubling_sigma(mask: Mask, boundary: np.ndarray, R0: float, radii: tuple) -> float:
+def _doubling_sigma(mask: Mask, probes: list, R0: float, radii: tuple) -> float:
     worst = 1.0
-    for d2, near in _balls(mask.grid, _probes(boundary, 512), 2.0 * R0, mask.inside):
+    for d2, near in _balls(mask.grid, probes, 2.0 * R0, mask.inside):
         for r in radii:
             inner = near[:, :np.searchsorted(d2, r * r)].sum(axis=1) - 1   # minus the probe
             outer = near[:, :np.searchsorted(d2, 4.0 * r * r)].sum(axis=1) - 1
@@ -146,11 +152,11 @@ def _doubling_sigma(mask: Mask, boundary: np.ndarray, R0: float, radii: tuple) -
     return worst
 
 
-def _nondegeneracy_c1(boundary: np.ndarray, mag: np.ndarray, grid: Grid, radii: tuple) -> float:
+def _nondegeneracy_c1(probes: list, mag: np.ndarray, grid: Grid, radii: tuple) -> float:
     """Smallest sup_{B_r(x0)} |grad u| / r over boundary probes x0 and radii r;
     zero signals a degenerate (flat) eigenfield."""
     worst = math.inf
-    for d2, local in _balls(grid, _probes(boundary, 512), radii[0], mag):
+    for d2, local in _balls(grid, probes, radii[0], mag):
         for r in radii:
             peak = local[:, :np.searchsorted(d2, r * r, "right")].max(axis=1)
             worst = min(worst, float(peak.min()) / r)
@@ -159,26 +165,29 @@ def _nondegeneracy_c1(boundary: np.ndarray, mag: np.ndarray, grid: Grid, radii: 
 
 def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
     """Fraction of the lattice ball B_R around the boundary node x0 that the
-    mask occupies (member count over node count, both in the open ball)."""
-    h = mask.grid.spacing
-    if not 2.0 * h <= R < math.inf:
-        raise ValueError(f"R must be finite and at least 2h = {2.0 * h}, got {R}")
-    box, d2 = _window(mask.grid, x0, R)
-    local = mask.inside[box]
-    # the probe and its face neighbours are the window nodes within h; members
-    # lie strictly inside B, so the box never clips a member's neighbour
-    if not mask.inside[tuple(x0)] or local[d2 <= h * h].all():
+    mask occupies (member count over node count, both in the open ball), as
+    ``run_diagnostics`` counts it.  x0 is dim integer node indices."""
+    grid, N = mask.grid, mask.grid.nodes_per_side
+    nodes = tuple(x0) if isinstance(x0, (tuple, list)) or np.ndim(x0) == 1 else ()
+    on_lattice = len(nodes) == grid.dim and all(is_integer(c) and 0 <= c < N for c in nodes)
+    errors = [] if on_lattice else [f"x0: must be {grid.dim} integers in [0, {N}), got {x0!r}"]
+    raise_errors(errors + _radius_errors(R=R))
+    if not 2.0 * grid.spacing <= R < math.inf:
+        raise ValueError(f"R must be finite and at least 2h = {2.0 * grid.spacing}, got {R}")
+    if not boundary_nodes(mask)[nodes]:
         raise ValueError(f"probe {x0} is not a boundary node")
-    ball = d2 < R * R
-    return int(np.count_nonzero(local & ball)) / int(np.count_nonzero(ball))
+    return _lowest_density(mask, [nodes], (R,))[0]
+
+
+def _radius_eq(grid: Grid, omega0: float) -> float:
+    """Radius of the ball of volume omega0, after omega0's rule."""
+    raise_errors(real_errors("omega0", omega0))
+    return (omega0 / unit_ball_volume(grid.dim)) ** (1.0 / grid.dim)
 
 
 def default_vol_tol(grid: Grid, omega0: float) -> float:
     """One boundary layer of volume for a domain of volume omega0."""
-    raise_errors(real_errors("omega0", omega0))
-    n = grid.dim
-    r_eq = (omega0 / unit_ball_volume(n)) ** (1.0 / n)
-    return 5.0 * grid.spacing * r_eq ** (n - 1)
+    return 5.0 * grid.spacing * _radius_eq(grid, omega0) ** (grid.dim - 1)
 
 
 def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
@@ -227,10 +236,7 @@ def dichotomy_check(mask: Mask, omega0: float) -> Dichotomy:
 def default_probe_radius(grid: Grid, omega0: float) -> float:
     """Probe cap: local enough to stay boundary-scale, large enough to
     beat lattice noise."""
-    raise_errors(real_errors("omega0", omega0))
-    n = grid.dim
-    r_eq = (omega0 / unit_ball_volume(n)) ** (1.0 / n)
-    return max(4.0 * grid.spacing, min(0.25 * r_eq, 32.0 * grid.spacing))
+    return max(4.0 * grid.spacing, min(0.25 * _radius_eq(grid, omega0), 32.0 * grid.spacing))
 
 
 def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
@@ -244,17 +250,10 @@ def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
     boundary = boundary_nodes(mask)
     mag = np.linalg.norm(gradient_field(field), axis=0)
-    count, _ = connected_components(mask)
-    lowest = [1.0] * len(radii)
-    lattice = np.ones(grid.shape, dtype=bool)
-    for d2, local, nodes in _balls(grid, _probes(boundary, 128), R0, mask.inside, lattice):
-        for i, r in enumerate(radii):
-            k = np.searchsorted(d2, r * r)
-            quotient = local[:, :k].sum(axis=1) / nodes[:, :k].sum(axis=1)
-            lowest[i] = min(lowest[i], float(quotient.min()))
+    probes = _probes(boundary, 512)
     return DiagnosticsReport(
-        component_count=count,
-        doubling_sigma=_doubling_sigma(mask, boundary, R0, radii),
-        nondegeneracy_c1=_nondegeneracy_c1(boundary, mag, grid, radii),
-        density_c2_profile=tuple(zip(radii, lowest)),
+        component_count=connected_components(mask)[0],
+        doubling_sigma=_doubling_sigma(mask, probes, R0, radii),
+        nondegeneracy_c1=_nondegeneracy_c1(probes, mag, grid, radii),
+        density_c2_profile=tuple(zip(radii, _lowest_density(mask, _probes(boundary, 128), radii))),
     )

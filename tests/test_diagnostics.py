@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from platetone.diagnostics import (
     DiagnosticsReport,
     Dichotomy,
     _probes,
-    _window,
     default_probe_radius,
     density_quotient,
     dichotomy_check,
@@ -299,6 +299,38 @@ class TestDensityQuotient:
             density_quotient(m, probe, R)
 
 
+class TestStandaloneInputs:
+    # on a 2D N=33 disk whose boundary holds node (8, 14), each bad input of
+    # the standalone probes is one ValueError that names it
+    @staticmethod
+    def disk():
+        return ball_mask(make_grid(2, 33, 1.0), (0.0, 0.0), 0.55)
+
+    @pytest.mark.parametrize("probe, args, text", [
+        (density_quotient, ((8,), 0.3), "x0: must be 2 integers in [0, 33), got (8,)"),
+        (density_quotient, ((True, 16), 0.3), "x0: must be 2 integers in [0, 33), got (True, 16)"),
+        (density_quotient, ((40, 5), 0.3), "x0: must be 2 integers in [0, 33), got (40, 5)"),
+        (density_quotient, ((8.0, 14), 0.3), "x0: must be 2 integers in [0, 33), got (8.0, 14)"),
+        (density_quotient, ((-25, 14), 0.3), "x0: must be 2 integers in [0, 33), got (-25, 14)"),
+        (density_quotient, (8, 0.3), "x0: must be 2 integers in [0, 33), got 8"),
+        (density_quotient, ((8, 14), True), "R: must be a real number, got True"),
+        (density_quotient, ((8, 14), "0.3"), "R: must be a real number, got '0.3'"),
+        (density_quotient, ((8,), True),
+         "x0: must be 2 integers in [0, 33), got (8,); R: must be a real number, got True"),
+        (estimate_doubling_sigma, (True,), "R0: must be a real number, got True"),
+        (estimate_doubling_sigma, ("0.5",), "R0: must be a real number, got '0.5'"),
+        (estimate_doubling_sigma, (0.5, True), "r_min: must be a real number, got True"),
+        (estimate_doubling_sigma, (0.5, "0.25"), "r_min: must be a real number, got '0.25'"),
+    ])
+    def test_names_the_bad_input(self, probe, args, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            probe(self.disk(), *args)
+
+    @pytest.mark.parametrize("x0", [(8, 14), [8, 14], np.array([8, 14]), (np.int64(8), 14)])
+    def test_takes_node_indices_as_any_sequence(self, x0):
+        assert density_quotient(self.disk(), x0, 0.3) == density_quotient(self.disk(), (8, 14), 0.3)
+
+
 class TestDichotomy:
     def test_volume_met(self):
         g = make_grid(2, 65, 1.0)
@@ -398,6 +430,16 @@ class TestBundle:
                 == brute_force_statistics(field, omega0))
 
 
+def _window(grid, idx, R):
+    """Index box around node idx that holds the ball of radius R, clipped to
+    the lattice, and the squared distances of its nodes to idx."""
+    span = int(math.ceil(R / grid.spacing)) + 1
+    box = tuple(slice(max(c - span, 0), min(c + span + 1, grid.nodes_per_side)) for c in idx)
+    cut = tuple(slice(b.start - c + span, b.stop - c + span) for b, c in zip(box, idx))
+    d2 = sum((k * grid.spacing) ** 2 for k in np.ogrid[(slice(-span, span + 1),) * grid.dim])
+    return box, d2[cut]
+
+
 def per_probe_statistics(field, omega0):
     """run_diagnostics' doubling ratio, c1 and density profile as the
     per-probe ``_window`` loops computed them before the probes were
@@ -437,37 +479,61 @@ def per_probe_statistics(field, omega0):
     return sigma(), c1, tuple(zip(radii, map(min, zip(*quotients))))
 
 
+# (dim, nodes per side, default_probe_radius in h, lone member)
+GATHERED_CASES = [
+    (2, 33, 8, False), (2, 65, 16, True), (2, 129, 24, False), (2, 129, 16, True),
+    (3, 17, 8, True), (3, 25, 8, False), (3, 33, 8, False),
+]
+
+
+def gathered_case(dim, n, probe_h, lone):
+    """A field on a mask whose boundary reaches within R0 of the box's face
+    x = R_B, and the omega0 that puts default_probe_radius at probe_h * h."""
+    rng = np.random.default_rng(n + dim)
+    g = make_grid(dim, n, 1.0)
+    h = g.spacing
+    # a ball cut by the rim of B next to the face x = R_B of the box, and
+    # random balls centred in -0.2 < x < 0.8
+    inside = ball_mask(g, (0.7,) + (0.0,) * (dim - 1), 0.35).inside.copy()
+    for _ in range(4):
+        center = rng.uniform(-0.5, 0.5, dim) + 0.3 * np.eye(dim)[0]
+        inside |= ball_mask(g, center, rng.uniform(2.0 * h, 0.3)).inside
+    if lone:
+        # a member more than 4h from every other: first in C order, so
+        # it is the first probe, and no other member is in its inner ball
+        inside[:n // 4] = False
+        inside[(n // 8,) + (n // 2,) * (dim - 1)] = True
+    omega0 = unit_ball_volume(dim) * (4.0 * probe_h * h) ** dim
+    field = make_field(mask_from_array(g, inside), rng.standard_normal(g.shape))
+    R0 = default_probe_radius(g, omega0)
+    assert R0 == pytest.approx(probe_h * h, rel=1e-12)
+    clipped = np.argwhere(boundary_nodes(field.mask))[:, 0].max()
+    assert (n - 1 - clipped) * h < R0
+    return field, omega0
+
+
 class TestGatheredProbes:
     # run_diagnostics reads every probe's balls from blocks of probes
     # gathered at offsets sorted by distance; the per-probe loops above are
     # the oracle, equal to the last bit
-    @pytest.mark.parametrize("dim, n, probe_h, lone", [
-        (2, 33, 8, False), (2, 65, 16, True), (2, 129, 24, False), (2, 129, 16, True),
-        (3, 17, 8, True), (3, 25, 8, False), (3, 33, 8, False),
-    ])
+    @pytest.mark.parametrize("dim, n, probe_h, lone", GATHERED_CASES)
     def test_matches_the_per_probe_loops(self, dim, n, probe_h, lone):
-        rng = np.random.default_rng(n + dim)
-        g = make_grid(dim, n, 1.0)
-        h = g.spacing
-        # a ball cut by the rim of B next to the face x = R_B of the box, and
-        # random balls centred in -0.2 < x < 0.8
-        inside = ball_mask(g, (0.7,) + (0.0,) * (dim - 1), 0.35).inside.copy()
-        for _ in range(4):
-            center = rng.uniform(-0.5, 0.5, dim) + 0.3 * np.eye(dim)[0]
-            inside |= ball_mask(g, center, rng.uniform(2.0 * h, 0.3)).inside
-        if lone:
-            # a member more than 4h from every other: first in C order, so
-            # it is the first probe, and no other member is in its inner ball
-            inside[:n // 4] = False
-            inside[(n // 8,) + (n // 2,) * (dim - 1)] = True
-        omega0 = unit_ball_volume(dim) * (4.0 * probe_h * h) ** dim
-        field = make_field(mask_from_array(g, inside), rng.standard_normal(g.shape))
-        R0 = default_probe_radius(g, omega0)
-        assert R0 == pytest.approx(probe_h * h, rel=1e-12)
-        clipped = np.argwhere(boundary_nodes(field.mask))[:, 0].max()
-        assert (n - 1 - clipped) * h < R0
+        field, omega0 = gathered_case(dim, n, probe_h, lone)
         rep = run_diagnostics(field, omega0)
         expected = per_probe_statistics(field, omega0)
         assert (rep.doubling_sigma, rep.nondegeneracy_c1, rep.density_c2_profile) == expected
         assert (rep.doubling_sigma == math.inf) == lone
         assert len(rep.density_c2_profile) == int(math.log2(probe_h / 4.0)) + 1
+
+    @pytest.mark.parametrize("dim, n, probe_h, lone", GATHERED_CASES)
+    def test_standalone_probes_equal_the_report(self, dim, n, probe_h, lone):
+        # density_quotient at each of the report's 128 probes, and
+        # estimate_doubling_sigma over the report's radii, to the last bit
+        field, omega0 = gathered_case(dim, n, probe_h, lone)
+        mask, h = field.mask, field.grid.spacing
+        rep = run_diagnostics(field, omega0)
+        probes = _probes(boundary_nodes(mask), 128)
+        for r, lowest in rep.density_c2_profile:
+            assert min(density_quotient(mask, tuple(p), r) for p in probes) == lowest
+        R0 = rep.density_c2_profile[0][0]
+        assert estimate_doubling_sigma(mask, R0, 4.0 * h) == rep.doubling_sigma
