@@ -113,8 +113,11 @@ def _radius_errors(**radii) -> list[str]:
 def dyadic_radii(R0: float, r_min: float) -> tuple[float, ...]:
     """R0, R0/2, ... down to (and including the last value >=) r_min.
 
-    Raises ValueError unless 0 < r_min <= R0 < inf: otherwise the halving
-    never stops (r_min <= 0, R0 = inf) or yields no radius (r_min > R0)."""
+    Raises one ValueError with ``real_errors``' text for each radius that is
+    not a real number, and one unless 0 < r_min <= R0 < inf: otherwise the
+    halving never stops (r_min <= 0, R0 = inf) or yields no radius
+    (r_min > R0)."""
+    raise_errors(_radius_errors(R0=R0, r_min=r_min))
     if not 0.0 < r_min <= R0 < math.inf:
         raise ValueError(f"dyadic radii need 0 < r_min <= R0 < inf, got r_min={r_min}, R0={R0}")
     radii = []

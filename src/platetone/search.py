@@ -3,9 +3,10 @@
 The minimization over fields in the continuum problem becomes a search over
 masks here: each step proposes a deterministic list of candidate masks built
 from the current eigenfield: a cut of its weakest members (a fixed fraction
-scaled by an aggressiveness knob), a one-ring dilation (only while eps lies
-above its threshold), one growth per connected component toward the
-lattice's node budget floor(omega0 / h^n) (of the whole incumbent when it is
+scaled by an aggressiveness knob; only while the incumbent has more members
+than the lattice's node budget floor(omega0 / h^n)), a one-ring dilation
+(only while eps lies above its threshold), one growth per connected
+component toward the node budget (of the whole incumbent when it is
 connected; a component with no room left is offered bare), volume-neutral
 boundary exchanges (a fine one at every step, and a coarse one only on a
 lattice whose node budget is below ``COARSE_EXCHANGE_MAX_NODES``, while the
@@ -17,7 +18,7 @@ prefixes of one ranking of the incumbent's ring, and both shrinks are one
 peel (``_peel``), least |u| first.  What the list reads of the incumbent
 (both rankings, the dilation, the components' growths, the filled mask) is
 derived once per incumbent and read by every step against it; only the cut
-(kept with its member count) and the exchanges follow the aggressiveness.
+and the exchanges follow the aggressiveness.
 The candidate with the lowest objective wins, ties broken by list
 position; a step that fails to improve the objective by the fixed relative
 margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A lattice's descent
@@ -31,12 +32,12 @@ lattices, so a 2D N=257 run descends on N=65, then 129, then 257.  One
 history spans the levels; a step works on its incumbent mask's lattice.
 
 No candidate is solved whose objective is bounded away from acceptance
-before any solve: the tone is positive, and a subset of the incumbent has a
-tone at least the incumbent's (H^2_0 of the subset lies in H^2_0 of the
-incumbent), so that tone for a subset and 0 otherwise, plus the candidate's
-exact penalty, bounds its J from below (``objective_floor``).  A candidate
-whose floor lies above the acceptance bar is ruled out and adds no history
-row.
+before any solve: the lattice tone is positive (A = K^T K is positive
+definite), so a candidate's exact penalty alone bounds its J from below, and
+a candidate whose penalty lies above the acceptance bar is ruled out and adds
+no history row.  The bound is a fact about the lattice; it does not borrow
+the continuum's monotonicity (a subset's H^2_0 lies in its superset's),
+which the lattice operator breaks on ragged nested pairs.
 
 A mask is solved at most once per lattice.  Accepted J falls by at least
 ``DELTA_REL * |J|`` per step, so after a mask's solve either the incumbent is
@@ -410,10 +411,12 @@ def _peel(mask: Mask, magnitude: np.ndarray, count: int) -> Mask:
 def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     """Deterministic candidate list for one descent step.
 
-    Order: the cut, dilate, one growth per connected component, the
-    volume-neutral boundary exchanges (a coarse one, only while the lattice's
-    node budget ``_budget`` is below ``COARSE_EXCHANGE_MAX_NODES`` and the fine
-    one moves at most two nodes, then the fine one), and last, when the mask
+    Order: the cut (only while the incumbent has more members than the
+    lattice's node budget ``_budget``, the one side of it where a shrink
+    lowers the penalty), dilate, one growth per connected component, the
+    volume-neutral boundary exchanges (a coarse one, only while the node
+    budget is below ``COARSE_EXCHANGE_MAX_NODES`` and the fine one moves at
+    most two nodes, then the fine one), and last, when the mask
     has a hole, the mask with its holes filled (``fill_holes``).  A
     component's growth is the component grown toward the budget: the whole
     incumbent's budgeted growth when it is connected, and the bare component
@@ -453,17 +456,19 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
     if any(a is not b for a, b in zip(state.derived, key)):
         state.derived = (None, None, None)      # the old incumbent's arrays go first
         state.derived = key + _derive(mask, state.tone, omega0)
-    ring, boundary, budget, grown, growths, filled, cut = state.derived[3:]
+    ring, boundary, budget, grown, growths, filled = state.derived[3:]
     # The one shrink move of a connected mask without holes, and an overfull
-    # start needs one: over 42 runs (seeds 0-10 of both benchmark workloads,
-    # five starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 999
-    # times, solved 26 times and wins 4 steps, each from an incumbent above
-    # omega0 (under the plain penalty the floor rules out every subset of an
-    # incumbent at or under omega0).
-    count = math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))
-    if cut[0] != count:
-        cut[:] = count, _peel(mask, np.abs(state.tone.eigenfield.values).ravel(), count)
-    cands = [cut[1], grown if state.grow_past else None, *growths]
+    # start needs one.  It is built only above the budget, as the dilation is
+    # only above the eps threshold: at or under the budget a shrink lowers no
+    # penalty (plain) or raises it (rewarding), and in the continuum it raises
+    # the tone.  Over 42 runs (seeds 0-10 of both benchmark workloads, five
+    # starts at 2D N=65, 129, 257 and 3D N=33) the cut is built 26 times,
+    # solved 26 times and wins 4 steps.
+    cut = None
+    if mask.member_count > budget:
+        count = math.ceil(0.02 * state.aggressiveness * (mask.member_count - 1))
+        cut = _peel(mask, np.abs(state.tone.eigenfield.values).ravel(), count)
+    cands = [cut, grown if state.grow_past else None, *growths]
     # The coarse exchange can step past a stall only while the fine one moves
     # at most two nodes, and only on a lattice of few budget nodes (see
     # COARSE_EXCHANGE_MAX_NODES).
@@ -481,9 +486,8 @@ def candidate_masks(state: SearchState, omega0: float) -> list[Mask]:
 def _derive(mask: Mask, tone: ToneResult, omega0: float) -> tuple:
     """What ``candidate_masks`` reads of an incumbent whatever the
     aggressiveness: the ranked ring and boundary, the budget, the dilation,
-    each component's growth, the filled-and-peeled mask (None without a
-    hole) and the store of the last cut, [member count, cut]: the count only
-    falls while the incumbent stays, so only the last cut can come again."""
+    each component's growth and the filled-and-peeled mask (None without a
+    hole)."""
     values = tone.eigenfield.values
     grown = dilate(mask)
     score = _lap(values, mask.grid.spacing).ravel() ** 2
@@ -501,7 +505,7 @@ def _derive(mask: Mask, tone: ToneResult, omega0: float) -> tuple:
     filled = fill_holes(mask)
     if filled is not None:
         filled = _peel(filled, np.abs(values).ravel(), filled.member_count - budget)
-    return ring, boundary, budget, grown, growths, filled, [None, None]
+    return ring, boundary, budget, grown, growths, filled
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +526,14 @@ def _record(state: SearchState, kind: PenaltyKind, gamma: float, volume: float,
     return state.history[-1]
 
 
-def objective_floor(state: SearchState, cand: Mask, kind: PenaltyKind) -> float:
-    """Lower bound on the candidate's J, without a solve.
-
-    The tone part is the incumbent's tone when the candidate is a subset of
-    the incumbent (tone monotonicity under inclusion), and 0 otherwise
-    (A = K^T K is positive definite); the penalty part is exact, so the
-    incumbent's own floor is its J, above any acceptance bar.  On the
-    lattice, monotonicity is the continuum theorem: a ragged subset can
-    undercut the incumbent's tone, but only by a discretization artifact.
-    """
-    subset = not np.any(cand.inside & ~state.mask.inside)
-    return (state.tone.gamma if subset else 0.0) + penalty_value(kind, mask_volume(cand))
-
-
 def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     """Evaluate the candidates, accept the best strict improvement.
 
     Acceptance requires J_new <= bar = J_old - DELTA_REL * |J_old|; otherwise
-    the aggressiveness is halved.  A candidate whose ``objective_floor`` lies
-    above the bar cannot pass, so it is not solved and adds no history row
-    (logged at DEBUG).  Candidate eigensolves are warm started from the
+    the aggressiveness is halved.  A candidate whose exact penalty alone lies
+    above the bar cannot pass, since its tone is positive (A = K^T K is
+    positive definite), so it is not solved and adds no history row (logged
+    at DEBUG).  Candidate eigensolves are warm started from the
     incumbent eigenfield; a failed solve is skipped and logged, never fatal.
     Each solve adds its history row at once; the row of the first candidate
     with the lowest J at or under the bar is then flagged accepted.  The
@@ -565,7 +556,7 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
         key = np.packbits(cand.inside).tobytes()
         if key in state.solved:
             continue
-        floor = objective_floor(state, cand, kind)
+        floor = penalty_value(kind, mask_volume(cand))
         if floor > bar:
             log.debug("step %d: candidate %d ruled out: floor %.17g > bar %.17g",
                       state.step, idx, floor, bar)

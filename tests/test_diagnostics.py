@@ -186,6 +186,22 @@ class TestDyadicRadii:
         with pytest.raises(ValueError, match=f"r_min={r_min}, R0={R0}"):
             dyadic_radii(R0, r_min)
 
+    # a radius that is not a real number (a bool is not one) is one
+    # ValueError with field_grid.real_errors' text, both named when both miss
+    @pytest.mark.parametrize("R0, r_min, text", [
+        (True, 0.25, "R0: must be a real number, got True"),
+        ("1", 0.25, "R0: must be a real number, got '1'"),
+        (1.0, False, "r_min: must be a real number, got False"),
+        (1.0, "0.25", "r_min: must be a real number, got '0.25'"),
+        (1.0, None, "r_min: must be a real number, got None"),
+        ("1", True, "R0: must be a real number, got '1'; "
+                    "r_min: must be a real number, got True"),
+    ])
+    def test_rejects_radii_that_are_not_real_numbers(self, R0, r_min, text):
+        with pytest.raises(ValueError) as info:
+            dyadic_radii(R0, r_min)
+        assert str(info.value) == text
+
 
 class TestNondegeneracy:
     # run_diagnostics' c1: the smallest sup |grad u| / R over boundary probes

@@ -50,7 +50,6 @@ from platetone.search import (
     descent_step,
     initial_mask,
     lattice_levels,
-    objective_floor,
     optimize,
     penalty_kind,
     prolong_mask,
@@ -93,15 +92,25 @@ def past_the_threshold(config, factor=0.8):
     return replace(config, eps=eps, eps_override=True)
 
 
+def bounded_out(c, kind, bar):
+    """True when the candidate's exact penalty alone lies above the bar."""
+    return penalty_value(kind, mask_volume(c)) > bar
+
+
+def above_the_threshold(config, factor=1.5):
+    """The config at eps = factor * eps_threshold with ``eps_override``."""
+    return replace(config, eps=factor * search.eps_threshold(config), eps_override=True)
+
+
 def predicted_solves(state, cands, kind):
     """The candidates a step solves, in list order: each one not solved on
-    the lattice yet (nor earlier in the list) whose floor lies at or below
+    the lattice yet (nor earlier in the list) whose penalty lies at or below
     the bar."""
     bar = state.J - search.DELTA_REL * abs(state.J)
     seen = set(state.solved)
     out = []
     for c in cands:
-        if packed(c) in seen or objective_floor(state, c, kind) > bar:
+        if packed(c) in seen or bounded_out(c, kind, bar):
             continue
         seen.add(packed(c))
         out.append(c)
@@ -465,6 +474,9 @@ class TestCandidateMasks:
         g = make_grid(2, 49, 1.5)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         state = make_state(m, config)
+        # a target one node under the disk, so the cut is offered
+        omega0 = (m.member_count - 0.5) * g.spacing ** 2
+        assert search._budget(g, omega0) == m.member_count - 1
         # the cut drops the boundary member with the least |u|, ties by
         # ascending flat index
         mag = np.abs(state.tone.eigenfield.values).ravel()
@@ -478,7 +490,29 @@ class TestCandidateMasks:
         for aggressiveness in (2.0 ** -9, 2.0 ** -60):
             state.aggressiveness = aggressiveness
             assert 0.02 * aggressiveness * (m.member_count - 1) < 1.0
-            assert candidate_masks(state, config.omega0)[0] == mask_from_array(g, inside)
+            assert candidate_masks(state, omega0)[0] == mask_from_array(g, inside)
+
+    @pytest.mark.parametrize("dim, n", [(2, 49), (3, 25)])
+    def test_cut_only_above_the_node_budget(self, dim, n):
+        # the cut, a strict subset of the incumbent, leads the list exactly
+        # when the incumbent has more members than the node budget; at or
+        # under the budget no candidate is a strict subset of the incumbent
+        config = small_config(dim=dim, nodes_per_side=n)
+        g = make_grid(dim, n, 1.5)
+        m = ball_mask(g, (0.0,) * dim, 0.5)
+        state = make_state(m, config)
+        mag = np.abs(state.tone.eigenfield.values).ravel()
+        cell = g.spacing ** dim
+        for budget in (m.member_count - 1, m.member_count, m.member_count + 1):
+            omega0 = (budget + 0.5) * cell
+            assert search._budget(g, omega0) == budget
+            cands = candidate_masks(state, omega0)
+            subsets = [c for c in cands if not np.any(c.inside & ~m.inside)]
+            if m.member_count > budget:
+                k = math.ceil(0.02 * state.aggressiveness * (m.member_count - 1))
+                assert subsets == [cands[0]] == [_peel(m, mag, k)]
+            else:
+                assert subsets == []
 
     def test_all_candidates_nonempty(self):
         config = small_config(init_shape="two_disks")
@@ -557,10 +591,10 @@ class TestCandidateMasks:
         assert not np.any(regrown.inside & big.inside)
 
     def test_disks_under_the_budget_grow_one_at_a_time(self):
-        # two disjoint disks under the budget together: right after the cut
-        # each disk is offered grown by the prefix of the incumbent's ring
-        # ranking that touches it, up to the budget, and no candidate grows
-        # both at once
+        # two disjoint disks under the budget together: first (no cut under
+        # the budget) each disk is offered grown by the prefix of the
+        # incumbent's ring ranking that touches it, up to the budget, and no
+        # candidate grows both at once
         config = small_config()
         g = make_grid(2, 49, 1.5)
         left = ball_mask(g, (-0.5, 0.0), 0.3)
@@ -572,7 +606,7 @@ class TestCandidateMasks:
         score = _lap(state.tone.eigenfield.values, g.spacing).ravel() ** 2
         ring = ranked_by_hand(np.flatnonzero(dilate(m).inside & ~m.inside), score)
         budget = math.floor(OMEGA0 / g.spacing ** 2)
-        for part, grown in zip((left, right), cands[1:3]):
+        for part, grown in zip((left, right), cands[:2]):
             touching = [i for i in ring if dilate(part).inside.ravel()[i]]
             assert added(grown, part) == set(touching[:budget - part.member_count])
             assert dropped(grown, part) == set()
@@ -676,9 +710,9 @@ def dropped(cand, mask):
 
 
 class TestMoves:
-    """The budgeted growth (``cands[1]``) and the exchanges (``cands[2:]``)
-    of a connected mask without holes below the budget at the default eps,
-    checked against rankings computed here node by node."""
+    """The budgeted growth (``cands[0]``) and the exchanges (``cands[1:]``)
+    of a connected mask without holes below the budget at the default eps (so
+    no cut), checked against rankings computed here node by node."""
 
     @staticmethod
     def under_budget_disk(aggressiveness=1.0, nodes_per_side=49):
@@ -703,17 +737,17 @@ class TestMoves:
         ring, _ = self.rankings(state)
         room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
         assert 0 < room < len(ring)
-        assert len(cands) == 4
-        assert added(cands[1], m) == set(ring[:room])
-        assert dropped(cands[1], m) == set()
-        assert mask_volume(cands[1]) <= OMEGA0 < mask_volume(dilate(m))
+        assert len(cands) == 3
+        assert added(cands[0], m) == set(ring[:room])
+        assert dropped(cands[0], m) == set()
+        assert mask_volume(cands[0]) <= OMEGA0 < mask_volume(dilate(m))
 
     @pytest.mark.parametrize("aggressiveness", [1.0, 0.5, 0.01])
     def test_exchanges_swap_the_weakest_boundary_for_the_strongest_ring(self, aggressiveness):
         state, cands = self.under_budget_disk(aggressiveness)
         m = state.mask
         ring, boundary = self.rankings(state)
-        for fraction, swapped in zip((0.25, 0.05), cands[2:4]):
+        for fraction, swapped in zip((0.25, 0.05), cands[1:3]):
             k = max(1, round(fraction * aggressiveness * min(len(ring), len(boundary))))
             assert swapped.member_count == m.member_count
             assert added(swapped, m) == set(ring[:k])
@@ -731,7 +765,7 @@ class TestMoves:
         m = state.mask
         ring, boundary = self.rankings(state)
         assert min(len(ring), len(boundary)) == 52
-        exchanges = cands[2:]
+        exchanges = cands[1:]
         assert len(exchanges) == len(sizes)
         for k, swapped in zip(sizes, exchanges):
             assert swapped.member_count == m.member_count
@@ -744,7 +778,7 @@ class TestMoves:
         # is offered the fine exchange alone where N=65 also had the coarse one
         state, first = self.under_budget_disk(0.8, nodes_per_side=65)
         ring, boundary = self.rankings(state)
-        coarse = first[2]
+        coarse = first[1]
         assert added(coarse, state.mask) == set(ring[:10])
         assert dropped(coarse, state.mask) == set(boundary[:10])
         config = small_config(nodes_per_side=129)
@@ -756,7 +790,7 @@ class TestMoves:
         fine_state.aggressiveness = 30.0 / min(len(ring), len(boundary))
         fine = max(1, round(0.05 * 30.0))
         assert fine <= 2 < max(1, round(0.25 * 30.0))
-        exchanges = candidate_masks(fine_state, OMEGA0)[2:]
+        exchanges = candidate_masks(fine_state, OMEGA0)[1:]
         assert len(exchanges) == 1
         assert added(exchanges[0], m) == set(ring[:fine])
         assert dropped(exchanges[0], m) == set(boundary[:fine])
@@ -781,7 +815,7 @@ class TestMoves:
         fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
         assert fine <= 2 < k
         sizes = [k, fine] if offered else [fine]
-        exchanges = candidate_masks(state, OMEGA0)[2:]
+        exchanges = candidate_masks(state, OMEGA0)[1:]
         assert len(exchanges) == len(sizes)
         for size, swapped in zip(sizes, exchanges):
             assert swapped.member_count == m.member_count
@@ -803,7 +837,7 @@ class TestMoves:
         state, cands = self.under_budget_disk()
         ring, _ = self.rankings(state)
         sizes = []
-        for cand in cands[1:4]:
+        for cand in cands[:3]:
             gained = added(cand, state.mask)
             sizes.append(len(gained))
             assert gained == set(ring[:len(gained)])
@@ -829,8 +863,8 @@ class TestMoves:
         assert (ring.size, len(sides), np.count_nonzero(corner)) == (52, 44, 4)
         room = math.floor(OMEGA0 / g.spacing ** 2) - m.member_count
         assert room == 32
-        assert added(cands[1], m) == set(ring[:room].tolist())
-        for k, swapped in zip((12, 2), cands[2:4]):
+        assert added(cands[0], m) == set(ring[:room].tolist())
+        for k, swapped in zip((12, 2), cands[1:3]):
             assert added(swapped, m) == set(ring[:k].tolist())
             assert dropped(swapped, m) == set(sides[:k])
 
@@ -918,20 +952,21 @@ class TestDescentStep:
         assert all(not row.accepted for row in state.history)
 
     def test_rejected_step_that_tries_no_solve_ends_the_descent(self, monkeypatch):
-        # the step offers the incumbent, solved already, and its cut, a
-        # subset whose floor is the incumbent's J: nothing is left to solve
+        # the step offers the incumbent, solved already, and a ball whose
+        # excess volume alone costs more than the incumbent's J: nothing is
+        # left to solve
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
-        cut = candidate_masks(state, config.omega0)[0]
-        assert objective_floor(state, cut, kind) == state.J
+        big = ball_mask(g, (0.0, 0.0), 0.9)
+        assert penalty_value(kind, mask_volume(big)) > state.J
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a candidate was solved")
 
-        monkeypatch.setattr(search, "candidate_masks", lambda *args: [m, cut])
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: [m, big])
         monkeypatch.setattr(search, "objective", no_solve)
         state = descent_step(state, kind)
         assert state.terminated == search.TERMINATED_CONVERGED
@@ -939,15 +974,15 @@ class TestDescentStep:
 
     @pytest.mark.parametrize("fail", [False, True], ids=["solved", "failed"])
     def test_rejected_step_that_tries_a_solve_goes_on(self, monkeypatch, fail):
-        # one candidate, no subset of the incumbent, is tried and rejected;
-        # a failed solve counts as tried
+        # one candidate, its penalty below the bar, is tried and rejected; a
+        # failed solve counts as tried
         config = small_config()
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
         state = make_state(m, config)
         kind = penalty_kind(resolve_eps(config)[0])
         shifted = ball_mask(g, (0.6, 0.0), 0.3)
-        assert objective_floor(state, shifted, kind) == 0.0
+        assert penalty_value(kind, mask_volume(shifted)) == 0.0
         real = search.objective
 
         def rejected(grid, mask, *args, **kwargs):
@@ -996,7 +1031,7 @@ class TestDescentStep:
     def test_rejected_candidates_not_solved_again(self, monkeypatch):
         # a rejected step leaves the incumbent and its warm start as they
         # were, so the next step solves only candidates new to the lattice;
-        # each step solves exactly the candidates that pass the floor against
+        # each step solves exactly the candidates that pass the bound against
         # the masks solved before them.  At DELTA_REL = 0.5 the two disks'
         # first step is rejected, and its second, at half the aggressiveness,
         # still has new masks to solve
@@ -1027,18 +1062,16 @@ class TestDescentStep:
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
         cands = candidate_masks(state, config.omega0)
-        distinct = [c for c in cands if c != state.mask
-                    and objective_floor(state, c, kind) <= bar]
+        distinct = [c for c in cands if c != state.mask and not bounded_out(c, kind, bar)]
         state = descent_step(state, kind)
         assert len(state.history) == len(distinct)
 
     def test_bounded_out_candidates_not_solved(self, monkeypatch):
-        # at the lattice disk both branches of the incumbent's floor rule
-        # candidates out before the step: the cut, the first candidate, is a
-        # strict subset (floor = the incumbent's tone) and, at an eps just
-        # above the threshold (0.1 eps1 here), dilate is offered and its
-        # excess volume alone costs more than J; the step solves exactly the
-        # candidates that pass the floor against the masks solved before them
+        # at an eps just above the threshold (0.15 eps1 here) the lattice
+        # disk, under the budget and so offered no cut, is offered dilate
+        # first, and its excess volume alone costs more than the bar; the
+        # step solves exactly the candidates whose penalty passes the bar
+        # and that no earlier candidate repeats
         config = past_the_threshold(small_config(), factor=0.15)
         g = make_grid(2, 49, 1.5)
         m = initial_mask(g, "disk", OMEGA0)
@@ -1046,13 +1079,10 @@ class TestDescentStep:
         kind = penalty_kind(resolve_eps(config)[0])
         bar = state.J - search.DELTA_REL * abs(state.J)
         cands = candidate_masks(state, config.omega0)
-        cut = cands[0]
-        assert cut != m and not np.any(cut.inside & ~m.inside)
-        assert state.grow_past and cands[1] == dilate(m)
-        cands = [c for c in cands if c != m]
-        out = [c for c in cands if objective_floor(state, c, kind) > bar]
-        assert any(c == cut for c in out)
-        assert any(c == dilate(m) for c in out)
+        assert m.member_count < search._budget(g, OMEGA0)
+        assert state.grow_past and cands[0] == dilate(m)
+        out = [c for c in cands if bounded_out(c, kind, bar)]
+        assert out == [dilate(m)]
         expected = predicted_solves(state, cands, kind)
         assert 0 < len(expected) <= len(cands) - len(out)
 
@@ -1124,9 +1154,9 @@ class TestDescentStep:
 
     def _two_ball_steps(self, monkeypatch, fail_x):
         # two steps from a small ball, each offering a shifted ball x first
-        # and then a larger ball that wins; x lies in no incumbent and stays
-        # below omega0, so its floor is 0 in both steps and only its key in
-        # ``solved`` keeps it from a second attempt
+        # and then a larger ball that wins; x stays below omega0, so its
+        # penalty is 0 in both steps and only its key in ``solved`` keeps it
+        # from a second attempt
         config = small_config()
         g = make_grid(2, 49, 1.5)
         state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
@@ -1147,7 +1177,7 @@ class TestDescentStep:
         monkeypatch.setattr(search, "objective", recording)
         for _ in range(2):
             incumbent = state.mask
-            assert objective_floor(state, x, kind) == 0.0
+            assert penalty_value(kind, mask_volume(x)) == 0.0
             state = descent_step(state, kind)
             assert state.mask != incumbent
         return x, attempts
@@ -1164,51 +1194,65 @@ class TestDescentStep:
         assert len(attempts) == 3
         assert sum(m == x for m in attempts) == 1
 
-    def test_incumbent_floor_is_its_J(self):
-        # the incumbent is a subset of itself, so its floor is its own tone
-        # plus its exact penalty, its J, above every acceptance bar: it is
-        # never solved again.  Only the incumbent bounds a candidate, so no
-        # solved superset can lift the floor above J after a step either
+    def test_incumbent_is_never_solved_again(self, monkeypatch):
+        # the incumbent's penalty alone lies below its J (its tone is
+        # positive), so the bound does not rule it out: its key in
+        # ``solved``, there from its own solve, keeps a step that offers it
+        # from solving it again
         g = make_grid(2, 49, 1.5)
+        real = search.candidate_masks
         for shape in ("disk", "square", "annulus", "two_disks"):
             for variant in ("plain", "rewarding"):
                 config = small_config(init_shape=shape, penalty_variant=variant)
                 kind = penalty_kind(resolve_eps(config)[0])
                 state = make_state(initial_mask(g, shape, OMEGA0), config)
-                assert objective_floor(state, state.mask, kind) == state.J
-                state = descent_step(state, kind)
-                floor = objective_floor(state, state.mask, kind)
-                bar = state.J - search.DELTA_REL * abs(state.J)
-                assert floor == state.J
-                assert floor > bar
+                for _ in range(2):
+                    bar = state.J - search.DELTA_REL * abs(state.J)
+                    assert penalty_value(kind, mask_volume(state.mask)) < bar
+                    assert packed(state.mask) in state.solved
+                    rows = len(state.history)
+                    monkeypatch.setattr(search, "candidate_masks",
+                                        lambda state, omega0: [state.mask])
+                    incumbent = state.mask
+                    state = descent_step(state, kind)
+                    assert len(state.history) == rows and state.mask == incumbent
+                    assert state.terminated == search.TERMINATED_CONVERGED
+                    monkeypatch.setattr(search, "candidate_masks", real)
+                    state.terminated = None
+                    state = descent_step(state, kind)
 
-    def test_only_the_incumbent_bounds_a_candidate(self):
-        # the floor's tone part is the incumbent's tone for a subset of the
-        # incumbent and 0 for any other candidate, however many solved masks
-        # contain it
+    def test_only_the_penalty_bounds_a_candidate(self, monkeypatch):
+        # neither the incumbent nor a solved mask bounds a candidate: a
+        # subset of the incumbent and a subset of a solved mask, both under
+        # omega0 (penalty 0), are solved
         config = small_config()
         kind = penalty_kind(resolve_eps(config)[0])
         g = make_grid(2, 49, 1.5)
         state = make_state(ball_mask(g, (0.0, 0.0), 0.3), config)
         big = ball_mask(g, (0.7, 0.0), 0.4)
-        cand = ball_mask(g, (0.7, 0.0), 0.2)
-        free = penalty_value(kind, mask_volume(cand))
-        assert objective_floor(state, cand, kind) == free
+        beside = ball_mask(g, (0.7, 0.0), 0.2)
+        inner = ball_mask(g, (0.0, 0.0), 0.25)
+        assert not np.any(inner.inside & ~state.mask.inside)
         state.solved.add(packed(big))
-        assert objective_floor(state, cand, kind) == free
-        # a subset of the incumbent takes the incumbent's tone, and a solved
-        # mask between the two does not raise it
-        inner = ball_mask(g, (0.0, 0.0), 0.2)
-        inner_free = penalty_value(kind, mask_volume(inner))
-        assert objective_floor(state, inner, kind) == state.tone.gamma + inner_free
-        state.solved.add(packed(ball_mask(g, (0.0, 0.0), 0.25)))
-        assert objective_floor(state, inner, kind) == state.tone.gamma + inner_free
+        for c in (beside, inner):
+            assert penalty_value(kind, mask_volume(c)) == 0.0
+        solved = []
+        real = search.objective
+
+        def recording(grid, mask, *args, **kwargs):
+            solved.append(mask)
+            return real(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "candidate_masks", lambda *args: [beside, inner])
+        monkeypatch.setattr(search, "objective", recording)
+        descent_step(state, kind)
+        assert solved == [beside, inner]
 
     def test_failed_solve_bounds_nothing(self, monkeypatch):
         # a step offers a ball s beside the incumbent and then a ball inside
-        # s; neither is a subset of the incumbent, so both floors are 0 and
-        # the inner ball is solved whether or not the solve of s fails, and
-        # s is attempted once either way
+        # s; both lie under omega0, so both penalties are 0 and the inner
+        # ball is solved whether or not the solve of s fails, and s is
+        # attempted once either way
         config = small_config()
         kind = penalty_kind(resolve_eps(config)[0])
         g = make_grid(2, 49, 1.5)
@@ -1450,12 +1494,16 @@ class TestOptimize:
         assert len(set(keys)) == len(keys) == len(res.history)
 
     def test_floor_only_saves_solves(self, monkeypatch):
-        # with the floor switched off every candidate new to the lattice is
-        # solved: the runs write more rows, but accept the same ones and end
-        # on the same J: on these runs the floor ruled out nothing that could
-        # have passed
+        # above the threshold (1.5 eps_threshold here) the dilation is
+        # offered and the penalty alone rules candidates out; with that
+        # bound switched off (search's penalty_value reads -inf, which only
+        # the bound and the rows' penalty column read) every candidate new
+        # to the lattice is solved: the runs write more rows, but accept the
+        # same ones and end on the same J: the bound ruled out nothing that
+        # could have passed
         def run(shape, variant):
-            res = optimize(small_config(init_shape=shape, penalty_variant=variant))
+            res = optimize(above_the_threshold(small_config(init_shape=shape,
+                                                            penalty_variant=variant)))
             accepted = [(r.step, r.J, r.volume, r.nodes_per_side)
                         for r in res.history if r.accepted]
             return accepted, res.J, len(res.history)
@@ -1463,7 +1511,7 @@ class TestOptimize:
         cases = [(shape, variant) for shape in ("square", "annulus", "two_disks")
                  for variant in ("plain", "rewarding")]
         floored = [run(*case) for case in cases]
-        monkeypatch.setattr(search, "objective_floor", lambda *args: -math.inf)
+        monkeypatch.setattr(search, "penalty_value", lambda *args: -math.inf)
         for (accepted, J, rows), case in zip(floored, cases):
             accepted_all, J_all, rows_all = run(*case)
             assert accepted_all == accepted, case
@@ -1475,6 +1523,77 @@ class TestOptimize:
         config = small_config(init_shape="square", max_steps=40)
         optimize(config, on_accept=lambda s: seen.append(s.step))
         assert seen
+
+
+class TestCutAndBound:
+    """Over runs whose incumbents go over the node budget and back: the cut
+    is offered exactly while the incumbent has more members than the budget,
+    and the exact penalty alone bounds each candidate."""
+
+    # 2D N=33 at eps = 4e-4 (the overfull CI run), 2D N=49 and 3D N=17
+    # square starts at 1.5 eps_threshold; each run has steps on both sides
+    # of the budget, and the last two rule candidates out by their penalty
+    RUNS = {
+        "2d33-4e-4": dict(nodes_per_side=33, eps=4e-4, eps_override=True),
+        "2d49-square": dict(nodes_per_side=49, init_shape="square"),
+        "3d17-square": dict(dim=3, nodes_per_side=17, init_shape="square"),
+    }
+
+    @classmethod
+    def steps(cls, monkeypatch, run, variant):
+        """The result of the run and, per step, (state before it, its
+        candidates, the masks it solved)."""
+        config = RunConfig(**cls.RUNS[run], penalty_variant=variant)
+        if config.eps is None:
+            config = above_the_threshold(config)
+        steps = []
+        real_cands, real_objective = search.candidate_masks, search.objective
+
+        def recording(state, omega0):
+            cands = real_cands(state, omega0)
+            steps.append((replace(state, solved=set(state.solved)), cands, []))
+            return cands
+
+        def solving(grid, mask, *args, **kwargs):
+            if steps:
+                steps[-1][2].append(mask)
+            return real_objective(grid, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "candidate_masks", recording)
+        monkeypatch.setattr(search, "objective", solving)
+        res = optimize(config)
+        assert res.levels == (config.nodes_per_side,)
+        return res, steps
+
+    @pytest.mark.parametrize("variant", ["plain", "rewarding"])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_cut_offered_exactly_above_the_node_budget(self, monkeypatch, run, variant):
+        res, steps = self.steps(monkeypatch, run, variant)
+        over = []
+        for state, cands, _ in steps:
+            m = state.mask
+            k = math.ceil(0.02 * state.aggressiveness * (m.member_count - 1))
+            cut = _peel(m, np.abs(state.tone.eigenfield.values).ravel(), k)
+            over.append(m.member_count > search._budget(m.grid, res.config.omega0))
+            assert (cut in cands) == over[-1]
+            assert (cands[0] == cut) == over[-1]
+        assert any(over) and not all(over)
+
+    @pytest.mark.parametrize("variant", ["plain", "rewarding"])
+    @pytest.mark.parametrize("run", ["2d49-square", "3d17-square"])
+    def test_no_candidate_whose_penalty_exceeds_the_bar_is_solved(self, monkeypatch,
+                                                                   run, variant):
+        res, steps = self.steps(monkeypatch, run, variant)
+        kind = penalty_kind(res.config)
+        out = 0
+        for state, cands, solved in steps:
+            bar = state.J - search.DELTA_REL * abs(state.J)
+            assert not any(bounded_out(c, kind, bar) for c in solved)
+            assert solved == predicted_solves(state, cands, kind)
+            out += sum(bounded_out(c, kind, bar) for c in cands)
+        assert out > 0
+        # the bound holds on every solved row: J is at least its penalty
+        assert all(row.J >= row.penalty for row in res.history)
 
 
 class TestContinuation:
