@@ -18,20 +18,23 @@ The masked operator A = K^T K is symmetric, and positive definite on every
 mask tried; on masks whose cells are the exact domain (an axis-aligned box)
 its tone converges at second order in h.  The smallest eigenvalue is found by
 shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) at shift
-zero, with a single sparse LU of A, factored in SuperLU's symmetric mode
-(minimum degree ordering of A + A^T, diagonal pivots), serving every inverse
-application.  Every function reads the lattice from its mask and the mask
-from its field; ``rayleigh_quotient`` and ``eigen_residual`` also take both,
-and reject copies that differ.
+zero, with a single banded Cholesky factor of A (LAPACK through
+``scipy.linalg.cholesky_banded``, in the members' flat order, whose band is
+two lattice planes or rows wide) serving every inverse application.  Every
+function reads the lattice from its mask and the mask from its field;
+``rayleigh_quotient`` and ``eigen_residual`` also take both, and reject
+copies that differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from platetone.field_grid import Grid, Mask, ScalarField, make_field, raise_errors, real_errors
 # re-exported only because perfbench/worker.py imports the field codecs from here
@@ -39,8 +42,9 @@ from platetone.field_grid import save_field_csv, save_field_fld
 
 
 # Lanczos basis size of the eigensolve.  Triangular solves per optimize run
-# for NCV = 5/6/7/8/10: 6612/4693/4528/4184/4659 on the 2D N=129 annulus
-# start and 684/591/624/702/858 on the 3D N=33 square start.
+# of the seed-0 benchmark configs for NCV = 4/5/6/7/8/10: 291/258/210/212/
+# 213/251 on the 2D N=129 annulus start and 63/78/63/80/90/110 on the 3D
+# N=33 square start, where NCV >= 7 also ends on another mask.
 NCV = 6
 MAX_RESTARTS = 200      # ARPACK's restart budget per eigensolve
 
@@ -79,8 +83,8 @@ class ToneResult:
 
     gamma is the smallest discrete eigenvalue; the eigenfield satisfies
     sum(u^2) h^n = 1; residual is ||A u - gamma u||_2 / ||u||_2; iterations
-    counts the triangular solves with the LU factor of A (applications of
-    A^-1), zero for masks small enough to be solved densely.
+    counts the triangular solves with the Cholesky factor of A (applications
+    of A^-1), zero for masks small enough to be solved densely.
     """
 
     gamma: float
@@ -227,11 +231,40 @@ def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> 
 # eigensolver
 # ---------------------------------------------------------------------------
 
+class _BandedCholesky:
+    """Upper banded Cholesky factor of a symmetric positive definite A, kept in
+    A's own (the members' flat) order; ``nnz`` counts the stored band.
+    Raises LinAlgError when A is not positive definite."""
+
+    def __init__(self, A: sp.csr_matrix):
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        upper = A.indices >= rows
+        cols = A.indices[upper]
+        offset = cols - rows[upper]
+        # Fortran order is LAPACK's layout; a C-ordered band is first copied
+        # to it, which made the Cholesky of a 3D N=33 ball (band 251, 1045
+        # unknowns) 6.2 ms instead of 3.7 ms on a 2-vCPU Xeon VM
+        band = np.zeros((int(offset.max()) + 1, A.shape[0]), order="F")
+        band[band.shape[0] - 1 - offset, cols] = A.data[upper]
+        self.nnz = band.size
+        self._cb = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self._cb, False), rhs, check_finite=False)
+
+
+# The factor and ARPACK's entry points under the names of scipy.sparse.linalg;
+# they stay here because the benchmark's traced mode times ``spla.splu`` and
+# the ``solve`` of the factor it returns.
+spla = SimpleNamespace(splu=_BandedCholesky, eigsh=eigsh, LinearOperator=LinearOperator,
+                       ArpackNoConvergence=ArpackNoConvergence)
+
+
 def fundamental_tone(mask: Mask, tol: float = 1e-8,
                      initial: ScalarField | None = None) -> ToneResult:
     """Smallest eigenvalue of the masked clamped bilaplacian.
 
-    A is factored once in SuperLU's symmetric mode and ARPACK's
+    A is factored once by LAPACK's banded Cholesky and ARPACK's
     shift-invert Lanczos (``eigsh`` with sigma = 0) finds the largest
     eigenvalue of A^-1; ``tol`` is ARPACK's relative accuracy of that Ritz
     value and ``MAX_RESTARTS`` its restart budget.  Lanczos keeps ``NCV`` basis
@@ -246,7 +279,8 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
 
     Raises ValueError unless tol is positive and finite, or when ``initial``
     lies on another lattice, EmptyMaskError on an empty mask and
-    ConvergenceFailure if ARPACK exhausts its restarts (chained from
+    ConvergenceFailure if A is not positive definite (chained from
+    ``LinAlgError``), ARPACK exhausts its restarts (chained from
     ``ArpackNoConvergence``) or the residual exceeds sqrt(tol) * gamma.
     """
     if mask.is_empty:
@@ -262,14 +296,15 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
         # ARPACK needs more unknowns than Lanczos vectors
         u = np.linalg.eigh(A.toarray())[1][:, 0]
     else:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        try:
+            factor = spla.splu(A)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"banded Cholesky of A failed: {exc}") from exc
 
         def solve(rhs):
             nonlocal solves
             solves += 1
-            return lu.solve(rhs)
+            return factor.solve(rhs)
 
         v0 = None
         if initial is not None:

@@ -82,8 +82,10 @@ PROBE_BLOCK = 32
 def _balls(grid: Grid, probes: list, R: float, *arrays: np.ndarray):
     """Per block of PROBE_BLOCK probes: the squared distances of the lattice
     offsets within R, ascending, and each array read at those offsets around
-    each probe, shape (block, offsets), zero beyond the lattice."""
-    span = int(math.ceil(R / grid.spacing)) + 1
+    each probe, shape (block, offsets), zero beyond the lattice.  No offset
+    longer than N - 1 along an axis reaches a node, so the table stops there
+    whatever R is."""
+    span = min(int(math.ceil(R / grid.spacing)) + 1, grid.nodes_per_side - 1)
     d2, steps = _distance_table(grid, span)
     within = np.searchsorted(d2, R * R, "right")
     padded = [np.pad(a, span) for a in arrays]

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from platetone import biharmonic
@@ -266,13 +267,31 @@ class TestFundamentalTone:
         # an exactly degenerate pair of mirrored disks needs more than one
         # Lanczos restart at this tolerance
         monkeypatch.setattr(biharmonic, "MAX_RESTARTS", 1)
-        g = make_grid(2, 33, 1.0)
-        left = ball_mask(g, (-0.5, 0.0), 0.35).inside
+        g = make_grid(2, 49, 1.0)
+        left = ball_mask(g, (-0.5, 0.0), 0.4).inside
         m = mask_from_array(g, left | left[::-1, :])
         with pytest.raises(ConvergenceFailure, match="ARPACK did not converge in 1 restarts") as info:
             fundamental_tone(m, tol=1e-14)
         assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
         assert info.value.args == (str(info.value),)
+
+    def test_indefinite_operator_fails_the_factor(self, monkeypatch):
+        # A shifted past its lowest eigenvalue is not positive definite: the
+        # banded Cholesky stops, and the failure reaches the caller as a
+        # ConvergenceFailure chained from LAPACK's LinAlgError
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        gamma = fundamental_tone(m).gamma
+        real = biharmonic._masked_bilap
+
+        def indefinite(mask):
+            A, flat = real(mask)
+            return (A - 2.0 * gamma * sp.identity(A.shape[0], format="csr")).tocsr(), flat
+
+        monkeypatch.setattr(biharmonic, "_masked_bilap", indefinite)
+        with pytest.raises(ConvergenceFailure, match="banded Cholesky") as info:
+            fundamental_tone(m)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_residual_gate_names_gamma_and_residual(self, monkeypatch):
         # Lanczos stood in for by a solver that returns the constant vector on

@@ -347,6 +347,21 @@ class TestStandaloneInputs:
         assert density_quotient(self.disk(), x0, 0.3) == density_quotient(self.disk(), (8, 14), 0.3)
 
 
+class TestHugeRadius:
+    # members lie in the reference ball of radius 1, so a ball of radius 4
+    # around any probe holds all of them; one of radius ~1e6 must give the
+    # same values, from an offset table no larger than the lattice's
+    @pytest.mark.parametrize("dim, n", [(2, 33), (3, 17)])
+    def test_equals_the_whole_ball_value(self, dim, n):
+        g = make_grid(dim, n, 1.0)
+        m = ball_mask(g, (0.1,) + (0.0,) * (dim - 1), 0.55)
+        probe = tuple(np.argwhere(boundary_nodes(m))[0])
+        assert density_quotient(m, probe, 1e6) == density_quotient(m, probe, 4.0)
+        # 4 * 2**18 ~ 1e6 halves down onto the dyadic radii of R0 = 4; the
+        # radii above 4 add ratios of one
+        assert estimate_doubling_sigma(m, 4.0 * 2 ** 18) == estimate_doubling_sigma(m, 4.0)
+
+
 class TestDichotomy:
     def test_volume_met(self):
         g = make_grid(2, 65, 1.0)

@@ -1128,6 +1128,34 @@ class TestDescentStep:
         assert state.J == best.J
         assert [r.accepted for r in state.history] == [r is best for r in rest]
 
+    def test_failed_factor_is_skipped(self, monkeypatch, caplog):
+        # the winner's operator is not positive definite: its factor fails,
+        # the candidate is logged and skipped as a failed solve is, and the
+        # best of the other candidates is accepted instead
+        from platetone import biharmonic
+
+        config = small_config(init_shape="square")
+        g = make_grid(2, 49, 1.5)
+        m = initial_mask(g, "square", OMEGA0)
+        kind = penalty_kind(resolve_eps(config)[0])
+        clean = descent_step(make_state(m, config), kind)
+        winner = clean.mask
+        real = biharmonic._masked_bilap
+
+        def negated(mask):
+            A, flat = real(mask)
+            return (-A if mask == winner else A), flat
+
+        monkeypatch.setattr(biharmonic, "_masked_bilap", negated)
+        caplog.set_level(logging.WARNING, logger="platetone.search")
+        state = descent_step(make_state(m, config), kind)
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1 and "banded Cholesky" in skipped[0]
+        won = next(row for row in clean.history if row.accepted)
+        rest = [row for row in clean.history if row is not won]
+        best = min(rest, key=lambda r: r.J)
+        assert state.mask != winner and state.J == best.J
+
     def test_lowest_index_wins_on_exact_tie(self, monkeypatch):
         # two candidates with exactly equal J: the first in list order wins
         config = small_config()
