@@ -19,8 +19,11 @@ mask tried; on masks whose cells are the exact domain (an axis-aligned box)
 its tone converges at second order in h.  The smallest eigenvalue is found by
 shift-invert Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) at shift
 zero, with a single banded Cholesky factor of A (LAPACK through
-``scipy.linalg.cholesky_banded``, in the members' flat order, whose band is
-two lattice planes or rows wide) serving every inverse application.  Every
+``scipy.linalg.cholesky_banded``) serving every inverse application.  The
+members are numbered along the lattice diagonal, by coordinate sum and then
+flat index, so a face neighbor lies in the next or the previous diagonal
+layer: A's band is about two layers wide, about 1/sqrt(n) of the band of the
+flat order (two lattice planes or rows).  Every
 function reads the lattice from its mask and the mask from its field;
 ``rayleigh_quotient`` and ``eigen_residual`` also take both, and reject
 copies that differ.
@@ -29,6 +32,7 @@ copies that differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,10 +108,20 @@ def _steps(grid: Grid) -> np.ndarray:
     return np.concatenate([strides, -strides[::-1]]).astype(np.int32)
 
 
+@lru_cache(maxsize=8)
+def _levels(grid: Grid) -> np.ndarray:
+    """Coordinate sum i + j (+ k) of every node, in flat order: the lattice
+    diagonal layer the node lies in."""
+    levels = sum(np.ogrid[(slice(0, grid.nodes_per_side),) * grid.dim]).ravel()
+    levels.setflags(write=False)
+    return levels
+
+
 def _clamped_rows(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     """Rows K of the clamped energy |K u|^2 over the members, and the flat index.
 
-    Column j of K is member ``flat[j]``.  The wall sits at the midpoint of
+    Column j of K is member ``flat[j]``, the members sorted by their diagonal
+    layer (``_levels``), ties by flat index.  The wall sits at the midpoint of
     every cut edge (member i to non-member), the boundary of the cells that
     ``mask_volume`` counts.  A cut edge is clamped when i has two inward
     members p, p2 behind it on the edge's line.  The rows, in this order:
@@ -126,7 +140,8 @@ def _clamped_rows(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     """
     grid = mask.grid
     inside = mask.inside.ravel()
-    flat = np.flatnonzero(inside).astype(np.int32)
+    flat = np.flatnonzero(inside)
+    flat = flat[np.argsort(_levels(grid)[flat], kind="stable")].astype(np.int32)
     n = flat.size
     dim = grid.dim
     width = 2 * dim + 1
@@ -231,9 +246,21 @@ def eigen_residual(grid: Grid, mask: Mask, field: ScalarField, gamma: float) -> 
 # eigensolver
 # ---------------------------------------------------------------------------
 
+# Least semi-bandwidth KD of a packed band; narrower bands are padded with
+# zeros.  Reference ILAENV gives LAPACK's xPBTRF a block size of 1 for
+# KD <= 64, and OpenBLAS threads the column loop that results one column at a
+# time: at 2 BLAS threads a random 1428-unknown band took 4.7 ms at KD = 64,
+# 1.4 ms at KD = 65 and 2.7 ms at KD = 32 on a 2-vCPU Xeon VM (1.3, 1.2 and
+# 0.6 ms at one thread).
+MIN_SEMI_BANDWIDTH = 65
+
+
 class _BandedCholesky:
     """Upper banded Cholesky factor of a symmetric positive definite A, kept in
-    A's own (the members' flat) order; ``nnz`` counts the stored band.
+    A's own order (the members' diagonal order), with at least
+    ``MIN_SEMI_BANDWIDTH`` superdiagonals; ``nnz`` counts the stored band.
+    The upper form's bits were equal at 1 and 2 BLAS threads at every size
+    tried; the lower form's were not (a random band, n/band 3000/300).
     Raises LinAlgError when A is not positive definite."""
 
     def __init__(self, A: sp.csr_matrix):
@@ -244,8 +271,9 @@ class _BandedCholesky:
         # Fortran order is LAPACK's layout; a C-ordered band is first copied
         # to it, which made the Cholesky of a 3D N=33 ball (band 251, 1045
         # unknowns) 6.2 ms instead of 3.7 ms on a 2-vCPU Xeon VM
-        band = np.zeros((int(offset.max()) + 1, A.shape[0]), order="F")
-        band[band.shape[0] - 1 - offset, cols] = A.data[upper]
+        kd = max(int(offset.max()), MIN_SEMI_BANDWIDTH)
+        band = np.zeros((kd + 1, A.shape[0]), order="F")
+        band[kd - offset, cols] = A.data[upper]
         self.nnz = band.size
         self._cb = cholesky_banded(band, overwrite_ab=True, check_finite=False)
 

@@ -73,25 +73,30 @@ def _distance_table(grid: Grid, span: int) -> tuple[np.ndarray, np.ndarray]:
     return d2, steps
 
 
-# Probes gathered at once by _balls.  On square-3d-33's final field (seed 0)
-# the diagnostics' tracemalloc peak is 2.28 MB with 32, as with one probe at
-# a time, 3.1 MB with 64 and 9.5 MB with 128; 16 was no faster than 32.
-PROBE_BLOCK = 32
+# Entries (probes x offsets) _balls gathers at once, so a block holds
+# max(1, GATHER_ENTRIES // offsets) probes.  run_diagnostics reads at most
+# 2,109 offsets on square-3d-33, 31 probes a block: its tracemalloc peak was
+# 2.3 MB at 32 probes, 2.8 MB at 62 (2 ** 17 entries, which also raised the
+# benchmark's peak RSS by 0.95 MB) and 9.5 MB at 128.  The doubling ratio at
+# R0 = 6 on a 3D N=33 ball reads 274,625 offsets a probe, one probe a block:
+# it peaks at 13 MB, where 32 probes a block took 155 MB.
+GATHER_ENTRIES = 2 ** 16
 
 
 def _balls(grid: Grid, probes: list, R: float, *arrays: np.ndarray):
-    """Per block of PROBE_BLOCK probes: the squared distances of the lattice
-    offsets within R, ascending, and each array read at those offsets around
-    each probe, shape (block, offsets), zero beyond the lattice.  No offset
-    longer than N - 1 along an axis reaches a node, so the table stops there
-    whatever R is."""
+    """Per block of probes (``GATHER_ENTRIES``): the squared distances of the
+    lattice offsets within R, ascending, and each array read at those offsets
+    around each probe, shape (block, offsets), zero beyond the lattice.  No
+    offset longer than N - 1 along an axis reaches a node, so the table stops
+    there whatever R is."""
     span = min(int(math.ceil(R / grid.spacing)) + 1, grid.nodes_per_side - 1)
     d2, steps = _distance_table(grid, span)
     within = np.searchsorted(d2, R * R, "right")
+    block = max(1, GATHER_ENTRIES // within)
     padded = [np.pad(a, span) for a in arrays]
     starts = np.ravel_multi_index(np.transpose(probes), padded[0].shape)
-    for k in range(0, starts.size, PROBE_BLOCK):
-        at = starts[k:k + PROBE_BLOCK, None] + steps[:within]
+    for k in range(0, starts.size, block):
+        at = starts[k:k + block, None] + steps[:within]
         yield (d2[:within], *(a.take(at) for a in padded))
 
 

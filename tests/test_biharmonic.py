@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from platetone import biharmonic
 from platetone.biharmonic import (
     CLAMP_WEIGHT,
+    MIN_SEMI_BANDWIDTH,
     ConvergenceFailure,
     EmptyMaskError,
     VanishingFieldError,
@@ -102,7 +103,9 @@ class TestApplyClampedBilap:
     @pytest.mark.parametrize("dim, n, seed", [(2, 13, 0), (2, 13, 1), (3, 9, 2)])
     def test_matches_loop_reference(self, dim, n, seed):
         # the rows of the energy written out one member and one edge at a
-        # time, on ragged masks that mix clamped, thin and isolated parts
+        # time, on ragged masks that mix clamped, thin and isolated parts;
+        # the reference numbers the members in flat order, A along the
+        # lattice diagonal, so A is compared with the reference permuted
         g = make_grid(dim, n, 1.0)
         h = g.spacing
         m = mask_from_array(g, np.random.default_rng(seed).random(g.shape) < 0.6)
@@ -131,9 +134,63 @@ class TestApplyClampedBilap:
             rows.append(row)
         K = np.array(rows + list(exterior.values())) / h ** 2
         A, flat = _masked_bilap(m)
-        assert [tuple(np.unravel_index(f, g.shape)) for f in flat] == members
-        ref = K.T @ K
+        order = [tuple(np.unravel_index(f, g.shape)) for f in flat]
+        assert order == sorted(members, key=lambda node: (sum(node), node))
+        perm = [col[node] for node in order]
+        ref = (K.T @ K)[np.ix_(perm, perm)]
         assert np.allclose(A.toarray(), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def half_band(A):
+    """Largest |i - j| over A's stored entries."""
+    coo = A.tocoo()
+    return int(np.abs(coo.col - coo.row).max())
+
+
+class TestMemberOrder:
+    """The members are numbered along the lattice diagonal, which narrows the
+    band of A that ``fundamental_tone`` factors."""
+
+    @pytest.mark.parametrize("dim, n, seed", [(2, 17, 0), (2, 33, 1), (3, 9, 2), (3, 17, 3)])
+    def test_flat_is_sorted_by_coordinate_sum_then_flat_index(self, dim, n, seed):
+        g = make_grid(dim, n, 1.0)
+        m = mask_from_array(g, np.random.default_rng(seed).random(g.shape) < 0.5)
+        _, flat = _clamped_rows(m)
+        assert sorted(flat.tolist()) == np.flatnonzero(m.inside).tolist()
+        keys = list(zip(sum(np.unravel_index(flat, g.shape)).tolist(), flat.tolist()))
+        assert keys == sorted(keys)
+
+    def test_3d_ball_band_is_narrower_than_in_flat_order(self):
+        # 1045 members: half-band 154, against 250 in flat order
+        g = make_grid(3, 33, 1.5)
+        A, flat = _masked_bilap(ball_mask(g, (0.0, 0.0, 0.0), 0.6))
+        in_flat = np.argsort(flat)
+        assert half_band(A) <= 0.65 * half_band(A[in_flat][:, in_flat])
+
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 3), (4, 5), (8, 8), (2, 2, 2), (4, 4, 4)])
+    def test_narrow_bands_are_padded_and_still_solve(self, shape):
+        # masks of 7-64 members: the factor packs at least
+        # MIN_SEMI_BANDWIDTH + 1 rows, and the tone is the dense one
+        g = make_grid(len(shape), 17, 1.0)
+        inside = np.zeros(g.shape, dtype=bool)
+        inside[tuple(slice(8 - k // 2, 8 - k // 2 + k) for k in shape)] = True
+        m = mask_from_array(g, inside)
+        A, _ = _masked_bilap(m)
+        factor = biharmonic.spla.splu(A)
+        n = A.shape[0]
+        assert 7 <= n <= 64 and half_band(A) < MIN_SEMI_BANDWIDTH
+        assert factor.nnz == (MIN_SEMI_BANDWIDTH + 1) * n
+        rhs = np.random.default_rng(n).standard_normal(n)
+        assert np.allclose(A @ factor.solve(rhs), rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())
+        tone = fundamental_tone(m, tol=1e-12)
+        assert tone.iterations > 0
+        assert tone.gamma == pytest.approx(float(np.linalg.eigvalsh(A.toarray())[0]), rel=1e-10)
+
+    def test_wide_band_keeps_its_width(self):
+        g = make_grid(3, 33, 1.5)
+        A, _ = _masked_bilap(ball_mask(g, (0.0, 0.0, 0.0), 0.6))
+        assert biharmonic.spla.splu(A).nnz == (half_band(A) + 1) * A.shape[0]
+        assert half_band(A) > MIN_SEMI_BANDWIDTH
 
 
 class TestRayleighQuotient:

@@ -260,19 +260,19 @@ class TestRunCommand:
         assert (out / "mask_final.pgm").read_bytes().startswith(b"P5\n129 129\n")
 
     def test_two_level_snapshots_count_across_lattices(self, tmp_path):
-        # every sixth accepted step, counted on both lattices together: the
-        # coarse lattice's count (11 of 13) is not a multiple of 6, so a count
+        # every seventh accepted step, counted on both lattices together: the
+        # coarse lattice's count (12 of 14) is not a multiple of 7, so a count
         # restarted on the fine lattice would pick other steps
         cfg = write(tmp_path, QUICK.replace("nodes_per_side = 49", "nodes_per_side = 129")
-                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 6\n")
+                    .replace("max_steps = 20", "max_steps = 300") + "snapshot_every = 7\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         steps = accepted_steps(out)
         rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
         fine_start = int(next(parts[0] for parts in rows if parts[6] == "129"))
-        assert sum(s <= fine_start for s in steps) % 6 != 0
+        assert sum(s <= fine_start for s in steps) % 7 != 0
         names = sorted(p.name for p in out.glob("mask_step*.pgm"))
-        assert names == [f"mask_step{s:06d}.pgm" for s in steps[5::6]]
+        assert names == [f"mask_step{s:06d}.pgm" for s in steps[6::7]]
         sizes = {(out / name).read_bytes().split(b"\n")[1] for name in names}
         assert sizes == {b"65 65", b"129 129"}
 

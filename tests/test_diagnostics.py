@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from platetone.biharmonic import fundamental_tone
 from platetone.constants import unit_ball_volume
 from platetone.diagnostics import (
+    GATHER_ENTRIES,
     DiagnosticsReport,
     Dichotomy,
+    _balls,
     _probes,
     default_probe_radius,
     density_quotient,
@@ -148,6 +151,35 @@ class TestDoublingSigma:
         sa = estimate_doubling_sigma(a, R0=8.0 * h)
         sb = estimate_doubling_sigma(b, R0=8.0 * h)
         assert sa == pytest.approx(sb, rel=1e-12)
+
+    def test_large_radius_gathers_within_the_entry_budget(self):
+        # at R0 = 6 every probe reads the whole capped table, (2N - 1)^3 =
+        # 274,625 offsets, one probe a block: 32 probes a block peaked at
+        # 155 MB.  Radii past the ball's diameter read a ratio of 1, so the
+        # worst ratio is the one of R0 = 0.75
+        g = make_grid(3, 33, 1.5)
+        m = ball_mask(g, (0.0, 0.0, 0.0), 0.6)
+        tracemalloc.start()
+        try:
+            sigma = estimate_doubling_sigma(m, R0=6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigma == estimate_doubling_sigma(m, R0=0.75)
+        assert peak < 40e6
+
+    def test_blocks_hold_at_most_the_entry_budget(self):
+        g = make_grid(3, 33, 1.5)
+        m = ball_mask(g, (0.0, 0.0, 0.0), 0.6)
+        probes = _probes(boundary_nodes(m), 512)
+        # 274,625 offsets within R = 6 and 2,109 within R = 0.75, the most
+        # that run_diagnostics reads on square-3d-33
+        for R, block in ((6.0, 1), (0.75, GATHER_ENTRIES // 2109)):
+            shapes = [near.shape for _, near in _balls(g, probes, R, m.inside)]
+            assert sum(rows for rows, _ in shapes) == len(probes)
+            assert {rows for rows, _ in shapes[:-1]} == {block}
+            assert {cols for _, cols in shapes} == {shapes[0][1]}
+            assert block == 1 or block * shapes[0][1] <= GATHER_ENTRIES
 
     def test_rejects_small_probe(self):
         g = make_grid(2, 33, 1.0)
