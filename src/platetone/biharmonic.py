@@ -261,7 +261,8 @@ class _BandedCholesky:
     ``MIN_SEMI_BANDWIDTH`` superdiagonals; ``nnz`` counts the stored band.
     The upper form's bits were equal at 1 and 2 BLAS threads at every size
     tried; the lower form's were not (a random band, n/band 3000/300).
-    Raises LinAlgError when A is not positive definite."""
+    ``solves`` counts the calls of ``solve``.  Raises ConvergenceFailure,
+    chained from LAPACK's LinAlgError, when A is not positive definite."""
 
     def __init__(self, A: sp.csr_matrix):
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -275,17 +276,20 @@ class _BandedCholesky:
         band = np.zeros((kd + 1, A.shape[0]), order="F")
         band[kd - offset, cols] = A.data[upper]
         self.nnz = band.size
-        self._cb = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        self.solves = 0
+        try:
+            self._cb = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"banded Cholesky of A failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        self.solves += 1
         return cho_solve_banded((self._cb, False), rhs, check_finite=False)
 
 
-# The factor and ARPACK's entry points under the names of scipy.sparse.linalg;
-# they stay here because the benchmark's traced mode times ``spla.splu`` and
-# the ``solve`` of the factor it returns.
-spla = SimpleNamespace(splu=_BandedCholesky, eigsh=eigsh, LinearOperator=LinearOperator,
-                       ArpackNoConvergence=ArpackNoConvergence)
+# The factor under the name of scipy.sparse.linalg's LU: the benchmark's traced
+# mode times ``spla.splu`` and the ``solve`` of the factor it returns.
+spla = SimpleNamespace(splu=_BandedCholesky)
 
 
 def fundamental_tone(mask: Mask, tol: float = 1e-8,
@@ -319,33 +323,24 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
 
     grid = mask.grid
     A, flat = _masked_bilap(mask)
-    solves = 0
     if flat.size <= NCV:
         # ARPACK needs more unknowns than Lanczos vectors
         u = np.linalg.eigh(A.toarray())[1][:, 0]
+        iterations = 0
     else:
-        try:
-            factor = spla.splu(A)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"banded Cholesky of A failed: {exc}") from exc
-
-        def solve(rhs):
-            nonlocal solves
-            solves += 1
-            return factor.solve(rhs)
-
-        v0 = None
-        if initial is not None:
-            v0 = initial.values.ravel()[flat].astype(float)
+        factor = spla.splu(A)
+        v0 = None if initial is None else initial.values.ravel()[flat]
         if v0 is None or not np.any(v0):
+            # ARPACK's own start vector is random, which would break reruns
             v0 = np.ones(flat.size)
-        op = spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+        op = LinearOperator(A.shape, matvec=factor.solve, dtype=float)
         try:
-            u = spla.eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op, v0=v0,
-                           tol=tol, ncv=NCV, maxiter=MAX_RESTARTS)[1][:, 0]
-        except spla.ArpackNoConvergence as exc:
+            u = eigsh(A, k=1, sigma=0.0, which="LM", OPinv=op, v0=v0,
+                      tol=tol, ncv=NCV, maxiter=MAX_RESTARTS)[1][:, 0]
+        except ArpackNoConvergence as exc:
             raise ConvergenceFailure(
                 f"ARPACK did not converge in {MAX_RESTARTS} restarts") from exc
+        iterations = factor.solves
 
     u = u / np.linalg.norm(u)
     if u.sum() < 0.0:
@@ -359,4 +354,4 @@ def fundamental_tone(mask: Mask, tol: float = 1e-8,
     full = np.zeros(grid.node_count)
     full[flat] = u / np.sqrt(grid.spacing ** grid.dim)
     return ToneResult(gamma=gamma, eigenfield=make_field(mask, full.reshape(grid.shape)),
-                      iterations=solves, residual=residual)
+                      iterations=iterations, residual=residual)

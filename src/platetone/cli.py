@@ -8,7 +8,8 @@ Subcommands:
   budget ran out, 1 on any error (bad config, I/O, an oracle or eigensolver
   failure, a lattice too large for memory), reported as one ``error: ...``
   line.  A run that fails removes the output directory it created, so the
-  same command can be rerun as is.
+  same command can be rerun as is; in a directory that was there before it
+  deletes the files a run writes, and only those.
 * ``constants --dim N --omega0 V --eps V [--dn V] [--radius-b V]``: print the
   full constant record including both tone oracles and their residual.
 * ``verify --case {scaling|monotonicity|penalty|alpha0|oracle}``: built-in
@@ -122,28 +123,18 @@ def config_echo_lines(config: RunConfig) -> list[str]:
     """One ``key = value`` line per RunConfig field, in declaration order;
     an unresolved eps (None) is echoed as ``auto``, which load_config reads
     back as None."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{f.name} = {'auto' if value is None else _fmt(value)}")
-    return lines
+    return [f"{key} = {'auto' if value is None else _fmt(value)}"
+            for key, value in dataclasses.asdict(config).items()]
 
 
 def trace_lines(result: RunResult) -> list[str]:
-    lines = ["step,gamma,volume,penalty,J,accepted,nodes_per_side"]
-    for row in result.history:
-        lines.append(
-            f"{row.step},{_fmt(row.gamma)},{_fmt(row.volume)},"
-            f"{_fmt(row.penalty)},{_fmt(row.J)},{1 if row.accepted else 0},"
-            f"{row.nodes_per_side}"
-        )
-    return lines
+    return ["step,gamma,volume,penalty,J,accepted,nodes_per_side"] + [
+        f"{row.step},{_fmt(row.gamma)},{_fmt(row.volume)},{_fmt(row.penalty)},"
+        f"{_fmt(row.J)},{1 if row.accepted else 0},{row.nodes_per_side}" for row in result.history]
 
 
 def summary_lines(result: RunResult) -> list[str]:
-    lines = []
-    for ln in config_echo_lines(result.config):
-        lines.append("config." + ln)
+    lines = ["config." + ln for ln in config_echo_lines(result.config)]
     for key, val in result.constants.as_record().items():
         lines.append(f"constants.{key} = {_fmt(val)}")
     d = result.diagnostics
@@ -168,6 +159,19 @@ def summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
+# The names of the files a run writes.  A forced rerun clears them first, and
+# a run that fails clears them again, so a directory never holds files of two
+# runs; every other file in it is left alone.
+_RUN_FILES = ("config_echo.txt", "trace.csv", "summary.txt", "mask_step*.pgm",
+              "mask_step*.msk", "mask_final.*", "field_final.*")
+
+
+def _clear_run_files(out: Path) -> None:
+    for pattern in _RUN_FILES:
+        for stale in out.glob(pattern):
+            stale.unlink()
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     out = Path(args.out) if args.out else Path(args.config).with_suffix(".out")
@@ -179,11 +183,7 @@ def cmd_run(args) -> int:
         if not args.force:
             print(f"error: output directory {out} exists (use --force)", file=sys.stderr)
             return 1
-        # a forced rerun replaces the files whose set varies from run to run;
-        # every other file in the directory is left alone
-        for pattern in ("mask_step*.pgm", "mask_step*.msk", "mask_final.*", "field_final.*"):
-            for stale in out.glob(pattern):
-                stale.unlink()
+        _clear_run_files(out)
     else:
         out.mkdir(parents=True)
 
@@ -197,22 +197,23 @@ def cmd_run(args) -> int:
 
     try:
         result = optimize(config, on_accept=snapshot)
+        (out / "config_echo.txt").write_text(
+            "\n".join(config_echo_lines(result.config)) + "\n"
+        )
+        (out / "trace.csv").write_text("\n".join(trace_lines(result)) + "\n")
+        (out / "summary.txt").write_text("\n".join(summary_lines(result)) + "\n")
+        _write_mask(result.mask, out / "mask_final")
+        save_field_fld(result.tone.eigenfield, out / "field_final.fld")
+        if result.config.nodes_per_side <= 65 and result.config.dim == 2:
+            save_field_csv(result.tone.eigenfield, out / "field_final.csv")
     except BaseException:
         # a failed run leaves no directory behind, so a rerun needs no
-        # --force; a directory that was there before is left in place
+        # --force; a directory that was there before keeps its other files
         if created:
             shutil.rmtree(out, ignore_errors=True)
+        else:
+            _clear_run_files(out)
         raise
-
-    (out / "config_echo.txt").write_text(
-        "\n".join(config_echo_lines(result.config)) + "\n"
-    )
-    (out / "trace.csv").write_text("\n".join(trace_lines(result)) + "\n")
-    (out / "summary.txt").write_text("\n".join(summary_lines(result)) + "\n")
-    _write_mask(result.mask, out / "mask_final")
-    save_field_fld(result.tone.eigenfield, out / "field_final.fld")
-    if result.config.nodes_per_side <= 65 and result.config.dim == 2:
-        save_field_csv(result.tone.eigenfield, out / "field_final.csv")
 
     print(f"final gamma  = {_fmt(result.gamma)}")
     print(f"final volume = {_fmt(result.volume)}")

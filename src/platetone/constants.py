@@ -76,6 +76,11 @@ def ball_volume(n: int, radius: float) -> float:
     return _or_inf(lambda: unit_ball_volume(n) * radius ** n)
 
 
+def ball_radius(n: int, volume: float) -> float:
+    """Radius of the n-ball of the given volume, the inverse of ``ball_volume``."""
+    return (volume / unit_ball_volume(n)) ** (1.0 / n)
+
+
 def ball_fit_errors(n: int, omega0: float, radius_B: float) -> list[str]:
     """The ball-fit rule for an omega0 and a radius_B that pass their own
     rules: no message when the reference ball B has a finite volume |B| and

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from platetone.constants import unit_ball_volume
+from platetone.constants import ball_radius
 from platetone.field_grid import (
     Grid,
     Mask,
@@ -49,6 +49,13 @@ class DiagnosticsReport:
     doubling_sigma: float
     nondegeneracy_c1: float
     density_c2_profile: tuple[tuple[float, float], ...]
+
+
+# Boundary probes of the report, thinned from the boundary nodes: the doubling
+# ratio (standalone too) and c1 read REPORT_PROBES, the density profile
+# DENSITY_PROBES.
+REPORT_PROBES = 512
+DENSITY_PROBES = 128
 
 
 def _probes(boundary: np.ndarray, cap: int) -> list:
@@ -147,7 +154,8 @@ def estimate_doubling_sigma(mask: Mask, R0: float, r_min: float | None = None) -
     raise_errors(_radius_errors(R0=R0, r_min=r_min))
     if R0 < 4.0 * h:
         raise ValueError(f"R0 must be at least 4h = {4.0 * h}, got {R0}")
-    return _doubling_sigma(mask, _probes(boundary_nodes(mask), 512), R0, dyadic_radii(R0, r_min))
+    probes = _probes(boundary_nodes(mask), REPORT_PROBES)
+    return _doubling_sigma(mask, probes, R0, dyadic_radii(R0, r_min))
 
 
 def _doubling_sigma(mask: Mask, probes: list, R0: float, radii: tuple) -> float:
@@ -192,7 +200,7 @@ def density_quotient(mask: Mask, x0: tuple[int, ...], R: float) -> float:
 def _radius_eq(grid: Grid, omega0: float) -> float:
     """Radius of the ball of volume omega0, after omega0's rule."""
     raise_errors(real_errors("omega0", omega0))
-    return (omega0 / unit_ball_volume(grid.dim)) ** (1.0 / grid.dim)
+    return ball_radius(grid.dim, omega0)
 
 
 def default_vol_tol(grid: Grid, omega0: float) -> float:
@@ -260,10 +268,11 @@ def run_diagnostics(field: ScalarField, omega0: float) -> DiagnosticsReport:
     radii = dyadic_radii(R0, 4.0 * grid.spacing)
     boundary = boundary_nodes(mask)
     mag = np.linalg.norm(gradient_field(field), axis=0)
-    probes = _probes(boundary, 512)
+    probes = _probes(boundary, REPORT_PROBES)
     return DiagnosticsReport(
         component_count=connected_components(mask)[0],
         doubling_sigma=_doubling_sigma(mask, probes, R0, radii),
         nondegeneracy_c1=_nondegeneracy_c1(probes, mag, grid, radii),
-        density_c2_profile=tuple(zip(radii, _lowest_density(mask, _probes(boundary, 128), radii))),
+        density_c2_profile=tuple(zip(radii, _lowest_density(
+            mask, _probes(boundary, DENSITY_PROBES), radii))),
     )

@@ -65,6 +65,7 @@ from platetone.biharmonic import ConvergenceFailure, ToneResult
 from platetone.constants import (
     TheoryConstants,
     ball_fit_errors,
+    ball_radius,
     compute_constants,
     eps0,
     eps1_effective,
@@ -295,12 +296,12 @@ def initial_mask(grid: Grid, shape: str, omega0: float, seed: int = 0) -> Mask:
     raise_errors(ball_fit_errors(grid.dim, omega0, grid.radius_B))
     n = grid.dim
     wn = unit_ball_volume(n)
-    radius = (omega0 / wn) ** (1.0 / n)     # of the ball of volume omega0
+    radius = ball_radius(n, omega0)
     # how far the square, the annulus and the two disks reach from the
     # center; the disk and the blob fit whenever omega0 < |B|
     half = 0.5 * omega0 ** (1.0 / n)
     outer = (omega0 / (wn * (1.0 - 0.5 ** n))) ** (1.0 / n)
-    r = (omega0 / (2.0 * wn)) ** (1.0 / n)
+    r = ball_radius(n, 0.5 * omega0)
     offset = 1.5 * r
     reach = {"square": half * math.sqrt(n), "annulus": outer, "two_disks": offset + r}
     if reach.get(shape, 0.0) >= grid.radius_B:
@@ -625,7 +626,7 @@ def lattice_levels(config: RunConfig) -> tuple[int, ...]:
     nodes across the diameter of the ball of volume omega0.
     """
     levels = (config.nodes_per_side,)
-    diameter = 2.0 * (config.omega0 / unit_ball_volume(config.dim)) ** (1.0 / config.dim)
+    diameter = 2.0 * ball_radius(config.dim, config.omega0)
     while levels[0] % 4 == 1:
         coarse = (levels[0] + 1) // 2
         if diameter / (2.0 * config.radius_B / (coarse - 1)) < MIN_COARSE_NODES_ACROSS:

@@ -193,6 +193,32 @@ class TestMemberOrder:
         assert half_band(A) > MIN_SEMI_BANDWIDTH
 
 
+class TestFactor:
+    """The banded Cholesky factor is the one object the Lanczos loop reads,
+    and it counts its solves."""
+
+    def test_counts_its_solves(self):
+        A, _ = _masked_bilap(ball_mask(make_grid(2, 33, 1.0), (0.0, 0.0), 0.5))
+        factor = biharmonic.spla.splu(A)
+        assert factor.solves == 0
+        for _ in range(3):
+            factor.solve(np.ones(A.shape[0]))
+        assert factor.solves == 3
+
+    def test_tone_iterations_are_the_solves_of_its_factor(self, monkeypatch):
+        factors = []
+        real = biharmonic.spla.splu
+
+        def recording(A):
+            factors.append(real(A))
+            return factors[-1]
+
+        monkeypatch.setattr(biharmonic.spla, "splu", recording)
+        tone = fundamental_tone(ball_mask(make_grid(2, 33, 1.0), (0.0, 0.0), 0.5))
+        assert len(factors) == 1
+        assert tone.iterations == factors[0].solves > 0
+
+
 class TestRayleighQuotient:
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -349,6 +375,7 @@ class TestFundamentalTone:
         with pytest.raises(ConvergenceFailure, match="banded Cholesky") as info:
             fundamental_tone(m)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert str(info.value) == f"banded Cholesky of A failed: {info.value.__cause__}"
 
     def test_residual_gate_names_gamma_and_residual(self, monkeypatch):
         # Lanczos stood in for by a solver that returns the constant vector on
@@ -356,7 +383,7 @@ class TestFundamentalTone:
         def constant_pair(A, **kwargs):
             return np.ones(1), np.ones((A.shape[0], 1))
 
-        monkeypatch.setattr(biharmonic.spla, "eigsh", constant_pair)
+        monkeypatch.setattr(biharmonic, "eigsh", constant_pair)
         g = make_grid(2, 33, 1.0)
         m = ball_mask(g, (0.0, 0.0), 0.5)
         with pytest.raises(ConvergenceFailure, match=r"residual above 0\.0001 \* gamma") as info:
@@ -493,6 +520,12 @@ class TestEigenResidual:
         m = ball_mask(g, (0.0, 0.0), 0.6)
         f = random_field(m, rng)
         assert eigen_residual(g, m, f, 100.0) > 0.0
+
+    def test_vanishing_field_rejected(self):
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.5)
+        with pytest.raises(VanishingFieldError, match="^residual of a vanishing field$"):
+            eigen_residual(g, m, make_field(m, np.zeros(g.shape)), 1.0)
 
 
 class TestSPD:

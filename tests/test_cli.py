@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,6 +432,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--force"]) == 1
         assert (out / "notes.txt").read_text() == "kept\n"
 
+    # a failed forced rerun used to leave the previous run's config echo,
+    # trace and summary next to nothing of its masks and fields
+    def test_failed_forced_run_leaves_no_run_files(self, tmp_path):
+        out = tmp_path / "out"
+        done = write(tmp_path, "nodes_per_side = 33\nmax_steps = 5\n", name="done.cfg")
+        assert main(["run", "--config", str(done), "--out", str(out)]) in (0, 2)
+        assert (out / "trace.csv").exists()
+        (out / "notes.txt").write_text("kept\n")
+        empty = write(tmp_path, "nodes_per_side = 17\ninit_shape = annulus\nomega0 = 0.02\n",
+                      name="empty.cfg")
+        assert main(["run", "--config", str(empty), "--out", str(out), "--force"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    # an interrupted forced run used to leave the snapshots it had written
+    def test_interrupted_forced_run_leaves_no_snapshots(self, tmp_path, monkeypatch):
+        def interrupted(config, on_accept):
+            grid = make_grid(config.dim, config.nodes_per_side, config.radius_B)
+            on_accept(SimpleNamespace(mask=ball_mask(grid, (0.0, 0.0), 0.5), step=1))
+            assert list(out.glob("mask_step*"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("platetone.cli.optimize", interrupted)
+        cfg = write(tmp_path, QUICK + "snapshot_every = 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(cfg), "--out", str(out), "--force"])
+        assert list(out.iterdir()) == []
+
     # an --out that is a file fails before the run, with or without --force;
     # a forced run used to optimize first and then fail on "Not a directory"
     @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
@@ -604,6 +634,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_monotonicity_failure_names_the_trial(self, capsys, monkeypatch):
+        # a stand-in tone that grows with the member count, so the eroded
+        # inner mask of the first trial lies below its outer one
+        monkeypatch.setattr("platetone.cli.fundamental_tone",
+                            lambda mask, tol: SimpleNamespace(gamma=float(mask.inside.sum())))
+        assert main(["verify", "--case", "monotonicity"]) == 1
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"FAIL  nested-domain monotonicity  \(trial 0: inner (\d+\.0) "
+                            r"< outer (\d+\.0)\)\n", out)
 
     def test_oracle_gap_is_the_one_gap(self, capsys):
         # verify --case oracle and the constant record read the one gap

@@ -12,7 +12,9 @@ from platetone.constants import (
     OracleError,
     TheoryConstants,
     alpha0,
+    ball_radius,
     ball_tone_for_volume,
+    ball_volume,
     compute_constants,
     eps0,
     eps1,
@@ -34,6 +36,16 @@ class TestUnitBallVolume:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             unit_ball_volume(0)
+
+
+class TestBallRadius:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_inverts_ball_volume(self, n):
+        for radius in (0.3, 1.0, 1.7):
+            assert ball_radius(n, ball_volume(n, radius)) == pytest.approx(radius, rel=1e-14)
+
+    def test_unit_disk(self):
+        assert ball_radius(2, unit_ball_volume(2)) == 1.0
 
 
 class TestToneOracles:
@@ -170,6 +182,12 @@ class TestOracleLoops:
         monkeypatch.setattr(constants, "_radial_tone_level", lambda n, K: 100.0)
         with pytest.raises(OracleError, match=r"^tone oracles disagree for n=2: radial=100\.0 "):
             gamma_ball(2)
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        # the uncached function, so no cached tone hides the bracket search
+        monkeypatch.setattr(constants, "_cross_product", lambda n, k: 1.0)
+        with pytest.raises(OracleError, match="^no cross-product sign change found for n=2$"):
+            gamma_ball_bessel.__wrapped__(2)
 
     def test_bisection_stops_when_the_bracket_stops_moving(self, monkeypatch):
         ks = []

@@ -116,6 +116,11 @@ class TestBallMask:
         g = make_grid(2, 33, 1.0)
         assert np.array_equal(ball_mask(g, (0.0, 0.0), math.inf).inside, inside_ball(g))
 
+    @pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 0.0)], ids=["short", "long"])
+    def test_rejects_a_center_of_another_dimension(self, center):
+        with pytest.raises(ValueError, match="^center must have 2 components$"):
+            ball_mask(make_grid(2, 33, 1.0), center, 0.5)
+
 
 class TestMaskVolume:
     def test_empty_is_zero(self):
@@ -365,6 +370,18 @@ class TestScalarField:
         with pytest.raises(ValueError):
             make_field(m, vals)
 
+    def test_rejects_values_of_another_shape(self):
+        g = make_grid(2, 33, 1.0)
+        m = ball_mask(g, (0.0, 0.0), 0.3)
+        with pytest.raises(ValueError,
+                           match=r"^value shape \(33, 17\) does not match grid \(33, 33\)$"):
+            make_field(m, np.ones((33, 17)))
+
+    def test_mask_from_array_rejects_another_shape(self):
+        g = make_grid(2, 33, 1.0)
+        with pytest.raises(ValueError, match=r"^array shape \(33, 33, 1\) does not match grid"):
+            mask_from_array(g, np.ones((33, 33, 1), dtype=bool))
+
 
 class TestSerialization:
     def test_pgm_round_trip(self, tmp_path):
@@ -402,6 +419,25 @@ class TestSerialization:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError, match="^payload size does not match the header geometry$"):
             load_mask_pgm(path, g)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: b"P2" + blob[2:], "^not a binary PGM produced by save_mask_pgm$"),
+        (lambda blob: blob.replace(b"\n255\n", b"\n1\n", 1), "^unexpected maxval$"),
+    ], ids=["not-P5", "maxval"])
+    def test_pgm_rejects_another_header(self, tmp_path, edit, message):
+        g = make_grid(2, 17, 1.0)
+        path = tmp_path / "m.pgm"
+        save_mask_pgm(ball_mask(g, (0.0, 0.0), 0.4), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            load_mask_pgm(path, g)
+
+    def test_pgm_rejects_another_grid(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        save_mask_pgm(ball_mask(make_grid(2, 17, 1.0), (0.0, 0.0), 0.4), path)
+        for other in (make_grid(2, 33, 1.0), make_grid(3, 17, 1.0)):
+            with pytest.raises(ValueError, match="^PGM dimensions do not match the grid$"):
+                load_mask_pgm(path, other)
 
     def test_msk_round_trip_3d(self, tmp_path):
         g = make_grid(3, 17, 1.5)
