@@ -32,7 +32,6 @@ copies that differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,23 +107,15 @@ def _steps(grid: Grid) -> np.ndarray:
     return np.concatenate([strides, -strides[::-1]]).astype(np.int32)
 
 
-@lru_cache(maxsize=8)
-def _levels(grid: Grid) -> np.ndarray:
-    """Coordinate sum i + j (+ k) of every node, in flat order: the lattice
-    diagonal layer the node lies in."""
-    levels = sum(np.ogrid[(slice(0, grid.nodes_per_side),) * grid.dim]).ravel()
-    levels.setflags(write=False)
-    return levels
-
-
 def _clamped_rows(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     """Rows K of the clamped energy |K u|^2 over the members, and the flat index.
 
     Column j of K is member ``flat[j]``, the members sorted by their diagonal
-    layer (``_levels``), ties by flat index.  The wall sits at the midpoint of
-    every cut edge (member i to non-member), the boundary of the cells that
-    ``mask_volume`` counts.  A cut edge is clamped when i has two inward
-    members p, p2 behind it on the edge's line.  The rows, in this order:
+    layer (their coordinate sum i + j (+ k)), ties by flat index.  The wall
+    sits at the midpoint of every cut edge (member i to non-member), the
+    boundary of the cells that ``mask_volume`` counts.  A cut edge is clamped
+    when i has two inward members p, p2 behind it on the edge's line.  The
+    rows, in this order:
 
     * one (2n+1)-point Laplacian per member; beyond a clamped edge it reads
       the ghost 2 u_i - u_p / 9, beyond any other cut edge it reads zero;
@@ -141,7 +132,7 @@ def _clamped_rows(mask: Mask) -> tuple[sp.csr_matrix, np.ndarray]:
     grid = mask.grid
     inside = mask.inside.ravel()
     flat = np.flatnonzero(inside)
-    flat = flat[np.argsort(_levels(grid)[flat], kind="stable")].astype(np.int32)
+    flat = flat[np.argsort(sum(np.unravel_index(flat, grid.shape)), kind="stable")].astype(np.int32)
     n = flat.size
     dim = grid.dim
     width = 2 * dim + 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,20 +65,6 @@ def _probes(boundary: np.ndarray, cap: int) -> list:
     return idx[::int(math.ceil(idx.shape[0] / cap))].tolist()
 
 
-@lru_cache(maxsize=8)
-def _distance_table(grid: Grid, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2 span + 1)^n lattice offsets sorted by distance to the centre:
-    their squared distances, ascending, and their flat steps on the lattice
-    padded by span (node p + offset t - span sits at p + t there)."""
-    d2 = sum((k * grid.spacing) ** 2 for k in np.ogrid[(slice(-span, span + 1),) * grid.dim])
-    order = np.argsort(d2, axis=None)
-    steps = np.ravel_multi_index(np.unravel_index(order, d2.shape), np.add(grid.shape, 2 * span))
-    d2 = d2.ravel()[order]
-    for a in (d2, steps):
-        a.setflags(write=False)
-    return d2, steps
-
-
 # Entries (probes x offsets) _balls gathers at once, so a block holds
 # max(1, GATHER_ENTRIES // offsets) probes.  run_diagnostics reads at most
 # 2,109 offsets on square-3d-33, 31 probes a block: its tracemalloc peak was
@@ -93,14 +78,21 @@ GATHER_ENTRIES = 2 ** 16
 def _balls(grid: Grid, probes: list, R: float, *arrays: np.ndarray):
     """Per block of probes (``GATHER_ENTRIES``): the squared distances of the
     lattice offsets within R, ascending, and each array read at those offsets
-    around each probe, shape (block, offsets), zero beyond the lattice.  No
-    offset longer than N - 1 along an axis reaches a node, so the table stops
-    there whatever R is."""
+    around each probe, shape (block, offsets), zero beyond the lattice.
+
+    The offset table holds the (2 span + 1)^n offsets sorted by distance to
+    the centre: their squared distances and their flat steps on the arrays
+    padded by span (node p + offset t - span sits at p + t there).  No offset
+    longer than N - 1 along an axis reaches a node, so the table stops there
+    whatever R is."""
     span = min(int(math.ceil(R / grid.spacing)) + 1, grid.nodes_per_side - 1)
-    d2, steps = _distance_table(grid, span)
+    padded = [np.pad(a, span) for a in arrays]
+    d2 = sum((k * grid.spacing) ** 2 for k in np.ogrid[(slice(-span, span + 1),) * grid.dim])
+    order = np.argsort(d2, axis=None)
+    steps = np.ravel_multi_index(np.unravel_index(order, d2.shape), padded[0].shape)
+    d2 = d2.ravel()[order]
     within = np.searchsorted(d2, R * R, "right")
     block = max(1, GATHER_ENTRIES // within)
-    padded = [np.pad(a, span) for a in arrays]
     starts = np.ravel_multi_index(np.transpose(probes), padded[0].shape)
     for k in range(0, starts.size, block):
         at = starts[k:k + block, None] + steps[:within]

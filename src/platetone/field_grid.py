@@ -373,9 +373,10 @@ def load_mask_pgm(path, grid: Grid) -> Mask:
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
+    size = parts[1].split() if len(parts) == 4 else []
+    if parts[0] != b"P5" or len(size) != 2 or not all(tok.isdigit() for tok in size):
         raise ValueError("not a binary PGM produced by save_mask_pgm")
-    w, h = (int(tok) for tok in parts[1].split())
+    w, h = (int(tok) for tok in size)
     if parts[2] != b"255":
         raise ValueError("unexpected maxval")
     if (w, h) != (grid.nodes_per_side, grid.nodes_per_side) or grid.dim != 2:

@@ -423,7 +423,13 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda blob: b"P2" + blob[2:], "^not a binary PGM produced by save_mask_pgm$"),
         (lambda blob: blob.replace(b"\n255\n", b"\n1\n", 1), "^unexpected maxval$"),
-    ], ids=["not-P5", "maxval"])
+        (lambda blob: blob.replace(b"\n17 17\n", b"\n17 17 17\n", 1),
+         "^not a binary PGM produced by save_mask_pgm$"),
+        (lambda blob: blob.replace(b"\n17 17\n", b"\nx 17\n", 1),
+         "^not a binary PGM produced by save_mask_pgm$"),
+        (lambda blob: blob.replace(b"\n17 17\n", b"\n17\n", 1),
+         "^not a binary PGM produced by save_mask_pgm$"),
+    ], ids=["not-P5", "maxval", "three-sizes", "size-not-integer", "one-size"])
     def test_pgm_rejects_another_header(self, tmp_path, edit, message):
         g = make_grid(2, 17, 1.0)
         path = tmp_path / "m.pgm"
