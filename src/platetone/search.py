@@ -23,7 +23,10 @@ The candidate with the lowest objective wins, ties broken by list
 position; a step that fails to improve the objective by the fixed relative
 margin ``DELTA_REL`` (1e-6) halves the aggressiveness.  A lattice's descent
 ends at the first such step with nothing new to solve, or when the step
-budget is exhausted.
+budget is exhausted.  Where the fine exchange is the only move whose size
+the halving still changes (a node budget of ``COARSE_EXCHANGE_MAX_NODES``
+or more, so no coarse exchange, and an incumbent within the budget, so no
+cut), it also ends at the second such step in a row: one halved retry.
 
 When the lattice with half the spacing still resolves the target ball, the
 run descends there first and starts from that optimum, prolonged at its
@@ -97,7 +100,7 @@ from platetone.penalty import PLAIN, PenaltyKind, objective, penalty_value, vari
 log = logging.getLogger(__name__)
 
 INIT_SHAPES = ("disk", "square", "annulus", "two_disks", "random_blob")
-TERMINATED_CONVERGED = "nothing_to_solve"
+TERMINATED_CONVERGED = "converged"
 TERMINATED_MAX_STEPS = "max_steps"
 DELTA_REL = 1e-6    # a step is accepted only when it lowers J by DELTA_REL * |J|
 
@@ -135,7 +138,8 @@ MIN_COARSE_NODES_ACROSS = 16
 # Above it the move costs a quarter of square-3d-33's solves; dropping it
 # there raised the final J of square-3d-33 seeds 20 and 24 (of 0-34) by
 # 0.085% and 0.015%, and of the 3D N=35 disk and annulus starts by 0.38%
-# and 0.28%.
+# and 0.28%.  The same cut-off bounds where a lattice's descent ends at its
+# second rejected step in a row (see descent_step).
 COARSE_EXCHANGE_MAX_NODES = 800
 
 
@@ -212,6 +216,7 @@ class SearchState:
     # that none is solved twice there, whether its solve succeeded or not
     solved: set[bytes] = field(default_factory=set)
     grow_past: bool = False     # eps > eps_threshold: volume past omega0 can pay
+    rejected: bool = False      # the last step on this lattice was rejected
     # (mask, tone, omega0) of the incumbent, then what candidate_masks derived
     # from them (see _derive); derived again once any of the three is another
     # object, so once per incumbent
@@ -548,7 +553,17 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
     warm start moves it.  A mask whose solve fails is not retried on the
     lattice either.  A rejected step that adds no key there had nothing new
     to solve and ends the descent on the lattice; a step that goes on lowers
-    J or solves a new mask, so every run ends without a tuned constant.
+    J or solves a new mask, so every run ends.
+
+    A rejected step right after another rejected one (``state.rejected``)
+    also ends the descent where the halving changes the size of the fine
+    exchange alone: the lattice's node budget is ``COARSE_EXCHANGE_MAX_NODES``
+    or more, so no coarse exchange is offered, and the incumbent has no more
+    members than that budget, so no cut is built.  There the halved fine exchange
+    has had its one retry; on square-3d-33 seeds 0-34, only 13 of the 174
+    rejected steps that solved a mask were followed by a win.  Everywhere
+    else the halving still reaches the coarse exchange's gate or shrinks the
+    cut, and only a step with nothing new to solve ends the descent.
     """
     state.step += 1
     bar = state.J - DELTA_REL * abs(state.J)
@@ -578,17 +593,23 @@ def descent_step(state: SearchState, kind: PenaltyKind) -> SearchState:
         row.accepted = True
     else:
         state.aggressiveness *= 0.5
-        if len(state.solved) == known:
+        budget = _budget(state.mask.grid, kind.omega0)
+        retried = (state.rejected and budget >= COARSE_EXCHANGE_MAX_NODES
+                   and state.mask.member_count <= budget)
+        if len(state.solved) == known or retried:
             state.terminated = TERMINATED_CONVERGED
+    state.rejected = best is None
     return state
 
 
 def descend(config: RunConfig, mask: Mask, prior: SearchState | None = None,
             on_accept=None) -> SearchState:
     """Solve the start ``mask`` on its lattice, then take descent steps on
-    that lattice until one is left with nothing to solve or
-    ``config.max_steps`` steps have been taken.  The penalty is
-    ``penalty_kind(config)``, so ``config`` must have a resolved eps.
+    that lattice until one ends the descent (``descent_step``: nothing left
+    to solve, or the second rejection in a row where only the fine exchange
+    is left to shrink) or ``config.max_steps`` steps have been taken.  The
+    penalty is ``penalty_kind(config)``, so ``config`` must have a resolved
+    eps.
 
     ``prior`` is the finished state of a coarser lattice.  Its history and
     step count carry on, so steps are numbered continuously across lattices

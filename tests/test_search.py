@@ -999,6 +999,57 @@ class TestDescentStep:
         assert packed(shifted) in state.solved
         assert len(state.history) == (0 if fail else 1)
 
+    @staticmethod
+    def scripted_steps(monkeypatch, n, radius, accepts):
+        """Steps on the 2D N=n disk of the given radius, each offering one
+        mask new to the lattice, solved and accepted or rejected as
+        ``accepts`` says; the state's termination after each step."""
+        config = small_config(nodes_per_side=n)
+        g = make_grid(2, n, 1.5)
+        state = make_state(ball_mask(g, (0.0, 0.0), radius), config)
+        kind = penalty_kind(resolve_eps(config)[0])
+        news = [ball_mask(g, (k * g.spacing, 0.0), 0.3) for k in range(1, len(accepts) + 1)]
+        script = iter(accepts)
+
+        def scripted(grid, mask, *args, **kwargs):
+            J = state.J - (1.0 if next(script) else 0.0)
+            return J, state.tone, mask_volume(mask)
+
+        monkeypatch.setattr(search, "objective", scripted)
+        ends = []
+        for new in news:
+            monkeypatch.setattr(search, "candidate_masks", lambda *args, new=new: [new])
+            state = descent_step(state, kind)
+            assert packed(new) in state.solved
+            ends.append(state.terminated)
+        return state, ends
+
+    # a lattice of 800 budget nodes or more (2D N=129: 1,429) offers no coarse
+    # exchange, so once the incumbent is within the budget (no cut) the
+    # halving changes only the fine exchange's size
+    def test_second_rejection_in_a_row_ends_a_large_lattice(self, monkeypatch):
+        state, ends = self.scripted_steps(monkeypatch, 129, 0.45, [False, False])
+        assert search.COARSE_EXCHANGE_MAX_NODES <= search._budget(state.mask.grid, OMEGA0)
+        assert state.mask.member_count <= search._budget(state.mask.grid, OMEGA0)
+        assert ends == [None, search.TERMINATED_CONVERGED]
+        assert state.aggressiveness == 0.25
+
+    def test_an_accepted_step_resets_the_retry(self, monkeypatch):
+        _, ends = self.scripted_steps(monkeypatch, 129, 0.45, [False, True, False, False])
+        assert ends == [None, None, None, search.TERMINATED_CONVERGED]
+
+    # 2D N=65 has 357 budget nodes, below COARSE_EXCHANGE_MAX_NODES; a disk of
+    # radius 0.6 on N=129 holds more members than the budget, so a cut is built
+    @pytest.mark.parametrize("n, radius", [(65, 0.45), (129, 0.6)],
+                             ids=["below-800-budget-nodes", "above-the-budget"])
+    def test_two_rejections_go_on_where_the_halving_changes_more(self, monkeypatch,
+                                                                 n, radius):
+        state, ends = self.scripted_steps(monkeypatch, n, radius, [False] * 3)
+        budget = search._budget(state.mask.grid, OMEGA0)
+        assert (budget < search.COARSE_EXCHANGE_MAX_NODES
+                or state.mask.member_count > budget)
+        assert ends == [None, None, None]
+
     def test_acceptance_decreases_J(self):
         config = small_config(init_shape="square")
         g = make_grid(2, 49, 1.5)
@@ -1392,26 +1443,17 @@ class TestOptimize:
         res = optimize(replace(config, eps=eps, eps_override=True))
         assert res.volume > res.config.omega0
 
-    @staticmethod
-    def offered(monkeypatch, config):
+    @classmethod
+    def offered(cls, monkeypatch, config):
         """(incumbent, candidates) of every step of ``optimize(config)``."""
-        steps = []
-        real = search.candidate_masks
-
-        def recording(state, omega0):
-            steps.append((state.mask, real(state, omega0)))
-            return steps[-1][1]
-
-        monkeypatch.setattr(search, "candidate_masks", recording)
-        optimize(config)
+        steps = [(state.mask, cands) for state, cands in cls.recorded_states(monkeypatch, config)[1]]
         assert steps
         return steps
 
-    def test_coarse_exchange_is_built_on_the_first_of_two_lattices_only(self, monkeypatch):
-        # the default 2D N=129 disk descends on N=65, then on N=129; a step
-        # offers the coarse exchange when its mask, k = max(1, round(0.25 *
-        # span)) nodes swapped, is among its candidates and differs from the
-        # fine one, k = max(1, round(0.05 * span))
+    @staticmethod
+    def recorded_states(monkeypatch, config):
+        """(state, candidates) of every step of ``optimize(config)``, each
+        state a copy taken before its step."""
         steps = []
         real = search.candidate_masks
 
@@ -1420,50 +1462,75 @@ class TestOptimize:
             return steps[-1][1]
 
         monkeypatch.setattr(search, "candidate_masks", recording)
-        assert optimize(RunConfig()).levels == (65, 129)
+        return optimize(config), steps
+
+    @staticmethod
+    def coarse_exchange(state, cands):
+        """(eligible, built) of one step: whether its fine exchange, k =
+        max(1, round(0.05 * span)) nodes swapped, moves at most two nodes
+        and differs from the coarse one, k = max(1, round(0.25 * span)), and
+        whether the coarse one's mask is among ``cands``."""
+        ring, boundary = TestMoves.rankings(state)
+        span = state.aggressiveness * min(len(ring), len(boundary))
+        fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
+        inside = state.mask.inside.copy()
+        inside.ravel()[ring[:k]] = True
+        inside.ravel()[boundary[:k]] = False
+        return fine <= 2 and k != fine, mask_from_array(state.mask.grid, inside) in cands
+
+    @classmethod
+    def at_the_gate(cls, state):
+        """``coarse_exchange`` of the incumbent of ``state`` at an
+        aggressiveness where the fine exchange moves at most two nodes and
+        the coarse one more, as ``TestMoves`` sets it."""
+        ring, boundary = TestMoves.rankings(state)
+        state = replace(state, aggressiveness=30.0 / min(len(ring), len(boundary)))
+        return cls.coarse_exchange(state, candidate_masks(state, OMEGA0))
+
+    def test_coarse_exchange_is_built_on_the_first_of_two_lattices_only(self, monkeypatch):
+        # the default 2D N=129 disk descends on N=65, then on N=129.  N=129's
+        # descent ends at its second rejection in a row, before its fine
+        # exchange shrinks to two nodes, so each of its incumbents is also
+        # asked at an aggressiveness where it does
+        res, steps = self.recorded_states(monkeypatch, RunConfig())
+        assert res.levels == (65, 129)
         built = {65: 0, 129: 0}
-        eligible = {65: 0, 129: 0}
         for state, cands in steps:
-            ring, boundary = TestMoves.rankings(state)
-            span = state.aggressiveness * min(len(ring), len(boundary))
-            fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
-            if fine > 2 or k == fine:
-                continue
-            mask, n = state.mask, state.mask.grid.nodes_per_side
-            eligible[n] += 1
-            inside = mask.inside.copy()
-            inside.ravel()[ring[:k]] = True
-            inside.ravel()[boundary[:k]] = False
-            built[n] += mask_from_array(mask.grid, inside) in cands
-        assert eligible[129] >= 1
+            eligible, made = self.coarse_exchange(state, cands)
+            built[state.mask.grid.nodes_per_side] += eligible and made
         assert built[65] >= 1 and built[129] == 0
+        forced = [self.at_the_gate(state) for state, _ in steps
+                  if state.mask.grid.nodes_per_side == 129]
+        assert forced and all(eligible and not made for eligible, made in forced)
 
     def test_coarse_exchange_is_never_built_on_3d_33(self, monkeypatch):
         # the 3D N=33 square start descends on one lattice of 953 budget
         # nodes, above COARSE_EXCHANGE_MAX_NODES: over seeds 0-22 of
-        # square-3d-33 the coarse exchange was solved 75 times and won 1 step
-        steps = []
-        real = search.candidate_masks
+        # square-3d-33 the coarse exchange was solved 75 times and won 1 step.
+        # The descent ends before the fine exchange shrinks to two nodes, so
+        # each incumbent is also asked at an aggressiveness where it does
+        res, steps = self.recorded_states(
+            monkeypatch, RunConfig(dim=3, nodes_per_side=33, init_shape="square"))
+        assert res.levels == (33,)
+        assert not any(eligible and made for eligible, made in
+                       (self.coarse_exchange(state, cands) for state, cands in steps))
+        forced = [self.at_the_gate(state) for state, _ in steps]
+        assert forced and all(eligible and not made for eligible, made in forced)
 
-        def recording(state, omega0):
-            steps.append((replace(state), real(state, omega0)))
-            return steps[-1][1]
+    def test_default_3d_random_blob_ends_within_the_budget(self):
+        # its start holds more members than the budget: the retry does not
+        # end the descent while the cut still shrinks it
+        res = optimize(RunConfig(dim=3, nodes_per_side=33, init_shape="random_blob"))
+        assert res.history[0].volume > res.config.omega0
+        assert res.volume <= res.config.omega0
 
-        monkeypatch.setattr(search, "candidate_masks", recording)
-        assert optimize(RunConfig(dim=3, nodes_per_side=33, init_shape="square")).levels == (33,)
-        eligible = built = 0
-        for state, cands in steps:
-            ring, boundary = TestMoves.rankings(state)
-            span = state.aggressiveness * min(len(ring), len(boundary))
-            fine, k = max(1, round(0.05 * span)), max(1, round(0.25 * span))
-            if fine > 2 or k == fine:
-                continue
-            eligible += 1
-            inside = state.mask.inside.copy()
-            inside.ravel()[ring[:k]] = True
-            inside.ravel()[boundary[:k]] = False
-            built += mask_from_array(state.mask.grid, inside) in cands
-        assert eligible >= 1 and built == 0
+    def test_3d_33_square_is_rejected_twice_in_a_row_only_at_its_end(self):
+        res = optimize(RunConfig(dim=3, nodes_per_side=33, init_shape="square"))
+        accepted = {row.step for row in res.history if row.accepted}
+        rejected = [step not in accepted for step in range(1, res.steps + 1)]
+        assert res.termination == search.TERMINATED_CONVERGED
+        assert rejected[-2:] == [True, True]
+        assert not any(a and b for a, b in zip(rejected[:-2], rejected[1:-1]))
 
     @pytest.mark.parametrize("shape", ["disk", "square", "annulus", "two_disks"])
     def test_default_eps_offers_no_growth_past_the_budget(self, monkeypatch, shape):
@@ -1789,14 +1856,17 @@ class TestMultiLevelHistory:
     def test_each_lattice_ends_at_its_only_step_that_tries_nothing(self, monkeypatch,
                                                                    two_level_run):
         # every step tries a solve (a key joins ``solved``) but the last one
-        # on each lattice, which ends that lattice's descent
+        # on each lattice, which ends that lattice's descent.  N=129 (1,429
+        # budget nodes, at or above COARSE_EXCHANGE_MAX_NODES) may end instead
+        # at its second rejected step in a row, which tried a solve
         tries = []
         real = search.descent_step
 
         def recording(state, kind):
-            known = len(state.solved)
+            known, rejected = len(state.solved), state.rejected
             state = real(state, kind)
-            tries.append((state.mask.grid.nodes_per_side, len(state.solved) > known))
+            tries.append((state.mask.grid.nodes_per_side, len(state.solved) > known,
+                          rejected and state.rejected))
             return state
 
         monkeypatch.setattr(search, "descent_step", recording)
@@ -1804,9 +1874,14 @@ class TestMultiLevelHistory:
         assert res.history == two_level_run.history
         assert res.termination == search.TERMINATED_CONVERGED and res.steps < 300
         for n in (65, 129):
-            on_lattice = [tried for size, tried in tries if size == n]
-            assert len(on_lattice) > 1
-            assert on_lattice[-1] is False and all(on_lattice[:-1])
+            on_lattice = [tried for size, tried, _ in tries if size == n]
+            assert len(on_lattice) > 1 and all(on_lattice[:-1])
+            retried = [twice for size, _, twice in tries if size == n]
+            if n == 65:
+                assert on_lattice[-1] is False
+            else:
+                assert on_lattice[-1] is False or retried[-1]
+                assert not any(retried[:-1])
 
     def test_max_steps_bounds_the_total(self, two_level_run):
         coarse_steps = next(row.step for row in two_level_run.history
